@@ -519,8 +519,11 @@ def _determinant_definitional(params):
     raise BadParams("no determinant in the s = 2 regime")
 
 
-def determinant_check(params):
+def determinant_check(params, b=None):
     """Compare the defining determinant at t = -1 to its closed form.
+
+    ``b`` is the composed inhomogeneity of ``params`` when the caller
+    already holds it (``bundle.b``); by default it is built here.
 
     The determinant is assembled at numerator level (one overall factor
     of t^2 - t^-2 cleared from the column that is linear in the summed
@@ -530,7 +533,9 @@ def determinant_check(params):
     nonvanishing of b at t = -1 (which the closed-form route verifies).
     """
     tag = case_tag(params)
-    b_limit = limit_t_minus1(build_ab(params)[1])
+    if b is None:
+        b = build_ab(params)[1]
+    b_limit = limit_t_minus1(b)
     b_closed = b_minus1_closed_form(params)
     b_ok = (b_limit == b_closed) and not b_limit.is_zero()
     report = {
@@ -646,11 +651,16 @@ def default_grid():
 
 
 def verify_tuple(params, nmax=12, with_identities=False):
-    """Build, check annihilation, compare at t = -1; one report per tuple."""
+    """Build, check annihilation, compare at t = -1; one report per tuple.
+
+    Colors ``1..nmax`` are checked; ``nmax < 1`` raises :class:`ValueError`.
+    """
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
     bundle = build_annihilator(params)
     seq = cable_sequence(params)
     ann = check_annihilation(bundle.cleared_chain(), seq, 1, nmax)
-    det = determinant_check(params)
+    det = determinant_check(params, bundle.b)
     aj = compare_aj(params, bundle)
     record = {
         "params": params.as_dict(),

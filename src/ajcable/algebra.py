@@ -122,6 +122,18 @@ def _lex_key(k):
     return (k[1], k[0])
 
 
+def _eval_at_2_3(d):
+    """Integer value of a polynomial dict (non-negative exponents) at (t, M) = (2, 3)."""
+    pow3 = {}
+    s = 0
+    for (t, m), c in d.items():
+        x = pow3.get(m)
+        if x is None:
+            x = pow3[m] = 3**m
+        s += (c * x) << t
+    return s
+
+
 def _div2(num, den):
     """Exact quotient of two-variable Laurent dicts; raises NotDivisible."""
     if not den:
@@ -136,6 +148,17 @@ def _div2(num, den):
     dm = min(m for _, m in den)
     a = {(t - nt, m - nm): c for (t, m), c in num.items()}
     b = {(t - dt, m - dm): c for (t, m), c in den.items()}
+    # Evaluation certificate of non-divisibility.  Suppose a = q*b with q an
+    # integer Laurent polynomial.  Z[t, M] is a domain, so lowest t- and
+    # M-exponents add under multiplication: min_t(q) = min_t(a) - min_t(b) = 0,
+    # and likewise for M.  So q is an honest polynomial in Z[t, M], q(2, 3) is
+    # an integer, and a(2, 3) = q(2, 3) * b(2, 3).  Hence b(2, 3) != 0 with
+    # b(2, 3) not dividing a(2, 3) proves that no quotient exists.  The test
+    # only ever rejects; when b(2, 3) = 0 it says nothing and the long
+    # division below decides, as it does for every quotient returned.
+    vb = _eval_at_2_3(b)
+    if vb and _eval_at_2_3(a) % vb:
+        raise NotDivisible("quotient is not an integer Laurent polynomial")
     lead_b = max(b, key=_lex_key)
     cb = b[lead_b]
     r = dict(a)
@@ -474,8 +497,11 @@ class RationalTM:
     numerator, which may remain a genuine Laurent polynomial); the common
     integer content is removed; the denominator's leading term in
     (M ascending, t descending) order has positive coefficient.  Reduction
-    beyond that is opportunistic (trial exact division), so equality is
-    decided by cross-multiplication, not structurally.
+    beyond that is opportunistic: a trial exact division of the numerator
+    by the whole denominator, which an integer evaluation at (t, M) = (2, 3)
+    rejects in one step when the values already rule a quotient out (see
+    ``_div2``).  Equality is therefore decided by cross-multiplication, not
+    structurally.
 
     >>> f = RationalTM(IntLaurent2({(1, 1): 1, (-1, 1): -1}), IntLaurent2({(1, 0): 1, (-1, 0): -1}))
     >>> f.text()

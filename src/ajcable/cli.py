@@ -40,6 +40,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(lo):
+    """argparse type for an integer option that must be at least ``lo``."""
+
+    def parse(text):
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in "invalid integer value"
+    return parse
+
+
 def _build_parser():
     parser = _Parser(prog="ajcable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -71,12 +84,13 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="full per-tuple check pipeline")
     add_pq(sp, cable=True)
-    sp.add_argument("--nmax", type=int, default=12)
+    sp.add_argument("--nmax", type=_int_at_least(1), default=12)
     add_format(sp)
 
     sp = sub.add_parser("degrees", help="audit degree predictions")
     add_pq(sp, cable=False)
-    sp.add_argument("--nmax", type=int, default=12)
+    sp.add_argument("--nmax", type=_int_at_least(2), default=12,
+                    help="audit colors 2..NMAX")
     add_format(sp)
 
     sp = sub.add_parser("minimality", help="bounded lower-degree annihilator search")
@@ -90,7 +104,7 @@ def _build_parser():
     sp = sub.add_parser("grid", help="run the verify pipeline over a tuple file")
     sp.add_argument("file", nargs="?", default=None)
     sp.add_argument("--grid", dest="grid_file", default=None, metavar="FILE")
-    sp.add_argument("--nmax", type=int, default=12)
+    sp.add_argument("--nmax", type=_int_at_least(1), default=12)
     add_format(sp)
 
     return parser
@@ -263,11 +277,15 @@ def _cmd_degrees(args):
 def _cmd_minimality(args):
     params = _params_or_exit(args)
     _warn_in_band(params)
-    bounds = default_search_bounds(params, l_degree=args.ldeg)
-    if args.tspan is not None:
-        bounds = replace(bounds, t_span=args.tspan)
-    if args.mspan is not None:
-        bounds = replace(bounds, m_span=args.mspan)
+    try:
+        bounds = default_search_bounds(params, l_degree=args.ldeg)
+        if args.tspan is not None:
+            bounds = replace(bounds, t_span=args.tspan)
+        if args.mspan is not None:
+            bounds = replace(bounds, m_span=args.mspan)
+    except ValueError as exc:  # SearchBounds rejected a value
+        print(f"ajcable: error: {exc}", file=sys.stderr)
+        return 1
     try:
         report = search_bounded_annihilator(params, bounds)
     except SystemTooSmall as exc:

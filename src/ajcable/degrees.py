@@ -137,7 +137,10 @@ def audit_degrees(params, n_lo=2, n_hi=12):
 
     ``params`` is a :class:`CablingParams` for a cable audit or a plain
     ``(p, q)`` pair for a torus audit.  Returns one row per (color, side).
+    An empty color window raises :class:`ValueError`.
     """
+    if n_hi < n_lo:
+        raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
     rows = []
     if isinstance(params, CablingParams):
         label = params.as_dict()

@@ -65,6 +65,15 @@ class SearchBounds:
     n_hi: int = 12
     seed: int = 7
 
+    def __post_init__(self):
+        if self.l_degree < 1:
+            raise ValueError(f"L-degree must be at least 1, got {self.l_degree}")
+        if self.t_span < 0 or self.m_span < 0:
+            raise ValueError(f"box half-widths must be non-negative, got "
+                             f"t_span={self.t_span}, m_span={self.m_span}")
+        if self.n_lo > self.n_hi:
+            raise ValueError(f"empty color window [{self.n_lo}, {self.n_hi}]")
+
     def box_size(self):
         return (2 * self.t_span + 1) * (2 * self.m_span + 1)
 

@@ -261,8 +261,11 @@ def check_annihilation(P, f, n_lo, n_hi):
     first; the cleared operator is applied) or a list of operators
     representing an already-cleared composition, applied right to left.
     Every color in ``[n_lo, n_hi]`` is tested exactly; the report records
-    the first failure if any.
+    the first failure if any.  An empty window raises :class:`ValueError`:
+    checking no color must not read as a pass.
     """
+    if n_hi < n_lo:
+        raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
     if isinstance(P, SkewOperator):
         cleared, _ = clear_denominators(P)
         chain = [cleared]

@@ -185,6 +185,11 @@ def test_determinant_check_all_cases():
             assert report["determinant_matches"] and report["determinant_nonzero"]
 
 
+def test_determinant_check_reuses_given_b():
+    for params in REPRESENTATIVES.values():
+        assert determinant_check(params, build_annihilator(params).b) == determinant_check(params)
+
+
 def test_determinant_closed_form_s2_unavailable():
     with pytest.raises(BadParams):
         determinant_closed_form(CablingParams(3, 2, 13, 2))
@@ -277,6 +282,22 @@ def test_verify_tuple_record():
     assert record["L_degree"] == 3
     assert record["n_checked"] == [1, 6]
     assert record["theorem_applies"] is True  # r = 13 lies above pqs = 12
+
+
+@pytest.mark.parametrize("nmax", [0, -1])
+def test_verify_tuple_rejects_empty_window(nmax):
+    with pytest.raises(ValueError, match="nmax must be at least 1"):
+        verify_tuple(CablingParams(3, 2, 13, 2), nmax=nmax)
+
+
+def test_verify_tuple_builds_once(monkeypatch):
+    """verify_tuple hands its bundle's b to determinant_check, so the
+    construction runs once per tuple."""
+    calls = []
+    real = aj._construction
+    monkeypatch.setattr(aj, "_construction", lambda params: calls.append(params) or real(params))
+    assert verify_tuple(CablingParams(3, 2, 13, 2), nmax=3)["pass"]
+    assert len(calls) == 1
 
 
 def test_default_grid_shape():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ajcable.algebra as algebra
 from ajcable.algebra import (
     DivByZero,
     IntLaurent1,
@@ -153,6 +154,132 @@ def test_mul_distributes(f, g, h):
 @settings(max_examples=60, deadline=None)
 def test_exact_div_round_trip(f, g):
     assert poly_exact_div(poly_mul(f, g), g) == f
+
+
+# --- _div2 against the plain long division ----------------------------------
+
+def reference_div2(num, den):
+    """Lex long division of two-variable Laurent dicts with no evaluation
+    pre-test: the reference the certified ``_div2`` must agree with."""
+    if not den:
+        raise DivByZero("division by zero polynomial")
+    if not num:
+        return {}
+    nt = min(t for t, _ in num)
+    nm = min(m for _, m in num)
+    dt = min(t for t, _ in den)
+    dm = min(m for _, m in den)
+    a = {(t - nt, m - nm): c for (t, m), c in num.items()}
+    b = {(t - dt, m - dm): c for (t, m), c in den.items()}
+    lead_b = max(b, key=lambda k: (k[1], k[0]))
+    cb = b[lead_b]
+    r = dict(a)
+    q = {}
+    while r:
+        lead_r = max(r, key=lambda k: (k[1], k[0]))
+        ca = r[lead_r]
+        qe = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1])
+        if qe[0] < 0 or qe[1] < 0 or ca % cb:
+            raise NotDivisible("reference")
+        qc = ca // cb
+        q[qe] = qc
+        for (t, m), c in b.items():
+            k = (t + qe[0], m + qe[1])
+            v = r.get(k, 0) - qc * c
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    off = (nt - dt, nm - dm)
+    return {(t + off[0], m + off[1]): c for (t, m), c in q.items()}
+
+
+def div2_outcome(div, num, den):
+    try:
+        return div(num, den)
+    except NotDivisible:
+        return NotDivisible
+
+
+def assert_div2_matches_reference(num, den):
+    expected = div2_outcome(reference_div2, num, den)
+    assert div2_outcome(algebra._div2, num, den) == expected, (num, den)
+    return expected
+
+
+@st.composite
+def dividend_divisor(draw):
+    """(a, b) with a an arbitrary polynomial, a multiple of b, or a multiple
+    of b plus a perturbation."""
+    b = draw(polys2(nonzero=True))
+    f = draw(polys2())
+    kind = draw(st.sampled_from(("free", "product", "perturbed")))
+    if kind == "free":
+        return f, b
+    a = poly_mul(f, b)
+    if kind == "perturbed":
+        a = a + draw(polys2())
+    return a, b
+
+
+@given(dividend_divisor())
+@settings(max_examples=300, deadline=None)
+def test_div2_matches_reference_long_division(pair):
+    a, b = pair
+    assert_div2_matches_reference(a.d, b.d)
+
+
+# b(2, 3) = 0: the evaluation says nothing and the long division decides
+ZERO_AT_2_3 = (
+    {(1, 0): 1, (0, 0): -2},            # t - 2
+    {(0, 1): 1, (0, 0): -3},            # M - 3
+    {(1, 1): 1, (0, 0): -6},            # t*M - 6
+    {(-2, 4): 1, (-3, 3): -6},          # t^-3 M^3 (t*M - 6), offset divisor
+)
+
+
+@pytest.mark.parametrize("den", ZERO_AT_2_3)
+def test_div2_divisor_vanishing_at_2_3(den):
+    f = {(3, -1): 2, (0, 2): -1, (-1, 0): 5}
+    dt, dm = min(t for t, _ in den), min(m for _, m in den)
+    assert algebra._eval_at_2_3({(t - dt, m - dm): c for (t, m), c in den.items()}) == 0
+    product = poly_mul(L2(f), L2(den)).d
+    assert assert_div2_matches_reference(product, den) == f
+    # f itself is not a multiple of den
+    assert assert_div2_matches_reference(f, den) is NotDivisible
+
+
+def test_div2_quotient_rational_not_integral():
+    # (t + 1) / (2t + 2) = 1/2: values 3 and 6, rejected by the evaluation
+    assert assert_div2_matches_reference({(1, 0): 1, (0, 0): 1},
+                                         {(1, 0): 2, (0, 0): 2}) is NotDivisible
+    # (2t + 2) / (4t + 2): also a non-integral quotient over Q(t)
+    assert assert_div2_matches_reference({(1, 0): 2, (0, 0): 2},
+                                         {(1, 0): 4, (0, 0): 2}) is NotDivisible
+
+
+def test_div2_evaluation_passes_but_division_fails():
+    # (t + 4) / (t + 1): 6 is divisible by 3, yet there is no quotient
+    assert assert_div2_matches_reference({(1, 0): 1, (0, 0): 4},
+                                         {(1, 0): 1, (0, 0): 1}) is NotDivisible
+
+
+def test_div2_negative_exponent_offsets():
+    num = poly_mul(L2({(-4, -3): 3, (-2, -1): -1}), L2({(-1, -2): 1, (1, -2): 1, (0, 1): -2}))
+    den = {(-1, -2): 1, (1, -2): 1, (0, 1): -2}
+    assert assert_div2_matches_reference(num.d, den) == {(-4, -3): 3, (-2, -1): -1}
+    assert assert_div2_matches_reference({(-7, 5): 1, (-9, 4): 1}, den) is NotDivisible
+
+
+def test_div2_rejection_skips_long_division(monkeypatch):
+    """A quotient ruled out by the values is rejected before the lex loop."""
+
+    def no_long_division(_key):
+        raise AssertionError("long division ran")
+
+    monkeypatch.setattr(algebra, "_lex_key", no_long_division)
+    with pytest.raises(NotDivisible):
+        algebra._div2({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 2})
 
 
 @given(polys2(), polys2(), st.integers(min_value=-4, max_value=4))

@@ -91,6 +91,35 @@ def test_missing_required_flag_exits_1():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "0"], "at least 1, got 0"),
+    (["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "-3"], "at least 1, got -3"),
+    (["grid", "--nmax", "0"], "at least 1, got 0"),
+    (["degrees", "-p", "3", "-q", "2", "--nmax", "1"], "at least 2, got 1"),
+])
+def test_empty_colour_window_exits_1(argv, message, capsys):
+    """No command may pass after checking no colours."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --nmax: must be {message}" in captured.err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tspan", "-3"], "box half-widths must be non-negative, got t_span=-3, m_span=2"),
+    (["--mspan", "-1"], "box half-widths must be non-negative, got t_span=10, m_span=-1"),
+    (["--ldeg", "0"], "L-degree must be at least 1, got 0"),
+])
+def test_minimality_bad_bounds_exit_1(flags, message, capsys):
+    rc = main(["minimality", "-p", "3", "-q", "2", "-r", "13", "-s", "2"] + flags)
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ajcable: error: {message}\n"
+
+
 # --- apoly / annihilator -------------------------------------------------------
 
 def test_apoly_text(capsys):

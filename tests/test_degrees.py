@@ -78,6 +78,11 @@ def test_audit_rows_shape():
     assert all(row["params"] == {"p": 3, "q": 2, "r": 13, "s": 2} for row in rows)
 
 
+def test_audit_rejects_empty_window():
+    with pytest.raises(ValueError, match="empty color window"):
+        audit_degrees((3, 2), 2, 1)
+
+
 def test_predictions_against_direct_degree_bounds():
     # spot-check the plumbing audit_degrees relies on
     lo, hi = degree_bounds(torus_jones(3, 2, 2))

@@ -84,6 +84,17 @@ def test_torus_pair_search_runs_with_default_bounds():
     assert report["L_degree_searched"] == 2
 
 
+@pytest.mark.parametrize("fields", [
+    {"l_degree": 0},
+    {"l_degree": 2, "t_span": -1},
+    {"l_degree": 2, "m_span": -1},
+    {"l_degree": 2, "n_lo": 5, "n_hi": 4},
+])
+def test_search_bounds_validated(fields):
+    with pytest.raises(ValueError):
+        SearchBounds(**fields)
+
+
 def test_system_too_small():
     with pytest.raises(SystemTooSmall):
         search_bounded_annihilator(

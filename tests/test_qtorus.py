@@ -130,6 +130,11 @@ def test_check_annihilation_failure_records_residue():
     assert report["residue"] == IntLaurent1({2: 1, -2: 1, 0: -1}).text()
 
 
+def test_check_annihilation_rejects_empty_window():
+    with pytest.raises(ValueError, match="empty color window"):
+        check_annihilation(quantum_integer_op(), unknot_sequence(), 1, 0)
+
+
 # --- randomized operator properties -----------------------------------------
 
 coeffs = st.integers(min_value=-5, max_value=5)
