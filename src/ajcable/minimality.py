@@ -12,7 +12,8 @@ Verdicts are certificates, never guesses:
 * ``no annihilator within bounds`` -- the system's coefficient matrix has
   full column rank modulo a prime.  Any nonzero rational solution could
   be scaled primitive-integer, and would reduce to a nonzero mod-p kernel
-  vector; full rank rules that out.
+  vector; full rank rules that out.  The rank comes from forward
+  elimination alone; the kernel is computed only when it is nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
 * ``inconclusive`` -- the mod-p system was rank-deficient but no lift
@@ -209,82 +210,125 @@ def _equation_count(values, bounds, centers):
 # ---------------------------------------------------------------------------
 # fast evaluation of the invariant values at t = tau over F_p
 # ---------------------------------------------------------------------------
+#
+# Everything below works on int64 residues in [0, p) with p < 2^31, so the
+# product of two residues is below 2^62 and a sum of two such products
+# below 2^63: every product is reduced mod p before it is added to another.
 
 
-def _modpow(tau, e, prime):
-    return pow(tau, e % (prime - 1), prime)
+def _draw_taus(rng, count, prime):
+    """``count`` distinct evaluation points in [2, p - 2]: the smallest
+    ``count`` of ``count + 8`` draws, topped up by further draws when
+    duplicates or rejections leave too few.
 
-
-def _qint_mod(c, tau, prime, inv_den):
-    return (_modpow(tau, 2 * c, prime) - _modpow(tau, -2 * c, prime)) * inv_den % prime
-
-
-def _delta_mod(p, q, j, tau, prime, inv_den):
-    u, w = p + q, q - p
-    num = (
-        _modpow(tau, 2 * u * (j + 1) + 2, prime)
-        + _modpow(tau, -2 * u * (j + 1) + 2, prime)
-        - _modpow(tau, 2 * w * (j + 1) - 2, prime)
-        - _modpow(tau, -2 * w * (j + 1) - 2, prime)
-    )
-    return num * inv_den % prime
-
-
-def _torus_evals_mod(p, q, c_max, tau, prime):
-    """J at colors 0..c_max for the (p, q) torus knot, as residues.
-
-    Computed by the two-step recurrence seeded at colors 1 and 2 -- one
-    modular exponentiation per step instead of per term.
+    Points with tau^4 = 1 (mod p) are rejected.  The values are evaluated
+    through quantum integers (t^(2n) - t^(-2n)) / (t^2 - t^-2), whose
+    denominator vanishes exactly there; its modular inverse would silently
+    come out as pow(0, p - 2, p) = 0 and every row built at that point
+    would be wrong.  A wrong row is not a consequence of the exact system,
+    so the full-rank certificate would not be sound.  Such points exist
+    for p = 1 (mod 4) (the square roots of -1), e.g. for 2147483629.
     """
-    inv_den = pow((_modpow(tau, 2, prime) - _modpow(tau, -2, prime)) % prime, prime - 2, prime)
-    vals = [0] * (c_max + 1)
-    if c_max >= 1:
-        vals[1] = 1
-    if c_max >= 2:
-        vals[2] = sum(
-            c * _modpow(tau, e, prime) for e, c in torus_jones(p, q, 2).d.items()
-        ) % prime
-    for c in range(1, c_max - 1):
-        step = _modpow(tau, -4 * p * q * (c + 1), prime)
-        inhom = _modpow(tau, -2 * p * q * (c + 1), prime)
-        vals[c + 2] = (step * vals[c] + inhom * _delta_mod(p, q, c, tau, prime, inv_den)) % prime
-    return vals, inv_den
+
+    def ok(t):
+        return pow(t, 4, prime) != 1
+
+    taus = sorted(t for t in {rng.randrange(2, prime - 1) for _ in range(count + 8)} if ok(t))
+    taus = taus[:count]
+    while len(taus) < count:
+        t = rng.randrange(2, prime - 1)
+        if ok(t) and t not in taus:
+            taus.append(t)
+    return taus
 
 
-def _cable_evals_mod(params, n_max, tau, prime):
-    """Cable values at colors 1..n_max as residues, via the double sum."""
-    p, q, r, s = params.p, params.q, params.r, params.s
-    rs = r * s
-    c_max = s * (n_max - 1) + 1
-    torus_vals, _ = _torus_evals_mod(p, q, max(c_max, 2), tau, prime)
+def _pow_table(bases, exps, prime):
+    """``bases[j] ** exps[k] mod prime`` as a (len(bases), len(exps)) array.
 
-    def jt(c):
-        if c >= 0:
-            return torus_vals[c]
-        return (-torus_vals[-c]) % prime
-
-    out = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = 0
-        for k in range(-(n - 1), n, 2):
-            acc += _modpow(tau, rs * k * k + 2 * r * k, prime) * jt(k * s + 1)
-        out[n] = _modpow(tau, -rs * (n * n - 1), prime) * (acc % prime) % prime
+    Array square-and-multiply; exponents of any sign are reduced mod
+    ``prime - 1`` (Fermat), so every base must be a unit.
+    """
+    base = np.asarray(bases, dtype=np.int64).reshape(-1, 1)
+    e = np.asarray(exps, dtype=np.int64) % (prime - 1)
+    out = np.ones((base.shape[0], e.shape[0]), dtype=np.int64)
+    while e.any():
+        out = np.where(e & 1, out * base % prime, out)
+        base = base * base % prime
+        e = e >> 1
     return out
 
 
-def _unknot_evals_mod(n_max, tau, prime):
-    inv_den = pow((_modpow(tau, 2, prime) - _modpow(tau, -2, prime)) % prime, prime - 2, prime)
-    return [0] + [_qint_mod(n, tau, prime, inv_den) for n in range(1, n_max + 1)]
+def _inv_den(taus, prime):
+    """(tau^2 - tau^-2)^-1 per tau, as a column; nonzero by the guard in
+    :func:`_draw_taus`."""
+    powers = _pow_table(taus, [2, -2], prime)
+    den = (powers[:, 0] - powers[:, 1]) % prime
+    return _pow_table(den, [prime - 2], prime)
 
 
-def _value_evals(params, n_max, tau, prime):
-    if params is None:
-        return _unknot_evals_mod(n_max, tau, prime)
-    if isinstance(params, CablingParams):
-        return _cable_evals_mod(params, n_max, tau, prime)
-    p, q = params
-    vals, _ = _torus_evals_mod(p, q, max(n_max, 2), tau, prime)
+def _torus_evals_mod(p, q, c_max, taus, prime):
+    """J at colors 0..c_max for the (p, q) torus knot, one row per tau.
+
+    Computed by the two-step recurrence seeded at colors 1 and 2; the
+    powers of tau of every step come from one power table.
+    """
+    vals = np.zeros((len(taus), c_max + 1), dtype=np.int64)
+    vals[:, 1] = 1
+    two = torus_jones(p, q, 2).d
+    coeffs = np.fromiter(two.values(), dtype=np.int64, count=len(two))
+    vals[:, 2] = (_pow_table(taus, list(two), prime) * coeffs).sum(axis=1) % prime
+    # step c (colors c, c + 1 -> c + 2) uses j = c + 1 = 2 .. c_max - 1
+    j = np.arange(2, c_max, dtype=np.int64)
+    u, w, pq = p + q, q - p, p * q
+    step, inhom, d1, d2, d3, d4 = np.split(
+        _pow_table(taus, np.concatenate((
+            -4 * pq * j, -2 * pq * j,
+            2 * u * j + 2, -2 * u * j + 2, 2 * w * j - 2, -2 * w * j - 2,
+        )), prime),
+        6,
+        axis=1,
+    )
+    delta = (d1 + d2 - d3 - d4) % prime * _inv_den(taus, prime) % prime
+    inhom = inhom * delta % prime
+    for k, c in enumerate(range(1, c_max - 1)):
+        vals[:, c + 2] = (step[:, k] * vals[:, c] % prime + inhom[:, k]) % prime
     return vals
+
+
+def _cable_evals_mod(params, n_max, taus, prime):
+    """Cable values at colors 0..n_max, one row per tau, via the double
+    sum over k = -(n-1), -(n-3), .., n-1 for every color n at once."""
+    p, q, r, s = params.p, params.q, params.r, params.s
+    rs = r * s
+    torus = _torus_evals_mod(p, q, max(s * (n_max - 1) + 1, 2), taus, prime)
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    k = np.concatenate([np.arange(-(n - 1), n, 2, dtype=np.int64) for n in range(1, n_max + 1)])
+    c = k * s + 1
+    jt = torus[:, np.abs(c)] * np.where(c < 0, -1, 1) % prime
+    terms = _pow_table(taus, rs * k * k + 2 * r * k, prime) * jt % prime
+    # color n contributes n terms, so its block starts at n(n-1)/2
+    acc = np.add.reduceat(terms, ns * (ns - 1) // 2, axis=1) % prime
+    out = np.zeros((len(taus), n_max + 1), dtype=np.int64)
+    out[:, 1:] = _pow_table(taus, -rs * (ns * ns - 1), prime) * acc % prime
+    return out
+
+
+def _unknot_evals_mod(n_max, taus, prime):
+    n = np.arange(n_max + 1, dtype=np.int64)
+    powers = _pow_table(taus, np.concatenate((2 * n, -2 * n)), prime)
+    num = (powers[:, : n.size] - powers[:, n.size :]) % prime
+    return num * _inv_den(taus, prime) % prime
+
+
+def _value_evals(params, n_max, taus, prime):
+    """Residues of the values at colors 0..n_max (at least 0..2), one row
+    per tau."""
+    if params is None:
+        return _unknot_evals_mod(n_max, taus, prime)
+    if isinstance(params, CablingParams):
+        return _cable_evals_mod(params, n_max, taus, prime)
+    p, q = params
+    return _torus_evals_mod(p, q, max(n_max, 2), taus, prime)
 
 
 # ---------------------------------------------------------------------------
@@ -293,75 +337,99 @@ def _value_evals(params, n_max, tau, prime):
 
 
 def _build_matrix(params, bounds, centers, taus, prime):
-    """Evaluation-compressed system: one row per (tau, color)."""
-    n_lo, n_hi = bounds.n_lo, bounds.n_hi
-    d = bounds.l_degree
-    n_max = n_hi + d
-    evals = {tau: _value_evals(params, n_max, tau, prime) for tau in taus}
-    n_count = n_hi - n_lo + 1
-    width = sum((2 * bounds.t_span + 1) * (2 * bounds.m_span + 1) for _ in centers)
-    rows = np.zeros((len(taus) * n_count, width), dtype=np.int64)
-    ridx = 0
-    for tau in taus:
-        vals = evals[tau]
-        for n in range(n_lo, n_hi + 1):
-            row = []
-            for i, (tc, mc) in enumerate(centers):
-                jval = vals[n + i]
-                tau_step = tau
-                base = _modpow(tau, tc - bounds.t_span, prime)
-                a_powers = []
-                acc = base
-                for _ in range(2 * bounds.t_span + 1):
-                    a_powers.append(acc)
-                    acc = acc * tau_step % prime
-                for b in range(mc - bounds.m_span, mc + bounds.m_span + 1):
-                    mfac = _modpow(tau, 2 * n * b, prime) * jval % prime
-                    row.extend(ap * mfac % prime for ap in a_powers)
-            rows[ridx] = row
-            ridx += 1
-    return rows
+    """Evaluation-compressed system: one row per (tau, color), tau-major.
+
+    The column (i, a, b) of row (tau, n) holds tau^a * tau^(2nb) * J(n+i)
+    evaluated at tau, with a running fastest within a block.
+    """
+    ts, ms = bounds.t_span, bounds.m_span
+    n = np.arange(bounds.n_lo, bounds.n_hi + 1, dtype=np.int64)
+    evals = _value_evals(params, bounds.n_hi + bounds.l_degree, taus, prime)
+    blocks = []
+    for i, (tc, mc) in enumerate(centers):
+        a = np.arange(tc - ts, tc + ts + 1, dtype=np.int64)
+        b = np.arange(mc - ms, mc + ms + 1, dtype=np.int64)
+        table = _pow_table(taus, np.concatenate((a, (2 * n[:, None] * b).ravel())), prime)
+        a_pow = table[:, : a.size]
+        m_pow = table[:, a.size :].reshape(len(taus), n.size, b.size)
+        mfac = m_pow * evals[:, n + i, None] % prime
+        blocks.append(
+            (mfac[..., None] * a_pow[:, None, None, :] % prime).reshape(
+                len(taus) * n.size, b.size * a.size
+            )
+        )
+    return np.concatenate(blocks, axis=1)
 
 
-def _rref_mod(A, prime):
-    """In-place reduced row echelon form over F_prime; returns pivot columns."""
+def _reduce(x, prime):
+    """``x %= prime`` in place for an int64 array of residue differences
+    and products (|x| < 2^62).
+
+    numpy floor-divides an integer array by a scalar with a multiply and
+    a shift, but computes the remainder with a hardware division, so
+    ``x - (x // p) * p`` takes about half the time of ``x % p``.
+    """
+    q = x // prime
+    q *= prime
+    x -= q
+
+
+def _echelon_mod(A, prime):
+    """Forward elimination over F_prime, in place; returns the pivot
+    columns, whose count is the rank.
+
+    Leaves the first ``rank`` rows of ``A`` in row echelon form with unit
+    pivots.  Each step touches only the rows below the pivot and the
+    columns from the pivot on; the rows below ``rank`` are left as the
+    zero rows the elimination produced.
+    """
     rows, cols = A.shape
     pivots = []
     row = 0
     for col in range(cols):
-        if row >= rows:
+        if row == rows:
             break
-        nz = np.nonzero(A[row:, col])[0]
+        nz = np.flatnonzero(A[row:, col])
         if nz.size == 0:
             continue
         pr = row + int(nz[0])
         if pr != row:
-            A[[row, pr]] = A[[pr, row]]
-        inv = pow(int(A[row, col]), prime - 2, prime)
-        A[row] = A[row] * inv % prime
-        others = np.nonzero(A[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            A[others] = (A[others] - A[others, col : col + 1] * A[row]) % prime
+            A[[row, pr], col:] = A[[pr, row], col:]
+        pivot = A[row, col:]
+        pivot[:] = pivot * pow(int(pivot[0]), prime - 2, prime) % prime
+        below = A[row + 1 :, col:]
+        below -= below[:, :1] * pivot
+        _reduce(below, prime)
         pivots.append(col)
         row += 1
     return pivots
 
 
-def _nullspace_mod(A, prime):
-    """Pivot columns and a null-space basis (list of int lists) of A."""
-    work = A.copy()
-    pivots = _rref_mod(work, prime)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in set(pivots)]
+def _nullspace_mod(E, pivots, prime):
+    """Null-space basis (list of int lists) from the echelon form ``E``
+    and pivot columns left by :func:`_echelon_mod`.
+
+    Back-substitution on the pivot rows, in place, gives the reduced row
+    echelon form; it is unique, so the basis (free column set to 1, the
+    others to 0) is independent of the elimination order.
+    """
+    R = E[: len(pivots)]
+    for k in range(len(pivots) - 1, 0, -1):
+        pc = pivots[k]
+        above = R[:k, pc:]
+        above -= above[:, :1] * R[k, pc:]
+        _reduce(above, prime)
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [0] * cols
+    for f in range(E.shape[1]):
+        if f in pivot_set:
+            continue
+        v = [0] * E.shape[1]
         v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = int(-work[r, f]) % prime
+        for pc, x in zip(pivots, (-R[:, f] % prime).tolist()):
+            v[pc] = x
         basis.append(v)
-    return pivots, basis
+    return basis
 
 
 def _symmetric_lift(vec, prime, k):
@@ -455,7 +523,8 @@ def _exact_nullspace(rows, width):
         r += 1
         if r == len(mat):
             break
-    free = [c for c in range(width) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
     basis = []
     for f in free:
         v = [Fraction(0)] * width
@@ -518,13 +587,9 @@ def search_bounded_annihilator(params, bounds=None):
     rng = random.Random(bounds.seed)
 
     for prime in PRIMES:
-        taus = sorted({rng.randrange(2, prime - 1) for _ in range(tau_count + 8)})[:tau_count]
-        while len(taus) < tau_count:
-            t = rng.randrange(2, prime - 1)
-            if t not in taus:
-                taus.append(t)
+        taus = _draw_taus(rng, tau_count, prime)
         matrix = _build_matrix(params, bounds, centers, taus, prime)
-        pivots, basis = _nullspace_mod(matrix, prime)
+        pivots = _echelon_mod(matrix, prime)
         nullity = unknowns - len(pivots)
         report["nullity"] = nullity
         report["prime"] = prime
@@ -532,7 +597,7 @@ def search_bounded_annihilator(params, bounds=None):
         if nullity == 0:
             report["verdict"] = "no annihilator within bounds"
             return report
-        for v in basis[:24]:
+        for v in _nullspace_mod(matrix, pivots, prime)[:24]:
             for k in range(1, 65):
                 lifted = _symmetric_lift(v, prime, k)
                 if max(abs(x) for x in lifted) > 1 << 25:

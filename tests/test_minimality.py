@@ -1,9 +1,15 @@
 """Bounded searches below the constructed order, plus unknot controls."""
 
-import pytest
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ajcable.minimality as minimality
 from ajcable.algebra import IntLaurent2
-from ajcable.jones import CablingParams, unknot_sequence
+from ajcable.jones import CablingParams, cable_sequence, torus_sequence, unknot_sequence
 from ajcable.minimality import (
     PRIMES,
     SearchBounds,
@@ -26,8 +32,22 @@ def test_default_bounds():
 
 # --- unknot controls -----------------------------------------------------------
 
-def test_unknot_second_order_found():
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(minimality, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(minimality, name, spy)
+    return calls
+
+
+def test_unknot_second_order_found(monkeypatch):
+    back_substitutions = _count_calls(monkeypatch, "_nullspace_mod")
     report = search_bounded_annihilator(None)
+    assert len(back_substitutions) == 1  # the mod-p kernel is lifted
     assert report["verdict"] == "found annihilator within bounds"
     assert report["found"] == "(1)*L^0 + (-t^2 - t^-2)*L^1 + (1)*L^2"
     # the recovered operator annihilates the quantum integers well past
@@ -42,10 +62,14 @@ def test_unknot_second_order_found():
     assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
 
 
-def test_unknot_first_order_none_over_m_free_box():
+def test_unknot_first_order_none_over_m_free_box(monkeypatch):
+    exact = _count_calls(monkeypatch, "_exact_nullspace")
     report = search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
     assert report["verdict"] == "no annihilator within bounds"
     assert report["nullity"] == 0
+    # both primes are rank-deficient here (7 points, each adding at most
+    # rank 2): the verdict comes from the exact fallback
+    assert len(exact) == 1
 
 
 def test_unknot_first_order_exists_once_m_coefficients_allowed():
@@ -66,7 +90,11 @@ def test_unknot_first_order_exists_once_m_coefficients_allowed():
 
 # --- cable and torus searches below the constructed order -------------------------
 
-def test_cable_none_below_constructed_order():
+def test_cable_none_below_constructed_order(monkeypatch):
+    def no_back_substitution(*args):
+        raise AssertionError("full rank is decided without back-substitution")
+
+    monkeypatch.setattr(minimality, "_nullspace_mod", no_back_substitution)
     report = search_bounded_annihilator(CablingParams(3, 2, 13, 2))
     assert report["verdict"] == "no annihilator within bounds"
     assert report["L_degree_searched"] == 2
@@ -100,3 +128,222 @@ def test_system_too_small():
         search_bounded_annihilator(
             None, SearchBounds(l_degree=2, t_span=4, m_span=0, n_lo=1, n_hi=1)
         )
+
+
+# --- evaluation points ------------------------------------------------------------
+
+# A square root of -1 modulo the second prime: tau^2 - tau^-2 vanishes there.
+BAD_TAU = 1518275076
+
+
+class _ScriptedRng:
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, lo, hi):
+        v = next(self.values)
+        assert lo <= v < hi
+        return v
+
+
+def _draw_taus_reference(rng, count, prime):
+    """The draw before points with tau^4 = 1 were rejected."""
+    taus = sorted({rng.randrange(2, prime - 1) for _ in range(count + 8)})[:count]
+    while len(taus) < count:
+        t = rng.randrange(2, prime - 1)
+        if t not in taus:
+            taus.append(t)
+    return taus
+
+
+def test_draw_taus_rejects_fourth_roots_of_unity():
+    prime = PRIMES[1]
+    assert pow(BAD_TAU, 4, prime) == 1
+    assert (pow(BAD_TAU, 2, prime) - pow(BAD_TAU, -2, prime)) % prime == 0
+    # the hazard: the quantum-integer denominator has no inverse there
+    assert minimality._inv_den([BAD_TAU], prime)[0, 0] == 0
+    # count + 8 = 9 first draws: the bad point, duplicates, then refills
+    script = [BAD_TAU, 5, 5, 5, 5, 5, 5, 5, 5, BAD_TAU, 5, 9]
+    assert minimality._draw_taus(_ScriptedRng(script), 1, prime) == [5]
+    assert minimality._draw_taus(_ScriptedRng(script), 2, prime) == [5, 9]
+
+
+def test_draw_taus_unchanged_on_stock_draws():
+    for count in (7, 8, 53):
+        new, old = random.Random(7), random.Random(7)
+        for prime in PRIMES:
+            assert minimality._draw_taus(new, count, prime) == _draw_taus_reference(
+                old, count, prime
+            )
+
+
+# --- modular evaluation against the exact values ---------------------------------------
+
+
+def _residue(poly, tau, prime):
+    return sum(c * pow(tau, e % (prime - 1), prime) for e, c in poly.d.items()) % prime
+
+
+EVAL_TAUS = {prime: [2, 1234567, prime - 2] for prime in PRIMES}
+
+
+@pytest.mark.parametrize("params", [
+    CablingParams(3, 2, 13, 2),
+    CablingParams(5, 3, -7, 3),
+    CablingParams(-5, 3, 1, 4),
+    CablingParams(3, 2, 31, 3),
+    CablingParams(5, 3, 76, 5),
+    (3, 2),
+    (-5, 3),
+    None,
+])
+def test_value_evals_match_exact_values(params):
+    if params is None:
+        seq = unknot_sequence()
+    elif isinstance(params, CablingParams):
+        seq = cable_sequence(params)
+    else:
+        seq = torus_sequence(*params)
+    n_max = 7
+    for prime, taus in EVAL_TAUS.items():
+        evals = minimality._value_evals(params, n_max, taus, prime)
+        assert evals.dtype == np.int64
+        expected = [[_residue(seq(n), tau, prime) for n in range(n_max + 1)] for tau in taus]
+        assert evals.tolist() == expected
+
+
+# --- the vectorised build against the per-entry build ---------------------------------
+
+
+def _build_matrix_reference(evals, bounds, centers, taus, prime):
+    """The per-entry build; ``evals`` has one row of residues per tau."""
+    n_lo, n_hi = bounds.n_lo, bounds.n_hi
+    n_count = n_hi - n_lo + 1
+    width = sum((2 * bounds.t_span + 1) * (2 * bounds.m_span + 1) for _ in centers)
+    rows = np.zeros((len(taus) * n_count, width), dtype=np.int64)
+    ridx = 0
+    for tau, vals in zip(taus, evals.tolist()):
+        for n in range(n_lo, n_hi + 1):
+            row = []
+            for i, (tc, mc) in enumerate(centers):
+                jval = vals[n + i]
+                base = pow(tau, (tc - bounds.t_span) % (prime - 1), prime)
+                a_powers = []
+                acc = base
+                for _ in range(2 * bounds.t_span + 1):
+                    a_powers.append(acc)
+                    acc = acc * tau % prime
+                for b in range(mc - bounds.m_span, mc + bounds.m_span + 1):
+                    mfac = pow(tau, (2 * n * b) % (prime - 1), prime) * jval % prime
+                    row.extend(ap * mfac % prime for ap in a_powers)
+            rows[ridx] = row
+            ridx += 1
+    return rows
+
+
+@pytest.mark.parametrize("params, bounds", [
+    (CablingParams(3, 2, 13, 2), None),
+    (CablingParams(5, 3, 121, 4), None),
+    (CablingParams(3, 2, 31, 3), None),
+    (CablingParams(-5, 3, 1, 5), None),
+    ((3, 2), None),
+    (None, None),
+    (None, SearchBounds(l_degree=2, t_span=0, m_span=1, n_lo=1, n_hi=10)),
+])
+def test_build_matrix_matches_per_entry_build(params, bounds):
+    bounds = bounds or default_search_bounds(params)
+    centers = minimality._box_centers(params, bounds.l_degree)
+    rng = random.Random(3)
+    for prime in PRIMES:
+        taus = minimality._draw_taus(rng, 3, prime)
+        evals = minimality._value_evals(params, bounds.n_hi + bounds.l_degree, taus, prime)
+        built = minimality._build_matrix(params, bounds, centers, taus, prime)
+        assert built.dtype == np.int64
+        assert np.array_equal(built, _build_matrix_reference(evals, bounds, centers, taus, prime))
+
+
+# --- forward elimination against the reduced row echelon form ------------------------
+
+
+def _rref_reference(A, prime):
+    """In-place Gauss-Jordan reduction over F_prime; returns pivot columns."""
+    rows, cols = A.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = np.nonzero(A[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            A[[row, pr]] = A[[pr, row]]
+        inv = pow(int(A[row, col]), prime - 2, prime)
+        A[row] = A[row] * inv % prime
+        others = np.nonzero(A[:, col])[0]
+        others = others[others != row]
+        if others.size:
+            A[others] = (A[others] - A[others, col : col + 1] * A[row]) % prime
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _nullspace_reference(A, prime):
+    work = A.copy()
+    pivots = _rref_reference(work, prime)
+    basis = []
+    for f in range(A.shape[1]):
+        if f in pivots:
+            continue
+        v = [0] * A.shape[1]
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = int(-work[r, f]) % prime
+        basis.append(v)
+    return pivots, basis
+
+
+@st.composite
+def matrices(draw):
+    """Full-rank, rank-deficient, zero-column and wider-than-tall matrices
+    over F_p, entries from a seeded generator."""
+    prime = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(("full", "deficient", "zero_columns", "wide")))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    if kind == "wide":
+        rows = draw(st.integers(min_value=1, max_value=cols))
+    else:
+        rows = draw(st.integers(min_value=cols, max_value=cols + 6))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    # small residues and their negatives make exact cancellations likely
+    pool = np.array([0, 1, 2, 3, prime - 1, prime - 2, 1 << 30, prime - (1 << 30)])
+    if draw(st.booleans()):
+        A = gen.integers(0, prime, size=(rows, cols), dtype=np.int64)
+    else:
+        A = gen.choice(pool, size=(rows, cols))
+    if kind == "deficient":
+        k = draw(st.integers(min_value=0, max_value=cols - 1))
+        left = gen.choice(pool, size=(rows, k))
+        right = gen.choice(pool, size=(k, cols))
+        A = np.zeros((rows, cols), dtype=np.int64)
+        for j in range(k):
+            A = (A + left[:, j : j + 1] * right[j] % prime) % prime
+    elif kind == "zero_columns":
+        A[:, gen.random(cols) < 0.4] = 0
+    return A.astype(np.int64), prime
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_echelon_and_back_substitution_match_rref(case):
+    A, prime = case
+    ref_pivots, ref_basis = _nullspace_reference(A, prime)
+    E = A.copy()
+    pivots = minimality._echelon_mod(E, prime)
+    assert pivots == ref_pivots
+    assert not E[len(pivots):].any()
+    assert minimality._nullspace_mod(E, pivots, prime) == ref_basis
+    for v in ref_basis:
+        assert not (A @ np.array(v, dtype=object) % prime).any()
