@@ -5,7 +5,10 @@ test per criterion; each prints its own pass line (visible with -s, and
 mirrored by the test name under -v).
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from ajcable.aj import (
     determinant_check,
     evaluate_annihilator_at_minus1,
 )
+from ajcable.cli import main
 from ajcable.degrees import audit_degrees
 from ajcable.jones import (
     QINT_DEN,
@@ -251,3 +255,51 @@ def test_criterion_7_dual_oracles():
         "realizations equal direct summation for the step term and all three "
         "peel sums, n in [0,10]"
     )
+
+
+# --- golden digests of the construction ------------------------------------------
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parent / "data" / "golden_annihilators.json"
+
+
+def annihilator_record(params, bundle):
+    """The ``results`` record of ``ajcable annihilator --eval-t-neg1``."""
+    return {
+        "kind": "annihilator",
+        "params": params.as_dict(),
+        "case_tag": bundle.case_tag,
+        "L_degree": bundle.P.l_degree(),
+        "theorem_applies": params.theorem_applies,
+        "factors": [f.text() for f in bundle.factors],
+        "operator": bundle.P.text(),
+        "at_minus1": evaluate_annihilator_at_minus1(bundle).text(),
+    }
+
+
+def golden_digest(params, bundle):
+    """sha256 of the annihilator record and the determinant report together."""
+    payload = {"annihilator": annihilator_record(params, bundle), "determinant": determinant_check(params)}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _golden_key(params):
+    return f"{params.p},{params.q},{params.r},{params.s}"
+
+
+def test_golden_annihilator_digests(bundles, capsys):
+    """Factors, operator, value at t = -1 and determinant report of every
+    stock tuple hash to the digests recorded in ``tests/data``."""
+    expected = json.loads(GOLDEN_DIGESTS.read_text())
+    assert sorted(expected) == sorted(_golden_key(params) for params in GRID)
+    mismatches = [
+        params for params in GRID if golden_digest(params, bundles[params]) != expected[_golden_key(params)]
+    ]
+    assert not mismatches, mismatches
+
+    # the record above is the one the CLI prints
+    for params in CASE_EXEMPLARS.values():
+        argv = ["annihilator", "-p", str(params.p), "-q", str(params.q), "-r", str(params.r),
+                "-s", str(params.s), "--eval-t-neg1", "--format", "json"]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == [annihilator_record(params, build_annihilator(params))], params
