@@ -12,6 +12,9 @@ dispatched over four parameter regimes:
 where ``a`` is the torus-term coefficient of the cable two-step relation,
 ``b`` the relation's inhomogeneous part after composing with the matching
 peel of the torus index, and the inner monomials are fixed by the regime.
+The three regimes with s > 2 share one construction: ``PEEL_REGIMES``
+names each one's peel, whose step k and torus coefficient beta, -eta or
+nu give the middle factor ``L^k - c``.
 
 Everything needed to certify the construction is exposed: the cleared
 form used for fast exact annihilation checks, the evaluation at t = -1,
@@ -22,6 +25,7 @@ between the two, and the determinant-style nonvanishing checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .algebra import (
@@ -34,16 +38,16 @@ from .algebra import (
     shift_M,
 )
 from .jones import (
+    PEEL_STEP,
     BadParams,
     CablingParams,
     cable_sequence,
     cable_step_coefficients,
     identity_suite,
+    peel,
     symbolic_delta,
-    symbolic_sum,
 )
 from .qtorus import SkewOperator, check_annihilation, skew_multiply
-
 
 
 class BZero(ArithmeticError):
@@ -51,6 +55,17 @@ class BZero(ArithmeticError):
 
 
 CASE_TAGS = ("S_EQ_2", "S_EVEN_GT2", "S_ODD_Q2", "S_ODD_QGT2")
+
+# The regimes with s > 2 differ only in the peel of the torus index that
+# composes the cable two-step relation: regime -> (peel-sum kind, sign).
+# The middle factor is L^k - c with k = PEEL_STEP[kind] and c the peel's
+# torus coefficient (beta, -eta, nu); the paper's 2x2 elimination has
+# determinant sign * y, y the cleared inhomogeneity.
+PEEL_REGIMES = {
+    "S_ODD_QGT2": ("S", 1),
+    "S_ODD_Q2": ("U", -1),
+    "S_EVEN_GT2": ("V", -1),
+}
 
 
 def case_tag(params):
@@ -224,112 +239,63 @@ class AnnihilatorBundle:
         return [left, self.cleared_body]
 
 
-def _mono(c, t, m):
-    return IntLaurent2.monomial(c, t, m)
+def _multiply(ops):
+    """Skew product of ``ops`` in order."""
+    out = ops[0]
+    for op in ops[1:]:
+        out = skew_multiply(out, op)
+    return out
 
 
-def _construction(params):
-    """All case data: monomials, scale A, cleared rhs Y, cleared body W."""
+def _ingredients(params):
+    """The construction of one cable, short of any skew product.
+
+    Returns the bundle's fields except ``P`` and ``cleared_body``.
+    """
     p, q, r, s = params.p, params.q, params.r, params.s
     pq = p * q
-    pqs = pq * s
     tag = case_tag(params)
-
     step = cable_step_coefficients(params)
-    gamma = step["step"]
-    a = step["torus"]
-    mu1 = step["delta"]
+    a, mu = step["torus"], step["delta"]
     one = IntLaurent2.one()
 
-    right = SkewOperator({2: one, 0: -gamma})
-    a_inv = SkewOperator({0: RationalTM(one, a)})
+    def dnum(b_const):
+        return symbolic_delta(p, q, s, b_const).num
 
-    dnum = lambda b_const: symbolic_delta(p, q, s, b_const).num  # noqa: E731
-
-    if tag == "S_ODD_QGT2":
-        beta = _mono(1, -8 * pq * s * s + 4 * pqs, -2 * pq * s * s)
-        a4 = shift_M(a, 2)
-        scale = poly_mul(a4, a)
-        mu3 = shift_M(mu1, 2)
-        mu1m = poly_mul(beta, mu1)
-        s_num = symbolic_sum("S", p, q, s).num
-        y = (
-            poly_mul(scale, s_num)
-            + poly_mul(poly_mul(a, mu3), dnum(3 * s - 1))
-            - poly_mul(poly_mul(a4, mu1m), dnum(s - 1))
-        )
-        middle = SkewOperator({2: one, 0: -beta})
-    elif tag == "S_ODD_Q2":
-        eta = _mono(1, 4 * p * s - 6 * p * s * s, -2 * p * s * s)
-        a2 = shift_M(a, 1)
-        scale = poly_mul(a2, a)
-        mu2p = shift_M(mu1, 1)
-        mu1pp = poly_mul(eta, mu1)
-        u_num = symbolic_sum("U", p, q, s).num
-        y = (
-            poly_mul(scale, u_num)
-            + poly_mul(poly_mul(a, mu2p), dnum(2 * s - 1))
-            + poly_mul(poly_mul(a2, mu1pp), dnum(s - 1))
-        )
-        middle = SkewOperator({1: one, 0: eta})
-    elif tag == "S_EVEN_GT2":
-        nu = _mono(1, -3 * pq * s * s + 2 * pqs, -pq * s * s)
-        a2 = shift_M(a, 1)
-        scale = poly_mul(a2, a)
-        mu2 = shift_M(mu1, 1)
-        mu1ppp = poly_mul(nu, mu1)
-        v_num = symbolic_sum("V", p, q, s).num
-        y = (
-            poly_mul(scale, v_num)
-            + poly_mul(poly_mul(a, mu2), dnum(2 * s - 1))
-            - poly_mul(poly_mul(a2, mu1ppp), dnum(s - 1))
-        )
-        middle = SkewOperator({1: one, 0: -nu})
-    else:  # S_EQ_2
-        w = _mono(1, -8 * pq, -4 * pq)
-        v = _mono(1, -2 * r, -2 * r)
+    if tag == "S_EQ_2":
         scale = one
-        y = poly_mul(_mono(1, -4 * pq, -2 * pq), symbolic_delta(p, q, 2, 1).num)
-        m_r = SkewOperator({0: _mono(1, 0, r)})
-        left_fac = SkewOperator({1: one, 0: -w})
-        right_fac = SkewOperator({1: one, 0: v})
-        body = skew_multiply(skew_multiply(left_fac, m_r), right_fac)
-        b = RationalTM.from_poly(y)
-        if b.is_zero():
-            raise BZero("inhomogeneous term is zero")
-        l_minus_1 = SkewOperator({1: one, 0: -one})
-        b_inv = SkewOperator({0: b.inverse()})
-        factors = [l_minus_1, b_inv, left_fac, m_r, right_fac]
-        return {
-            "tag": tag,
-            "a": a,
-            "b": b,
-            "scale": scale,
-            "y": y,
-            "body": body,
-            "factors": factors,
-        }
-
+        y = poly_mul(IntLaurent2.monomial(1, -4 * pq, -2 * pq), dnum(1))
+        tail = [
+            SkewOperator({1: one, 0: IntLaurent2.monomial(-1, -8 * pq, -4 * pq)}),
+            SkewOperator({0: IntLaurent2.monomial(1, 0, r)}),
+            SkewOperator({1: one, 0: IntLaurent2.monomial(1, -2 * r, -2 * r)}),
+        ]
+    else:
+        kind = PEEL_REGIMES[tag][0]
+        k = PEEL_STEP[kind]
+        c, total = peel(kind, p, q, s)
+        a_k = shift_M(a, k)
+        scale = poly_mul(a_k, a)
+        y = (
+            poly_mul(scale, total)
+            + poly_mul(poly_mul(a, shift_M(mu, k)), dnum((k + 1) * s - 1))
+            - poly_mul(poly_mul(a_k, poly_mul(c, mu)), dnum(s - 1))
+        )
+        tail = [
+            SkewOperator({k: one, 0: -c}),
+            SkewOperator({0: RationalTM(one, a)}),
+            SkewOperator({2: one, 0: -step["step"]}),
+        ]
     b = RationalTM(y, scale)
     if b.is_zero():
         raise BZero("inhomogeneous term is zero")
-    body = skew_multiply(
-        SkewOperator({0: RationalTM.from_poly(scale)}),
-        skew_multiply(middle, skew_multiply(a_inv, right)),
-    )
-    if not body.has_polynomial_coeffs():
-        raise ArithmeticError("cleared body failed to cancel to polynomial coefficients")
-    l_minus_1 = SkewOperator({1: one, 0: -one})
-    b_inv = SkewOperator({0: b.inverse()})
-    factors = [l_minus_1, b_inv, middle, a_inv, right]
     return {
-        "tag": tag,
+        "case_tag": tag,
+        "factors": [SkewOperator({1: one, 0: -one}), SkewOperator({0: b.inverse()})] + tail,
         "a": a,
         "b": b,
         "scale": scale,
-        "y": y,
-        "body": body,
-        "factors": factors,
+        "cleared_rhs": y,
     }
 
 
@@ -341,28 +307,18 @@ def build_ab(params):
     construction does not consume ``a``, but it is still the well-defined
     coefficient of the two-step relation.
     """
-    c = _construction(params)
+    c = _ingredients(params)
     return c["a"], c["b"]
 
 
 def build_annihilator(params):
     """Construct the annihilating operator bundle for one cable."""
-    c = _construction(params)
-    op = c["factors"][0]
-    for fac in c["factors"][1:]:
-        op = skew_multiply(op, fac)
-    body = c["body"]
-    return AnnihilatorBundle(
-        params=params,
-        case_tag=c["tag"],
-        factors=c["factors"],
-        a=c["a"],
-        b=c["b"],
-        P=op,
-        scale=c["scale"],
-        cleared_rhs=c["y"],
-        cleared_body=SkewOperator({i: v for i, v in body.coeffs.items()}),
-    )
+    c = _ingredients(params)
+    # the cleared body is scale times the factors after (L - 1) b^-1
+    body = _multiply([SkewOperator({0: c["scale"]})] + c["factors"][2:])
+    if not body.has_polynomial_coeffs():
+        raise ArithmeticError("cleared body failed to cancel to polynomial coefficients")
+    return AnnihilatorBundle(params=params, P=_multiply(c["factors"]), cleared_body=body, **c)
 
 
 def evaluate_annihilator_at_minus1(bundle):
@@ -467,106 +423,45 @@ def determinant_closed_form(params):
     raise BadParams("no determinant closed form in the s = 2 regime")
 
 
-def _determinant_definitional(params):
-    """The determinant assembled from the defining elimination, before t -> -1.
+def determinant_check(params, bundle=None):
+    """Compare b and the case determinant at t = -1 to their closed forms.
 
-    Returns a numerator-form polynomial still carrying one factor of
-    ``t^2 - t^-2``.
-    """
-    p, q, r, s = params.p, params.q, params.r, params.s
-    pq = p * q
-    pqs = pq * s
-    tag = case_tag(params)
-    step = cable_step_coefficients(params)
-    gamma, a, mu1 = step["step"], step["torus"], step["delta"]
-    dnum = lambda b_const: symbolic_delta(p, q, s, b_const).num  # noqa: E731
+    ``bundle`` is the annihilator bundle of ``params`` when the caller
+    already holds it; by default the construction runs here, short of its
+    skew products.
 
-    if tag == "S_ODD_QGT2":
-        beta = _mono(1, -8 * pq * s * s + 4 * pqs, -2 * pq * s * s)
-        a4 = shift_M(a, 2)
-        gamma4 = shift_M(gamma, 2)
-        mu3 = shift_M(mu1, 2)
-        s_num = symbolic_sum("S", p, q, s).num
-        a22 = a
-        a24 = poly_mul(a4, beta) + poly_mul(gamma4, a)
-        b02 = poly_mul(mu1, dnum(s - 1))
-        b04 = (
-            poly_mul(poly_mul(gamma4, mu1), dnum(s - 1))
-            + poly_mul(mu3, dnum(3 * s - 1))
-            + poly_mul(a4, s_num)
-        )
-        return poly_mul(a22, b04) - poly_mul(a24, b02)
-    if tag == "S_ODD_Q2":
-        eta = _mono(1, 4 * p * s - 6 * p * s * s, -2 * p * s * s)
-        a2 = shift_M(a, 1)
-        mu2p = shift_M(mu1, 1)
-        u_num = symbolic_sum("U", p, q, s).num
-        alpha2 = a
-        alpha3 = -poly_mul(eta, a2)
-        beta2 = poly_mul(mu1, dnum(s - 1))
-        beta3 = poly_mul(a2, u_num) + poly_mul(mu2p, dnum(2 * s - 1))
-        return poly_mul(alpha3, beta2) - poly_mul(alpha2, beta3)
-    if tag == "S_EVEN_GT2":
-        nu = _mono(1, -3 * pq * s * s + 2 * pqs, -pq * s * s)
-        a2 = shift_M(a, 1)
-        mu2 = shift_M(mu1, 1)
-        v_num = symbolic_sum("V", p, q, s).num
-        c3 = poly_mul(a2, nu)
-        c2 = a
-        e2 = poly_mul(mu1, dnum(s - 1))
-        e3 = poly_mul(mu2, dnum(2 * s - 1)) + poly_mul(a2, v_num)
-        return poly_mul(c3, e2) - poly_mul(c2, e3)
-    raise BadParams("no determinant in the s = 2 regime")
-
-
-def determinant_check(params, b=None):
-    """Compare the defining determinant at t = -1 to its closed form.
-
-    ``b`` is the composed inhomogeneity of ``params`` when the caller
-    already holds it (``bundle.b``); by default it is built here.
-
-    The determinant is assembled at numerator level (one overall factor
-    of t^2 - t^-2 cleared from the column that is linear in the summed
-    step terms) and then evaluated at t = -1 directly.
+    The determinant of the paper's 2x2 elimination, at numerator level,
+    is ``sign * cleared_rhs`` with the sign from ``PEEL_REGIMES``: its
+    gamma-terms cancel.  It still carries one factor of t^2 - t^-2 and is
+    evaluated at t = -1 directly.
 
     For s = 2 there is no determinant; the check degrades to the
     nonvanishing of b at t = -1 (which the closed-form route verifies).
     """
     tag = case_tag(params)
-    if b is None:
-        b = build_ab(params)[1]
+    if bundle is None:
+        c = _ingredients(params)
+        b, y = c["b"], c["cleared_rhs"]
+    else:
+        b, y = bundle.b, bundle.cleared_rhs
     b_limit = limit_t_minus1(b)
-    b_closed = b_minus1_closed_form(params)
-    b_ok = (b_limit == b_closed) and not b_limit.is_zero()
     report = {
         "params": params.as_dict(),
         "case_tag": tag,
         "b_at_minus1": b_limit.text(),
-        "b_matches_closed_form": b_limit == b_closed,
+        "b_matches_closed_form": b_limit == b_minus1_closed_form(params),
         "b_nonzero": not b_limit.is_zero(),
+        "determinant_applicable": tag != "S_EQ_2",
+        "determinant_matches": None,
+        "determinant_nonzero": None,
     }
-    if tag == "S_EQ_2":
-        report.update(
-            {
-                "determinant_applicable": False,
-                "determinant_matches": None,
-                "determinant_nonzero": None,
-                "pass": b_ok,
-            }
-        )
-        return report
-    det_value = limit_t_minus1(RationalTM.from_poly(_determinant_definitional(params)))
-    det_closed = determinant_closed_form(params)
-    det_ok = (det_value == det_closed) and not det_value.is_zero()
-    report.update(
-        {
-            "determinant_applicable": True,
-            "determinant_matches": det_value == det_closed,
-            "determinant_nonzero": not det_value.is_zero(),
-            "determinant": det_value.text(),
-            "pass": b_ok and det_ok,
-        }
-    )
+    if report["determinant_applicable"]:
+        det_value = limit_t_minus1(RationalTM.from_poly(y * PEEL_REGIMES[tag][1]))
+        report["determinant_matches"] = det_value == determinant_closed_form(params)
+        report["determinant_nonzero"] = not det_value.is_zero()
+        report["determinant"] = det_value.text()
+    verdicts = ("b_matches_closed_form", "b_nonzero", "determinant_matches", "determinant_nonzero")
+    report["pass"] = all(report[key] is not False for key in verdicts)  # None: not applicable
     return report
 
 
@@ -588,23 +483,15 @@ def compare_aj(params, bundle=None):
     rhs = cabled_a_polynomial(params)
     support_equal = lhs.support() == rhs.support()
     degree_equal = bool(lhs.coeffs) and bool(rhs.coeffs) and lhs.l_degree() == rhs.l_degree()
-    projective = support_equal
-    if support_equal:
+
+    def cross_equal(i, j):
         # raw cross-multiplication (no re-canonicalization):
-        # (n_i/d_i)(u_j/v_j) == (n_j/d_j)(u_i/v_i)
-        # iff n_i u_j d_j v_i == n_j u_i d_i v_j
-        keys = lhs.support()
-        for x in range(len(keys)):
-            for y in range(x + 1, len(keys)):
-                li, rj = lhs.coeffs[keys[x]], rhs.coeffs[keys[y]]
-                lj, ri = lhs.coeffs[keys[y]], rhs.coeffs[keys[x]]
-                left = _mul1(_mul1(li.num, rj.num), _mul1(lj.den, ri.den))
-                right = _mul1(_mul1(lj.num, ri.num), _mul1(li.den, rj.den))
-                if left != right:
-                    projective = False
-                    break
-            if not projective:
-                break
+        # (n_i/d_i)(u_j/v_j) == (n_j/d_j)(u_i/v_i)  iff  n_i u_j d_j v_i == n_j u_i d_i v_j
+        li, lj, ri, rj = lhs.coeffs[i], lhs.coeffs[j], rhs.coeffs[i], rhs.coeffs[j]
+        left = _mul1(_mul1(li.num, rj.num), _mul1(lj.den, ri.den))
+        return left == _mul1(_mul1(lj.num, ri.num), _mul1(li.den, rj.den))
+
+    projective = support_equal and all(cross_equal(i, j) for i, j in combinations(lhs.support(), 2))
     ratio = None
     if projective and degree_equal:
         d = lhs.l_degree()
@@ -660,7 +547,7 @@ def verify_tuple(params, nmax=12, with_identities=False):
     bundle = build_annihilator(params)
     seq = cable_sequence(params)
     ann = check_annihilation(bundle.cleared_chain(), seq, 1, nmax)
-    det = determinant_check(params, bundle.b)
+    det = determinant_check(params, bundle)
     aj = compare_aj(params, bundle)
     record = {
         "params": params.as_dict(),

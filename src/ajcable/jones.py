@@ -318,6 +318,62 @@ def symbolic_delta(p, q, a, b):
     return SymbolicSequence(acc, needs_qint_div=True)
 
 
+def _two_step_peel(p, q, m, a, b):
+    """Peel of the torus index a*n + b by m two-steps, in M-form.
+
+    Returns ``(c, total)`` with J(a*n+b) = c*J(a*n+b-2m) + total/(t^2 - t^-2).
+    """
+    pq = p * q
+    total = IntLaurent2()
+    for j in range(1, m + 1):
+        pref = _affine_monomial((2 - 4 * j) * pq * a, (2 - 4 * j) * pq * b + 4 * pq * j * (j - 1) + 2 * pq)
+        total = total + poly_mul(pref, symbolic_delta(p, q, a, b - 2 * j).num)
+    return _affine_monomial(-4 * pq * m * a, 4 * pq * m * (m - b)), total
+
+
+def _single_step_peel(p, m, a, b):
+    """Peel of the torus index a*n + b by m steps of the q = 2 recurrence.
+
+    Returns ``(c, total)`` with J(a*n+b) = c*J(a*n+b-m) + total/(t^2 - t^-2).
+    """
+    total = IntLaurent2()
+    for j in range(1, m + 1):
+        sign = 1 if j % 2 else -1
+        pref = _affine_monomial((2 - 4 * j) * p * a, ((2 - 4 * j) * b + 2 * j * j - 2 * j + 2) * p, sign)
+        core = _affine_monomial(4 * a, 4 * b + 2 - 4 * j) - _affine_monomial(-4 * a, -4 * b - 2 + 4 * j)
+        total = total + poly_mul(pref, core)
+    return _affine_monomial(-4 * p * m * a, (2 * m * m - 4 * m * b) * p, (-1) ** m), total
+
+
+# Each peel-sum kind peels the torus index from s(n+1+k)-1 down to s(n+1)-1:
+# "S" and "V" (even s) by k*s/2 two-steps, "U" (q = 2) by k*s single steps.
+PEEL_STEP = {"S": 2, "U": 1, "V": 1}
+
+
+def peel(kind, p, q, s):
+    """The peel J(s(n+1+k)-1) = c*J(s(n+1)-1) + total/(t^2 - t^-2), k = PEEL_STEP[kind].
+
+    Returns ``(c, total)`` in M-form; the torus coefficient c is beta for
+    "S", -eta for "U" and nu for "V".
+
+    >>> peel("V", 3, 2, 2)[0].text()
+    't^-48*M^-24'
+    """
+    _check_torus(p, q)
+    if s < 2:
+        raise BadParams(f"peel sums need s >= 2, got {s}")
+    if kind not in PEEL_STEP:
+        raise BadParams(f"unknown peel sum kind {kind!r}; expected S, U or V")
+    if kind == "U" and q != 2:
+        raise BadParams("alternating peel sum is specific to q = 2")
+    if kind == "V" and s % 2:
+        raise BadParams("half peel sum needs even s")
+    k = PEEL_STEP[kind]
+    if kind == "U":
+        return _single_step_peel(p, k * s, s, (k + 1) * s - 1)
+    return _two_step_peel(p, q, k * s // 2, s, (k + 1) * s - 1)
+
+
 def symbolic_sum(kind, p, q, s):
     """Peel sums in numerator form: kind "S" (full, s two-steps), "U"
     (alternating single steps, q = 2), or "V" (s/2 two-steps, s even).
@@ -326,36 +382,7 @@ def symbolic_sum(kind, p, q, s):
     of peeling the torus-index from s(n+3)-1, s(n+2)-1 (q = 2) and
     s(n+2)-1 (s even) down to s(n+1)-1.
     """
-    _check_torus(p, q)
-    if s < 2:
-        raise BadParams(f"peel sums need s >= 2, got {s}")
-    pq = p * q
-    acc = IntLaurent2()
-    if kind == "S":
-        for k in range(1, s + 1):
-            pref = _affine_monomial(2 * pq * s - 4 * pq * s * k, 4 * pq * k * k - 12 * pq * s * k + 6 * pq * s)
-            acc = acc + poly_mul(pref, symbolic_delta(p, q, s, 3 * s - 1 - 2 * k).num)
-    elif kind == "U":
-        if q != 2:
-            raise BadParams("alternating peel sum is specific to q = 2")
-        for k in range(1, s + 1):
-            sign = 1 if k % 2 == 1 else -1
-            pref = _affine_monomial(
-                2 * p * s - 4 * p * s * k,
-                2 * p * k * k - 8 * p * s * k + 2 * p * k + 4 * p * s,
-                sign,
-            )
-            core = _affine_monomial(4 * s, 8 * s - 2 - 4 * k) - _affine_monomial(-4 * s, -8 * s + 2 + 4 * k)
-            acc = acc + poly_mul(pref, core)
-    elif kind == "V":
-        if s % 2:
-            raise BadParams("half peel sum needs even s")
-        for k in range(1, s // 2 + 1):
-            pref = _affine_monomial(2 * pq * s - 4 * pq * s * k, 4 * pq * k * k - 8 * pq * s * k + 4 * pq * s)
-            acc = acc + poly_mul(pref, symbolic_delta(p, q, s, 2 * s - 1 - 2 * k).num)
-    else:
-        raise BadParams(f"unknown peel sum kind {kind!r}; expected S, U or V")
-    return SymbolicSequence(acc, needs_qint_div=True)
+    return SymbolicSequence(peel(kind, p, q, s)[1], needs_qint_div=True)
 
 
 def cable_step_coefficients(params):
@@ -411,8 +438,12 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     a plain ``(p, q)`` pair for the torus-only identities.  ``m`` is the
     peel depth for the iterated-peel identities.
 
-    The report lists every failing color with the nonzero residue.
+    The report lists every failing color with the nonzero residue.  An
+    empty color window raises :class:`ValueError`: checking no color must
+    not read as a pass.
     """
+    if n_hi < n_lo:
+        raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
     if identity_id not in IDENTITY_IDS:
         raise BadParams(f"unknown identity {identity_id!r}")
     cp = _as_params(params)
@@ -421,20 +452,10 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
         _check_torus(p, q)
     else:
         p, q = cp.p, cp.q
-    needs_cable = identity_id in ("CABLE_STEP", "PEEL_S", "Q2_PEEL_S", "HALF_PEEL", "S2_STEP")
-    if needs_cable and cp is None:
-        raise BadParams(f"{identity_id} needs full cabling parameters")
-    if identity_id in ("PEEL", "Q2_PEEL"):
-        if m is None or m < 1:
-            raise BadParams(f"{identity_id} needs a peel depth m >= 1")
-    if identity_id in ("Q2_STEP", "Q2_PEEL", "Q2_PEEL_S") and q != 2:
-        raise BadParams(f"{identity_id} requires q = 2")
-    if identity_id == "Q2_PEEL_S" and cp.s % 2 == 0:
-        raise BadParams("Q2_PEEL_S requires odd s")
-    if identity_id == "HALF_PEEL" and cp.s % 2:
-        raise BadParams("HALF_PEEL requires even s")
-    if identity_id == "S2_STEP" and cp.s != 2:
-        raise BadParams("S2_STEP requires s = 2")
+    if identity_id in ("PEEL", "Q2_PEEL") and (m is None or m < 1):
+        raise BadParams(f"{identity_id} needs a peel depth m >= 1")
+    if identity_id not in {i for i, _ in applicable_identities(params, max_peel=1)}:
+        raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
 
     J = lambda k: torus_jones(p, q, k)  # noqa: E731
 
@@ -481,46 +502,28 @@ def _res_cable_step(p, q, cp, n, m, J):
     return jc(n + 2) - rhs
 
 
+def _peel_residue(J, n, index, drop, c, total):
+    """J(index) - c(n)*J(index - drop) - total(n)/(t^2 - t^-2)."""
+    total_n = SymbolicSequence(total, needs_qint_div=True).realize(n)
+    return J(index) - poly_mul(substitute_M(c, n), J(index - drop)) - total_n
+
+
 def _res_peel(p, q, cp, n, m, J):
-    pq = p * q
-    rhs = J(n - 2 * m).mul_tpow(-4 * pq * m * (n + 1) + 4 * pq * m * (m + 1))
-    for k in range(1, m + 1):
-        rhs = rhs + delta_term(p, q, n - 2 * k).mul_tpow(
-            (-4 * pq * k + 2 * pq) * n + 4 * pq * k * k - 4 * pq * k + 2 * pq
-        )
-    return J(n) - rhs
-
-
-def _res_peel_s(p, q, cp, n, m, J):
-    pq, s = p * q, cp.s
-    sym = symbolic_sum("S", p, q, s)
-    rhs = J(s * (n + 1) - 1).mul_tpow(-4 * pq * s * s * n - 8 * pq * s * s + 4 * pq * s) + sym.realize(n)
-    return J(s * (n + 3) - 1) - rhs
+    return _peel_residue(J, n, n, 2 * m, *_two_step_peel(p, q, m, 1, 0))
 
 
 def _res_q2_peel(p, q, cp, n, m, J):
-    sign = 1 if m % 2 == 0 else -1
-    rhs = J(n - m).mul_tpow((-4 * m * n + 2 * m * m) * p, sign)
-    for k in range(1, m + 1):
-        ks = 1 if k % 2 == 1 else -1
-        rhs = rhs + quantum_integer(2 * n + 1 - 2 * k).mul_tpow(
-            -(4 * k - 2) * p * n + (2 * k * k - 2 * k + 2) * p, ks
-        )
-    return J(n) - rhs
+    return _peel_residue(J, n, n, m, *_single_step_peel(p, m, 1, 0))
 
 
-def _res_q2_peel_s(p, q, cp, n, m, J):
-    s = cp.s
-    sym = symbolic_sum("U", p, q, s)
-    rhs = J(s * (n + 1) - 1).mul_tpow(-4 * p * s * s * n + 4 * p * s - 6 * p * s * s, -1) + sym.realize(n)
-    return J(s * (n + 2) - 1) - rhs
+def _res_peel_sum(kind):
+    """Residue J(s(n+1+k)-1) - c(n)*J(s(n+1)-1) - sum(n) of one peel-sum kind."""
 
+    def residue(p, q, cp, n, m, J):
+        k, s = PEEL_STEP[kind], cp.s
+        return _peel_residue(J, n, s * (n + 1 + k) - 1, k * s, *peel(kind, p, q, s))
 
-def _res_half_peel(p, q, cp, n, m, J):
-    pq, s = p * q, cp.s
-    sym = symbolic_sum("V", p, q, s)
-    rhs = J(s * (n + 1) - 1).mul_tpow(-2 * pq * s * s * n - 3 * pq * s * s + 2 * pq * s) + sym.realize(n)
-    return J(s * (n + 2) - 1) - rhs
+    return residue
 
 
 def _res_s2_step(p, q, cp, n, m, J):
@@ -540,10 +543,10 @@ _IDENTITY_CHECKS = {
     "Q2_STEP": _res_q2_step,
     "CABLE_STEP": _res_cable_step,
     "PEEL": _res_peel,
-    "PEEL_S": _res_peel_s,
+    "PEEL_S": _res_peel_sum("S"),
     "Q2_PEEL": _res_q2_peel,
-    "Q2_PEEL_S": _res_q2_peel_s,
-    "HALF_PEEL": _res_half_peel,
+    "Q2_PEEL_S": _res_peel_sum("U"),
+    "HALF_PEEL": _res_peel_sum("V"),
     "S2_STEP": _res_s2_step,
 }
 
@@ -570,7 +573,10 @@ def applicable_identities(params, max_peel=4):
 
 
 def identity_suite(params, n_lo, n_hi, max_peel=4):
-    """Run every applicable identity check; returns the list of reports."""
+    """Run every applicable identity check; returns the list of reports.
+
+    An empty color window raises :class:`ValueError`.
+    """
     return [
         verify_identity(identity_id, params, n_lo, n_hi, m)
         for identity_id, m in applicable_identities(params, max_peel)

@@ -5,7 +5,7 @@ import importlib.resources
 import pytest
 
 import ajcable.aj as aj
-from ajcable.algebra import IntLaurent2, RationalM, RationalTM, limit_t_minus1
+from ajcable.algebra import IntLaurent2, RationalM, RationalTM, limit_t_minus1, poly_mul, shift_M
 from ajcable.aj import (
     LPolynomialOverM,
     b_minus1_closed_form,
@@ -24,7 +24,14 @@ from ajcable.aj import (
     g_poly,
     verify_tuple,
 )
-from ajcable.jones import BadParams, CablingParams, cable_sequence
+from ajcable.jones import (
+    BadParams,
+    CablingParams,
+    cable_sequence,
+    cable_step_coefficients,
+    symbolic_delta,
+    symbolic_sum,
+)
 from ajcable.qtorus import check_annihilation, skew_multiply
 
 # one representative tuple per construction regime
@@ -187,7 +194,75 @@ def test_determinant_check_all_cases():
 
 def test_determinant_check_reuses_given_b():
     for params in REPRESENTATIVES.values():
-        assert determinant_check(params, build_annihilator(params).b) == determinant_check(params)
+        assert determinant_check(params, build_annihilator(params)) == determinant_check(params)
+
+
+def determinant_definitional(params):
+    """The paper's 2x2 elimination, regime by regime (reference copy).
+
+    Returns a numerator-form polynomial still carrying one factor of
+    ``t^2 - t^-2``.
+    """
+    p, q, s = params.p, params.q, params.s
+    pq = p * q
+    pqs = pq * s
+    tag = case_tag(params)
+    step = cable_step_coefficients(params)
+    gamma, a, mu1 = step["step"], step["torus"], step["delta"]
+
+    def dnum(b_const):
+        return symbolic_delta(p, q, s, b_const).num
+
+    if tag == "S_ODD_QGT2":
+        beta = IntLaurent2.monomial(1, -8 * pq * s * s + 4 * pqs, -2 * pq * s * s)
+        a4 = shift_M(a, 2)
+        gamma4 = shift_M(gamma, 2)
+        mu3 = shift_M(mu1, 2)
+        s_num = symbolic_sum("S", p, q, s).num
+        a22 = a
+        a24 = poly_mul(a4, beta) + poly_mul(gamma4, a)
+        b02 = poly_mul(mu1, dnum(s - 1))
+        b04 = (
+            poly_mul(poly_mul(gamma4, mu1), dnum(s - 1))
+            + poly_mul(mu3, dnum(3 * s - 1))
+            + poly_mul(a4, s_num)
+        )
+        return poly_mul(a22, b04) - poly_mul(a24, b02)
+    if tag == "S_ODD_Q2":
+        eta = IntLaurent2.monomial(1, 4 * p * s - 6 * p * s * s, -2 * p * s * s)
+        a2 = shift_M(a, 1)
+        mu2p = shift_M(mu1, 1)
+        u_num = symbolic_sum("U", p, q, s).num
+        alpha2 = a
+        alpha3 = -poly_mul(eta, a2)
+        beta2 = poly_mul(mu1, dnum(s - 1))
+        beta3 = poly_mul(a2, u_num) + poly_mul(mu2p, dnum(2 * s - 1))
+        return poly_mul(alpha3, beta2) - poly_mul(alpha2, beta3)
+    if tag == "S_EVEN_GT2":
+        nu = IntLaurent2.monomial(1, -3 * pq * s * s + 2 * pqs, -pq * s * s)
+        a2 = shift_M(a, 1)
+        mu2 = shift_M(mu1, 1)
+        v_num = symbolic_sum("V", p, q, s).num
+        c3 = poly_mul(a2, nu)
+        c2 = a
+        e2 = poly_mul(mu1, dnum(s - 1))
+        e3 = poly_mul(mu2, dnum(2 * s - 1)) + poly_mul(a2, v_num)
+        return poly_mul(c3, e2) - poly_mul(c2, e3)
+    raise BadParams("no determinant in the s = 2 regime")
+
+
+def test_determinant_is_signed_cleared_rhs():
+    """On every stock tuple with s > 2 the 2x2 elimination's determinant is
+    the table's sign times the cleared inhomogeneity y."""
+    checked = 0
+    for params in default_grid():
+        tag = case_tag(params)
+        if tag == "S_EQ_2":
+            continue
+        sign = aj.PEEL_REGIMES[tag][1]
+        assert determinant_definitional(params) == build_annihilator(params).cleared_rhs * sign, params
+        checked += 1
+    assert checked == 66
 
 
 def test_determinant_closed_form_s2_unavailable():
@@ -291,11 +366,11 @@ def test_verify_tuple_rejects_empty_window(nmax):
 
 
 def test_verify_tuple_builds_once(monkeypatch):
-    """verify_tuple hands its bundle's b to determinant_check, so the
+    """verify_tuple hands its bundle to determinant_check, so the
     construction runs once per tuple."""
     calls = []
-    real = aj._construction
-    monkeypatch.setattr(aj, "_construction", lambda params: calls.append(params) or real(params))
+    real = aj._ingredients
+    monkeypatch.setattr(aj, "_ingredients", lambda params: calls.append(params) or real(params))
     assert verify_tuple(CablingParams(3, 2, 13, 2), nmax=3)["pass"]
     assert len(calls) == 1
 

@@ -2,13 +2,15 @@
 
 import pytest
 
-from ajcable.algebra import IntLaurent1, poly_exact_div, poly_mul
+import ajcable.jones as jones
+from ajcable.algebra import IntLaurent1, IntLaurent2, poly_exact_div, poly_mul
 from ajcable.jones import (
     QINT_DEN,
     BadParams,
     CablingParams,
     cabled_jones,
     delta_term,
+    peel,
     quantum_integer,
     symbolic_delta,
     symbolic_sum,
@@ -215,6 +217,23 @@ def test_symbolic_sum_guards():
         symbolic_sum("S", 3, 2, 1)
     with pytest.raises(BadParams):
         symbolic_sum("X", 3, 2, 2)
+    with pytest.raises(BadParams):
+        peel("V", 3, 2, 3)
+
+
+def test_peel_coefficients_are_beta_eta_nu():
+    """The peel coefficients are the paper's displayed monomials beta, -eta, nu."""
+    for p, q in GRID_PQ:
+        pq = p * q
+        for s in (2, 3, 4, 5):
+            beta = IntLaurent2.monomial(1, -8 * pq * s * s + 4 * pq * s, -2 * pq * s * s)
+            assert peel("S", p, q, s)[0] == beta, (p, q, s)
+            if q == 2 and s % 2:
+                eta = IntLaurent2.monomial(1, 4 * p * s - 6 * p * s * s, -2 * p * s * s)
+                assert peel("U", p, q, s)[0] == -eta, (p, q, s)
+            if s % 2 == 0:
+                nu = IntLaurent2.monomial(1, -3 * pq * s * s + 2 * pq * s, -pq * s * s)
+                assert peel("V", p, q, s)[0] == nu, (p, q, s)
 
 
 # --- recurrence identity checks ---------------------------------------------------
@@ -244,6 +263,37 @@ def test_q2_peel_s_gating():
         verify_identity("Q2_PEEL_S", CablingParams(5, 3, 76, 5), 1, 5)  # q != 2
     report = verify_identity("Q2_PEEL_S", CablingParams(3, 2, 31, 3), 1, 6)
     assert report["pass"], report["failures"]
+
+
+def test_peel_sum_identities_fail_on_a_wrong_coefficient(monkeypatch):
+    real = jones.peel
+
+    def wrong_coefficient(*args):
+        c, total = real(*args)
+        return c.mul_monomial(t=2), total
+
+    monkeypatch.setattr(jones, "peel", wrong_coefficient)
+    for identity_id, params in (
+        ("PEEL_S", CablingParams(5, 3, 76, 5)),
+        ("Q2_PEEL_S", CablingParams(3, 2, 31, 3)),
+        ("HALF_PEEL", CablingParams(5, 3, 121, 4)),
+    ):
+        report = verify_identity(identity_id, params, 1, 3)
+        assert not report["pass"] and len(report["failures"]) == 3, identity_id
+
+
+@pytest.mark.parametrize("identity_id, params", [
+    ("TORUS_STEP", (3, 2)),
+    ("PEEL_S", CablingParams(3, 2, 13, 2)),
+])
+def test_verify_identity_rejects_empty_window(identity_id, params):
+    with pytest.raises(ValueError, match="empty color window"):
+        verify_identity(identity_id, params, 5, 2)
+
+
+def test_identity_suite_rejects_empty_window():
+    with pytest.raises(ValueError, match="empty color window"):
+        identity_suite(CablingParams(3, 2, 13, 2), 3, 0)
 
 
 def test_identity_requires_peel_depth():
