@@ -24,6 +24,7 @@ from ajcable.aj import (
     default_grid,
     determinant_check,
     evaluate_annihilator_at_minus1,
+    verify_tuple,
 )
 from ajcable.cli import main
 from ajcable.degrees import audit_degrees
@@ -303,3 +304,37 @@ def test_golden_annihilator_digests(bundles, capsys):
         assert main(argv) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results == [annihilator_record(params, build_annihilator(params))], params
+
+
+# --- golden verification records and a failing check ------------------------------
+
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "data" / "golden_verify.json"
+
+
+def test_golden_verify_tuple_digests():
+    """The full ``verify_tuple`` record, identity reports included, of one
+    tuple per regime hashes to the digest recorded in ``tests/data``."""
+    expected = json.loads(GOLDEN_VERIFY.read_text())["verify_tuple"]
+    assert sorted(expected) == sorted(CASE_EXEMPLARS)
+    for tag, params in CASE_EXEMPLARS.items():
+        record = verify_tuple(params, 12, with_identities=True)
+        assert record["pass"], tag
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == expected[tag], tag
+
+
+def test_golden_perturbed_chain_failure():
+    """A perturbed cleared chain fails at the recorded colour with the
+    recorded residue: the annihilation check cannot pass vacuously."""
+    expected = json.loads(GOLDEN_VERIFY.read_text())["perturbed"]
+    params = CASE_EXEMPLARS["S_EQ_2"]
+    left, body = build_annihilator(params).cleared_chain()
+    # (M - t^2)(M - t^4) realizes to zero at colours 1 and 2 only, so the
+    # left factor (which reads colours n and n + 1) first sees it at n = 2
+    bump = IntLaurent2({(0, 2): 1, (2, 1): -1, (4, 1): -1, (6, 0): 1})
+    coeffs = dict(body.coeffs)
+    coeffs[0] = coeffs[0] + bump
+    report = check_annihilation([left, SkewOperator(coeffs)], cable_sequence(params), 1, 12)
+    assert not report["pass"]
+    assert report["first_failure_n"] == expected["first_failure_n"] == 2
+    assert report["residue"] == expected["residue"]
