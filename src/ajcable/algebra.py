@@ -1,11 +1,22 @@
-"""Sparse exact Laurent-polynomial arithmetic over the integers.
+"""Exact Laurent-polynomial arithmetic over the integers.
 
 Two polynomial shapes cover everything in this package:
 
-* one variable ``t`` -- invariant values at a fixed color, stored as
-  ``{t_exponent: coefficient}``;
+* one variable ``t`` -- invariant values at a fixed color.  An
+  :class:`IntLaurent1` is dense along an arithmetic progression of
+  exponents: ``sum_i c[i] * t^(off + step*i)`` with a numpy coefficient
+  array ``c``.  Colored Jones values use every fourth exponent, so the
+  stride keeps the arrays about four times shorter than their t-span;
 * two variables ``t, M`` -- operator coefficients and symbolic-in-color
-  data, stored as ``{(t_exponent, M_exponent): coefficient}``.
+  data, stored sparsely as ``{(t_exponent, M_exponent): coefficient}``.
+
+The one-variable side has one kernel, :func:`shifted_sum`
+(``sum k * t^e * v``, one shifted, scaled vector add per term), behind
+sums, products, the cable sum and operator application, and one exact
+division, :func:`div_qint_den`, by ``t^2 - t^-2``.  Coefficient arrays are
+int64 when an a-priori bound on every value the operation can produce is
+below 2^63, and object arrays of Python ints otherwise, through the same
+code.
 
 On top of these sit two fraction types: :class:`RationalTM` (numerator and
 denominator in ``t, M``; reduced opportunistically, compared by
@@ -23,6 +34,8 @@ Everything is exact integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from math import gcd
+
+import numpy as np
 
 
 class DivByZero(ZeroDivisionError):
@@ -42,7 +55,7 @@ class ZeroPolynomial(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw-dict kernels (hot paths work on plain dicts; classes stay thin)
+# raw-dict kernels of the sparse shapes (IntLaurent2, and RationalM's M-dicts)
 # ---------------------------------------------------------------------------
 
 
@@ -86,35 +99,6 @@ def _mul2(a, b):
             else:
                 del r[k]
     return r
-
-
-def _div1(num, den):
-    """Exact quotient of one-variable Laurent dicts; raises NotDivisible."""
-    if not den:
-        raise DivByZero("division by zero polynomial")
-    if not num:
-        return {}
-    eb = max(den)
-    cb = den[eb]
-    q_lo = min(num) - min(den)
-    r = dict(num)
-    q = {}
-    while r:
-        ea = max(r)
-        ca = r[ea]
-        qe = ea - eb
-        if qe < q_lo or ca % cb:
-            raise NotDivisible("quotient is not an integer Laurent polynomial")
-        qc = ca // cb
-        q[qe] = qc
-        for e, c in den.items():
-            k = e + qe
-            v = r.get(k, 0) - qc * c
-            if v:
-                r[k] = v
-            else:
-                del r[k]
-    return q
 
 
 def _lex_key(k):
@@ -231,31 +215,78 @@ def _terms_text(pairs):
 # ---------------------------------------------------------------------------
 
 
-class IntLaurent1:
-    """Integer Laurent polynomial in ``t`` as a sparse exponent dict.
+# Coefficient arrays.  int64 represents exactly the integers of magnitude
+# below 2^63 (-2^63 itself never occurs, so negation is safe).  Every
+# operation below first bounds, in Python ints, the magnitude of every
+# value it can produce -- partial sums included, since they are sums of a
+# subset of the same terms -- and computes in int64 when that bound is
+# below 2^63, and in an object array of Python ints otherwise.  The code
+# path is the same; only the dtype differs.
+_INT64_LIMIT = 1 << 63
 
-    Instances are treated as immutable: every operation returns a new one.
+
+def _dtype_for(bound):
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+_NO_COEFFS = np.zeros(0, dtype=np.int64)
+
+
+class IntLaurent1:
+    """Integer Laurent polynomial in ``t``, dense along a progression.
+
+    The value is ``sum_i c[i] * t^(off + step*i)`` for a numpy array ``c``
+    (int64, or object holding Python ints).  ``c`` is trimmed: it is empty
+    for zero, and otherwise its first and last entries are nonzero, so
+    ``off`` is the lowest exponent.  ``step`` divides every difference of
+    two exponents in the support but need not be the largest such number;
+    it is 0 exactly when there is at most one term, so that a monomial
+    never narrows the stride of a sum it takes part in.
+    Instances are immutable; their arrays are shared and never written.
 
     >>> IntLaurent1({-2: 1, -6: 1, -10: 1, -18: -1}).text()
     't^-2 + t^-6 + t^-10 - t^-18'
     """
 
-    __slots__ = ("d",)
+    __slots__ = ("off", "step", "c", "_max_abs")
 
     def __init__(self, terms=None):
-        if terms is None:
-            self.d = {}
-        elif isinstance(terms, dict):
-            self.d = {e: c for e, c in terms.items() if c}
-        else:
-            d = {}
-            for e, c in terms:
-                v = d.get(e, 0) + c
-                if v:
-                    d[e] = v
-                else:
-                    d.pop(e, None)
-            self.d = d
+        """From a dict ``{exponent: coefficient}`` or an iterable of
+        ``(exponent, coefficient)`` pairs, whose repeated exponents add up."""
+        pairs = list(terms.items() if isinstance(terms, dict) else terms or ())
+        if not pairs:
+            self._set(0, 0, _NO_COEFFS)
+            return
+        exps = np.array([e for e, _ in pairs], dtype=np.int64)
+        coeffs = [c for _, c in pairs]
+        off = int(exps.min())
+        step = int(np.gcd.reduce(exps - off))
+        idx = (exps - off) // (step or 1)
+        # a coefficient is a sum of some of the given ones
+        c = np.zeros(int(idx.max()) + 1, dtype=_dtype_for(sum(abs(x) for x in coeffs)))
+        np.add.at(c, idx, np.array(coeffs, dtype=c.dtype))
+        self._set(off, step, c)
+
+    def _set(self, off, step, c):
+        if not (c.size and c[0] and c[-1]):
+            nz = np.flatnonzero(c)
+            if nz.size:
+                lo, hi = int(nz[0]), int(nz[-1])
+                off, c = off + step * lo, c[lo:hi + 1]
+            else:
+                off, c = 0, _NO_COEFFS
+        if c.size <= 1:
+            step = 0
+        self.off, self.step, self.c, self._max_abs = off, step, c, None
+
+    @classmethod
+    def from_array(cls, off, step, c):
+        """``sum_i c[i] * t^(off + step*i)``; ``c`` is trimmed, not copied.
+
+        ``c`` is int64 with every entry of magnitude below 2^63, or object."""
+        out = cls.__new__(cls)
+        out._set(off, step, c)
+        return out
 
     @classmethod
     def zero(cls):
@@ -269,43 +300,179 @@ class IntLaurent1:
     def t_power(cls, e, c=1):
         return cls({e: c} if c else {})
 
+    def max_abs(self):
+        """Largest coefficient magnitude, as a Python int (0 for zero)."""
+        if self._max_abs is None:
+            self._max_abs = int(np.abs(self.c).max()) if self.c.size else 0
+        return self._max_abs
+
+    def nonzero(self):
+        """``(exponents, coefficients)`` of the nonzero terms as arrays,
+        exponents ascending."""
+        idx = np.flatnonzero(self.c)
+        return self.off + self.step * idx, self.c[idx]
+
+    def items(self):
+        """``(exponent, coefficient)`` pairs of the nonzero terms as Python
+        ints, exponents ascending."""
+        exps, coeffs = self.nonzero()
+        return list(zip(exps.tolist(), coeffs.tolist()))
+
+    @property
+    def d(self):
+        """The terms as a fresh ``{exponent: coefficient}`` dict."""
+        return dict(self.items())
+
     def __bool__(self):
-        return bool(self.d)
+        return bool(self.c.size)
 
     def __eq__(self, other):
-        return isinstance(other, IntLaurent1) and self.d == other.d
+        if not isinstance(other, IntLaurent1):
+            return False
+        if self.step != other.step and self.c.size > 1 and other.c.size > 1:
+            return self.d == other.d
+        return self.off == other.off and self.c.size == other.c.size and bool(np.array_equal(self.c, other.c))
 
     def __hash__(self):
-        return hash(frozenset(self.d.items()))
+        return hash(frozenset(self.items()))
 
     def __neg__(self):
-        return IntLaurent1({e: -c for e, c in self.d.items()})
+        return IntLaurent1.from_array(self.off, self.step, -self.c)
 
     def __add__(self, other):
-        return IntLaurent1(_merge(self.d, other.d, 1))
+        return shifted_sum(((0, 1, self), (0, 1, other)))
 
     def __sub__(self, other):
-        return IntLaurent1(_merge(self.d, other.d, -1))
+        return shifted_sum(((0, 1, self), (0, -1, other)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntLaurent1({e: c * other for e, c in self.d.items()} if other else {})
-        return IntLaurent1(_mul1(self.d, other.d))
+            return shifted_sum(((0, other, self),))
+        return poly_mul(self, other)
 
     __rmul__ = __mul__
 
     def mul_tpow(self, e, c=1):
-        """Multiply by ``c * t**e`` (a unit when c = +-1)."""
-        if not c:
-            return IntLaurent1()
-        return IntLaurent1({ee + e: cc * c for ee, cc in self.d.items()})
+        """Multiply by ``c * t**e``; for c = 1 only the offset moves."""
+        if c == 1:
+            return IntLaurent1.from_array(self.off + e, self.step, self.c)
+        return shifted_sum(((e, c, self),))
 
     def text(self):
-        items = sorted(self.d.items(), key=lambda kv: -kv[0])
-        return _terms_text([(c, _pow_text("t", e)) for e, c in items])
+        return _terms_text([(c, _pow_text("t", e)) for e, c in reversed(self.items())])
 
     def __repr__(self):
         return f"IntLaurent1({self.text()})"
+
+
+def shifted_sum(terms):
+    """``sum k * t^e * v`` over ``terms``, an iterable of ``(e, k, v)``
+    with integers e, k and :class:`IntLaurent1` values v.
+
+    The one-variable kernel: one shifted, scaled vector add per term into a
+    single output array.  Its stride is the gcd of the strides and of the
+    differences of the terms' lowest exponents, so every term lands on it.
+    The dtype comes from the bound on the output noted in the loop below.
+    """
+    terms = [(e + v.off, k, v) for e, k, v in terms if k and v.c.size]
+    if not terms:
+        return IntLaurent1()
+    start = terms[0][0]
+    lo, hi, step, bound = start, start, 0, 0
+    for first, k, v in terms:
+        step = gcd(step, v.step, first - start)
+        lo = min(lo, first)
+        hi = max(hi, first + v.step * (v.c.size - 1))
+        # every output coefficient, and every partial sum of one, is a sum
+        # of k * c over some terms: at most sum |k| * max|v| in magnitude
+        bound += abs(k) * v.max_abs()
+    step = step or 1
+    dtype = _dtype_for(bound)
+    out = np.zeros((hi - lo) // step + 1, dtype=dtype)
+    for first, k, v in terms:
+        c = v.c if v.c.dtype == dtype else v.c.astype(dtype)
+        i, j = (first - lo) // step, v.step // step or 1
+        view = out[i:i + j * (c.size - 1) + 1:j]
+        if k == 1:
+            view += c
+        elif k == -1:
+            view -= c
+        else:
+            view += k * c
+    return IntLaurent1.from_array(lo, step, out)
+
+
+def realized_terms(f, n, v, k=1):
+    """The product ``k * f(t, t^(2n)) * v`` of an :class:`IntLaurent2` f and
+    an :class:`IntLaurent1` v, as a list of :func:`shifted_sum` terms."""
+    two_n = 2 * n
+    return [(a + two_n * b, k * c, v) for (a, b), c in f.d.items()]
+
+
+def _spread(f, step):
+    """The coefficients of ``f`` on the finer stride ``step`` (which divides
+    ``f.step``), as an object array."""
+    j = f.step // step or 1
+    out = np.zeros(j * (f.c.size - 1) + 1, dtype=object)
+    out[::j] = f.c
+    return out
+
+
+def div_qint_den(f):
+    """Exact quotient ``f / (t^2 - t^-2)``; raises :class:`NotDivisible`.
+
+    ``t^2 - t^-2 = t^-2 (t^4 - 1)``, so ``f = q (t^2 - t^-2)`` means
+    ``t^-2 q = -f (1 + t^4 + t^8 + ...)``: along each residue class of
+    exponents mod 4, the coefficients of ``t^-2 q`` are the negated partial
+    sums of those of ``f``.  ``q`` is a Laurent polynomial exactly when
+    every class sums to zero, i.e. when the top four partial sums vanish.
+
+    >>> div_qint_den(IntLaurent1({12: 1, -8: 1, -4: -1, 0: -1})).text()
+    't^10 + t^6 + t^2 - t^-6'
+    """
+    if not f:
+        return f
+    step = gcd(f.step, 4)
+    k, j = 4 // step, f.step // step or 1
+    rows = -(-(j * (f.c.size - 1) + 1) // k)
+    # each partial sum is bounded by sum |c| <= len(c) * max|c|
+    dtype = _dtype_for(f.c.size * f.max_abs())
+    a = np.zeros(rows * k, dtype=dtype)
+    a[:j * (f.c.size - 1) + 1:j] = f.c
+    sums = np.cumsum(a.reshape(rows, k), axis=0)
+    if sums[-1].any():
+        raise NotDivisible("quotient by t^2 - t^-2 is not a Laurent polynomial")
+    return IntLaurent1.from_array(f.off + 2, step, -sums[:-1].ravel())
+
+
+def _div_dense1(a, b):
+    """Exact quotient of one-variable polynomials by long division."""
+    if not b:
+        raise DivByZero("division by zero polynomial")
+    if not a:
+        return a
+    # With g = gcd of the strides and zeta a g-th root of unity, a(zeta t) =
+    # zeta^a.off a(t) and likewise for b, so a quotient q satisfies q(zeta t)
+    # = zeta^(a.off - b.off) q(t): its exponents lie on a.off - b.off + gZ,
+    # starting at a.off - b.off (lowest exponents add in a domain).  The
+    # coefficients are Python ints: the quotient of a long division has no
+    # simple a-priori bound.
+    step = gcd(a.step, b.step) or 1
+    r, den = _spread(a, step), _spread(b, step)
+    if r.size < den.size:
+        raise NotDivisible("quotient is not an integer Laurent polynomial")
+    lead = den[-1]
+    q = np.zeros(r.size - den.size + 1, dtype=object)
+    for k in range(q.size - 1, -1, -1):
+        top = r[k + den.size - 1]
+        if top:
+            if top % lead:
+                raise NotDivisible("quotient is not an integer Laurent polynomial")
+            q[k] = top // lead
+            r[k:k + den.size] -= q[k] * den
+    if r.any():
+        raise NotDivisible("quotient is not an integer Laurent polynomial")
+    return IntLaurent1.from_array(a.off - b.off, step, q)
 
 
 class IntLaurent2:
@@ -410,7 +577,10 @@ class IntLaurent2:
 def poly_mul(a, b):
     """Exact product; both operands must be the same polynomial type."""
     if isinstance(a, IntLaurent1) and isinstance(b, IntLaurent1):
-        return IntLaurent1(_mul1(a.d, b.d))
+        # iterate the factor with fewer terms: one vector add per term
+        if np.count_nonzero(a.c) > np.count_nonzero(b.c):
+            a, b = b, a
+        return shifted_sum((e, c, b) for e, c in a.items())
     if isinstance(a, IntLaurent2) and isinstance(b, IntLaurent2):
         return IntLaurent2(_mul2(a.d, b.d))
     raise TypeError(f"poly_mul: mismatched operand types {type(a).__name__}, {type(b).__name__}")
@@ -429,7 +599,7 @@ def poly_exact_div(a, b):
     't^10 + t^6 + t^2 - t^-6'
     """
     if isinstance(a, IntLaurent1) and isinstance(b, IntLaurent1):
-        return IntLaurent1(_div1(a.d, b.d))
+        return _div_dense1(a, b)
     if isinstance(a, IntLaurent2) and isinstance(b, IntLaurent2):
         return IntLaurent2(_div2(a.d, b.d))
     raise TypeError(f"poly_exact_div: mismatched operand types {type(a).__name__}, {type(b).__name__}")
@@ -443,15 +613,7 @@ def substitute_M(f, n):
     't^42 - t^6 - t^-10 + t^-38'
     """
     two_n = 2 * n
-    r = {}
-    for (a, b), c in f.d.items():
-        k = a + two_n * b
-        v = r.get(k, 0) + c
-        if v:
-            r[k] = v
-        else:
-            del r[k]
-    return IntLaurent1(r)
+    return IntLaurent1([(a + two_n * b, c) for (a, b), c in f.d.items()])
 
 
 def shift_M(f, j):
@@ -473,9 +635,9 @@ def degree_bounds(f):
     (-18, -2)
     """
     if isinstance(f, IntLaurent1):
-        if not f.d:
+        if not f:
             raise ZeroPolynomial("zero polynomial has no degree bounds")
-        return (min(f.d), max(f.d))
+        return (f.off, f.off + f.step * (f.c.size - 1))
     if isinstance(f, IntLaurent2):
         if not f.d:
             raise ZeroPolynomial("zero polynomial has no degree bounds")

@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import IntLaurent1, IntLaurent2, poly_exact_div, poly_mul, substitute_M
+import numpy as np
+
+from .algebra import IntLaurent1, IntLaurent2, div_qint_den, poly_mul, realized_terms, shifted_sum, substitute_M
 from .qtorus import DiscreteSequence
 
 QINT_DEN = IntLaurent1({2: 1, -2: -1})  # t^2 - t^-2
@@ -42,12 +44,8 @@ def quantum_integer(m):
     >>> quantum_integer(-2).text()
     '-t^2 - t^-2'
     """
-    if m == 0:
-        return IntLaurent1()
     a = abs(m)
-    sign = 1 if m > 0 else -1
-    top = 2 * (a - 1)
-    return IntLaurent1({top - 4 * i: sign for i in range(a)})
+    return IntLaurent1.from_array(-2 * (a - 1), 4, np.full(a, 1 if m > 0 else -1, dtype=np.int64))
 
 
 def unknot_jones(n):
@@ -129,30 +127,10 @@ def torus_jones(p, q, n):
     v = cache.get(n)
     if v is not None:
         return v
+    # t^base * sum over m of t^(pq m^2 + 2pm) [mq + 1]
     pq = p * q
     base = -pq * (n * n - 1)
-    acc = {}
-    for m in range(-(n - 1), n, 2):
-        w = m * q + 1
-        if w == 0:
-            continue
-        e0 = base + pq * m * m + 2 * p * m
-        if w > 0:
-            top = e0 + 2 * (w - 1)
-            sign = 1
-            count = w
-        else:
-            top = e0 + 2 * (-w - 1)
-            sign = -1
-            count = -w
-        for i in range(count):
-            e = top - 4 * i
-            c = acc.get(e, 0) + sign
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-    v = IntLaurent1(acc)
+    v = shifted_sum((base + pq * m * m + 2 * p * m, 1, quantum_integer(m * q + 1)) for m in range(-(n - 1), n, 2))
     cache[n] = v
     return v
 
@@ -208,23 +186,13 @@ def cabled_jones(params, n):
     v = cache.get(n)
     if v is not None:
         return v
+    # a sum of shifted torus values: t^base * sum over m of t^(rs m^2 + 2rm) J(ms + 1)
     p, q, r, s = params.p, params.q, params.r, params.s
     rs = r * s
     base = -rs * (n * n - 1)
-    acc = {}
-    for m in range(-(n - 1), n, 2):
-        inner = torus_jones(p, q, m * s + 1)
-        if not inner:
-            continue
-        e0 = base + rs * m * m + 2 * r * m
-        for e, c in inner.d.items():
-            k = e + e0
-            cc = acc.get(k, 0) + c
-            if cc:
-                acc[k] = cc
-            else:
-                del acc[k]
-    v = IntLaurent1(acc)
+    v = shifted_sum(
+        (base + rs * m * m + 2 * r * m, 1, torus_jones(p, q, m * s + 1)) for m in range(-(n - 1), n, 2)
+    )
     cache[n] = v
     return v
 
@@ -265,7 +233,7 @@ def delta_term(p, q, j):
             (-2 * w * j1 - 2, -1),
         ]
     )
-    return poly_exact_div(num, QINT_DEN)
+    return div_qint_den(num)
 
 
 @dataclass(frozen=True)
@@ -283,7 +251,7 @@ class SymbolicSequence:
     def realize(self, n):
         f = substitute_M(self.num, n)
         if self.needs_qint_div:
-            return poly_exact_div(f, QINT_DEN)
+            return div_qint_den(f)
         return f
 
 
@@ -457,12 +425,10 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     if identity_id not in {i for i, _ in applicable_identities(params, max_peel=1)}:
         raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
 
-    J = lambda k: torus_jones(p, q, k)  # noqa: E731
-
-    residues = _IDENTITY_CHECKS[identity_id]
+    residue = _IDENTITY_CHECKS[identity_id](p, q, cp, m, lambda k: torus_jones(p, q, k))
     failures = []
     for n in range(n_lo, n_hi + 1):
-        res = residues(p, q, cp, n, m, J)
+        res = residue(n)
         if res:
             failures.append({"n": n, "residue": res.text()})
     report = {
@@ -478,76 +444,102 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     return report
 
 
-def _res_torus_step(p, q, cp, n, m, J):
+# Each check below takes (p, q, cp, m, J), does the color-independent work
+# once, and returns the residue as a function of the color n: one
+# shifted_sum of the identity's left side minus its right side.
+
+
+def _torus_step(p, q, cp, m, J):
     pq = p * q
-    rhs = J(n).mul_tpow(-4 * pq * (n + 1)) + delta_term(p, q, n).mul_tpow(-2 * pq * (n + 1))
-    return J(n + 2) - rhs
+    return lambda n: shifted_sum((
+        (0, 1, J(n + 2)),
+        (-4 * pq * (n + 1), -1, J(n)),
+        (-2 * pq * (n + 1), -1, delta_term(p, q, n)),
+    ))
 
 
-def _res_q2_step(p, q, cp, n, m, J):
-    rhs = J(n).mul_tpow(-(4 * n + 2) * p, -1) + quantum_integer(2 * n + 1).mul_tpow(-2 * p * n)
-    return J(n + 1) - rhs
+def _q2_step(p, q, cp, m, J):
+    return lambda n: shifted_sum((
+        (0, 1, J(n + 1)),
+        (-(4 * n + 2) * p, 1, J(n)),
+        (-2 * p * n, -1, quantum_integer(2 * n + 1)),
+    ))
 
 
-def _res_cable_step(p, q, cp, n, m, J):
+def _cable_step(p, q, cp, m, J):
     coeffs = cable_step_coefficients(cp)
     s = cp.s
-    jc = lambda k: cabled_jones(cp, k)  # noqa: E731
-    idx = s * (n + 1) - 1
-    rhs = (
-        poly_mul(substitute_M(coeffs["step"], n), jc(n))
-        + poly_mul(substitute_M(coeffs["torus"], n), J(idx))
-        + poly_mul(substitute_M(coeffs["delta"], n), delta_term(p, q, idx))
-    )
-    return jc(n + 2) - rhs
 
-
-def _peel_residue(J, n, index, drop, c, total):
-    """J(index) - c(n)*J(index - drop) - total(n)/(t^2 - t^-2)."""
-    total_n = SymbolicSequence(total, needs_qint_div=True).realize(n)
-    return J(index) - poly_mul(substitute_M(c, n), J(index - drop)) - total_n
-
-
-def _res_peel(p, q, cp, n, m, J):
-    return _peel_residue(J, n, n, 2 * m, *_two_step_peel(p, q, m, 1, 0))
-
-
-def _res_q2_peel(p, q, cp, n, m, J):
-    return _peel_residue(J, n, n, m, *_single_step_peel(p, m, 1, 0))
-
-
-def _res_peel_sum(kind):
-    """Residue J(s(n+1+k)-1) - c(n)*J(s(n+1)-1) - sum(n) of one peel-sum kind."""
-
-    def residue(p, q, cp, n, m, J):
-        k, s = PEEL_STEP[kind], cp.s
-        return _peel_residue(J, n, s * (n + 1 + k) - 1, k * s, *peel(kind, p, q, s))
+    def residue(n):
+        idx = s * (n + 1) - 1
+        return shifted_sum([(0, 1, cabled_jones(cp, n + 2))]
+                           + realized_terms(coeffs["step"], n, cabled_jones(cp, n), -1)
+                           + realized_terms(coeffs["torus"], n, J(idx), -1)
+                           + realized_terms(coeffs["delta"], n, delta_term(p, q, idx), -1))
 
     return residue
 
 
-def _res_s2_step(p, q, cp, n, m, J):
+def _peel_check(J, index, drop, c, total):
+    """n -> J(index(n)) - c(n)*J(index(n) - drop) - total(n)/(t^2 - t^-2)."""
+    total_over_den = SymbolicSequence(total, needs_qint_div=True)
+
+    def residue(n):
+        k = index(n)
+        return shifted_sum([(0, 1, J(k)), (0, -1, total_over_den.realize(n))]
+                           + realized_terms(c, n, J(k - drop), -1))
+
+    return residue
+
+
+def _peel(p, q, cp, m, J):
+    return _peel_check(J, lambda n: n, 2 * m, *_two_step_peel(p, q, m, 1, 0))
+
+
+def _q2_peel(p, q, cp, m, J):
+    return _peel_check(J, lambda n: n, m, *_single_step_peel(p, m, 1, 0))
+
+
+def _peel_sum(kind):
+    """Check J(s(n+1+k)-1) = c(n)*J(s(n+1)-1) + sum(n) of one peel-sum kind."""
+
+    def check(p, q, cp, m, J):
+        k, s = PEEL_STEP[kind], cp.s
+        return _peel_check(J, lambda n: s * (n + 1 + k) - 1, k * s, *peel(kind, p, q, s))
+
+    return check
+
+
+def _s2_step(p, q, cp, m, J):
     pq, r = p * q, cp.r
-    jc = lambda k: cabled_jones(cp, k)  # noqa: E731
-    res1 = jc(n + 1) - (J(2 * n + 1).mul_tpow(-2 * r * n) + jc(n).mul_tpow(-4 * r * n - 2 * r, -1))
-    if res1:
-        return res1
-    res2 = J(2 * n + 3) - (
-        J(2 * n + 1).mul_tpow(-8 * pq * (n + 1)) + delta_term(p, q, 2 * n + 1).mul_tpow(-4 * pq * (n + 1))
-    )
-    return res2
+
+    def residue(n):
+        res1 = shifted_sum((
+            (0, 1, cabled_jones(cp, n + 1)),
+            (-2 * r * n, -1, J(2 * n + 1)),
+            (-4 * r * n - 2 * r, 1, cabled_jones(cp, n)),
+        ))
+        if res1:
+            return res1
+        return shifted_sum((
+            (0, 1, J(2 * n + 3)),
+            (-8 * pq * (n + 1), -1, J(2 * n + 1)),
+            (-4 * pq * (n + 1), -1, delta_term(p, q, 2 * n + 1)),
+        ))
+
+    return residue
 
 
 _IDENTITY_CHECKS = {
-    "TORUS_STEP": _res_torus_step,
-    "Q2_STEP": _res_q2_step,
-    "CABLE_STEP": _res_cable_step,
-    "PEEL": _res_peel,
-    "PEEL_S": _res_peel_sum("S"),
-    "Q2_PEEL": _res_q2_peel,
-    "Q2_PEEL_S": _res_peel_sum("U"),
-    "HALF_PEEL": _res_peel_sum("V"),
-    "S2_STEP": _res_s2_step,
+    "TORUS_STEP": _torus_step,
+    "Q2_STEP": _q2_step,
+    "CABLE_STEP": _cable_step,
+    "PEEL": _peel,
+    "PEEL_S": _peel_sum("S"),
+    "Q2_PEEL": _q2_peel,
+    "Q2_PEEL_S": _peel_sum("U"),
+    "HALF_PEEL": _peel_sum("V"),
+    "S2_STEP": _s2_step,
 }
 
 

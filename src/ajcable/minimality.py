@@ -198,8 +198,7 @@ def _equation_count(values, bounds, centers):
     for n in range(bounds.n_lo, bounds.n_hi + 1):
         intervals = []
         for i, (tc, mc) in enumerate(centers):
-            exps = np.fromiter(values(n + i).d.keys(), dtype=np.int64)
-            exps.sort()
+            exps = values(n + i).nonzero()[0]
             lo = tc - bounds.t_span + 2 * n * (mc - bounds.m_span)
             hi = tc + bounds.t_span + 2 * n * (mc + bounds.m_span)
             intervals.extend(_support_intervals(exps, lo, hi))
@@ -274,9 +273,8 @@ def _torus_evals_mod(p, q, c_max, taus, prime):
     """
     vals = np.zeros((len(taus), c_max + 1), dtype=np.int64)
     vals[:, 1] = 1
-    two = torus_jones(p, q, 2).d
-    coeffs = np.fromiter(two.values(), dtype=np.int64, count=len(two))
-    vals[:, 2] = (_pow_table(taus, list(two), prime) * coeffs).sum(axis=1) % prime
+    exps, coeffs = torus_jones(p, q, 2).nonzero()
+    vals[:, 2] = (_pow_table(taus, exps, prime) * coeffs).sum(axis=1) % prime
     # step c (colors c, c + 1 -> c + 2) uses j = c + 1 = 2 .. c_max - 1
     j = np.arange(2, c_max, dtype=np.int64)
     u, w, pq = p + q, q - p, p * q
@@ -484,13 +482,13 @@ def _exact_rows(params, bounds, centers, cols):
     for n in range(bounds.n_lo, bounds.n_hi + 1):
         by_exp = {}
         for i, (tc, mc) in enumerate(centers):
-            val = seq(n + i)
+            terms = seq(n + i).items()
             for b in range(mc - bounds.m_span, mc + bounds.m_span + 1):
                 shift = 2 * n * b
                 for a in range(tc - bounds.t_span, tc + bounds.t_span + 1):
                     k = col_index[(i, a, b)]
                     off = a + shift
-                    for e, c in val.d.items():
+                    for e, c in terms:
                         cell = by_exp.setdefault(off + e, {})
                         cell[k] = cell.get(k, 0) + c
         for row in by_exp.values():

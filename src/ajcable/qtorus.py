@@ -23,7 +23,9 @@ from .algebra import (
     RationalTM,
     poly_exact_div,
     poly_mul,
+    realized_terms,
     shift_M,
+    shifted_sum,
 )
 
 
@@ -198,26 +200,17 @@ def apply_operator(P, f, n):
     :class:`DenominatorVanishes` if a realized denominator is zero and
     :class:`NotDivisible` if the rational sum fails to be polynomial.
     """
+    if P.has_polynomial_coeffs():
+        return shifted_sum(term for i, c in P.coeffs.items() for term in realized_terms(c.num, n, f(n + i)))
     num_parts = []  # (realized numerator * f(n+i), realized denominator)
-    dens = []
-    all_one = True
     for i, c in P.coeffs.items():
         cn, cd = c.realize(n)
         if not cd:
             raise DenominatorVanishes(n)
-        val = f(n + i)
-        num_parts.append((poly_mul(cn, val), cd))
-        if cd.d != {0: 1}:
-            all_one = False
-        dens.append(cd)
-    if all_one:
-        total = IntLaurent1()
-        for g, _ in num_parts:
-            total = total + g
-        return total
+        num_parts.append((poly_mul(cn, f(n + i)), cd))
     common = IntLaurent1.one()
-    for eachd in dens:
-        common = poly_mul(common, eachd)
+    for _, d in num_parts:
+        common = poly_mul(common, d)
     total = IntLaurent1()
     for g, d in num_parts:
         total = total + poly_mul(g, poly_exact_div(common, d))

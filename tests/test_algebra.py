@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from ajcable.algebra import (
     RationalTM,
     ZeroPolynomial,
     degree_bounds,
+    div_qint_den,
     limit_t_minus1,
     poly_exact_div,
     poly_mul,
@@ -338,3 +341,228 @@ def test_rational_m_arithmetic():
     one = RationalM.from_int(1)
     assert (m - one) * (m + one) == RationalM({2: 1, 0: -1})
     assert (m / (m + one)) + (one / (m + one)) == one
+
+
+# --- the dense one-variable kernels against the dict kernels and sympy --------
+#
+# reference_merge, reference_mul1 and reference_div1 are copies of the dict
+# kernels that IntLaurent1 used before it became array-backed.
+
+
+def reference_merge(a, b, sign=1):
+    r = dict(a)
+    for k, c in b.items():
+        v = r.get(k, 0) + sign * c
+        if v:
+            r[k] = v
+        else:
+            r.pop(k, None)
+    return r
+
+
+def reference_mul1(a, b):
+    r = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            k = ea + eb
+            v = r.get(k, 0) + ca * cb
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return r
+
+
+def reference_div1(num, den):
+    if not den:
+        raise DivByZero("division by zero polynomial")
+    if not num:
+        return {}
+    eb = max(den)
+    cb = den[eb]
+    q_lo = min(num) - min(den)
+    r = dict(num)
+    q = {}
+    while r:
+        ea = max(r)
+        ca = r[ea]
+        qe = ea - eb
+        if qe < q_lo or ca % cb:
+            raise NotDivisible("reference")
+        qc = ca // cb
+        q[qe] = qc
+        for e, c in den.items():
+            k = e + qe
+            v = r.get(k, 0) - qc * c
+            if v:
+                r[k] = v
+            else:
+                del r[k]
+    return q
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotDivisible:
+        return NotDivisible
+
+
+X = sympy.Symbol("x")
+
+
+def sympy_terms(expr):
+    """{exponent: coefficient} of a Laurent polynomial expression in x."""
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return {}
+    low = min(term.as_coeff_exponent(X)[1] for term in sympy.Add.make_args(expr))
+    poly = sympy.Poly(sympy.expand(expr * X ** -low), X)
+    return {int(m[0]) + int(low): int(c) for m, c in zip(poly.monoms(), poly.coeffs())}
+
+
+def to_sympy(f):
+    return sum((sympy.Integer(c) * X ** e for e, c in f.items()), sympy.Integer(0))
+
+
+BIG = 1 << 62
+dense_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=BIG - 9, max_value=BIG + 9),        # near 2^62
+    st.integers(min_value=-(1 << 63) + 1, max_value=-(1 << 63) + 9),  # at the int64 edge
+    st.integers(min_value=1 << 64, max_value=(1 << 64) + 9),  # needs Python ints
+)
+
+
+@st.composite
+def dense1(draw, nonzero=False, coeffs=dense_coeffs):
+    """An IntLaurent1 built from a raw array with a drawn offset and stride,
+    and the dict of its terms."""
+    off = draw(st.integers(min_value=-30, max_value=30))
+    step = draw(st.sampled_from((1, 2, 3, 4, 8)))
+    cs = draw(st.lists(st.one_of(st.just(0), coeffs), min_size=1 if nonzero else 0, max_size=10))
+    if nonzero and not any(cs):
+        cs[-1] = 1
+    fits = all(abs(c) < 1 << 63 for c in cs)
+    f = IntLaurent1.from_array(off, step, np.array(cs, dtype=np.int64 if fits else object))
+    return f, {off + step * i: c for i, c in enumerate(cs) if c}
+
+
+@given(dense1(), dense1())
+@settings(max_examples=150, deadline=None)
+def test_dense_sum_and_difference_match_dict_kernel(fa, fb):
+    (a, da), (b, db) = fa, fb
+    assert a.d == da and b.d == db
+    assert (a + b).d == reference_merge(da, db, 1)
+    assert (a - b).d == reference_merge(da, db, -1)
+    assert (-a).d == {e: -c for e, c in da.items()}
+
+
+@given(dense1(), dense1())
+@settings(max_examples=120, deadline=None)
+def test_dense_product_matches_dict_kernel_and_sympy(fa, fb):
+    (a, da), (b, db) = fa, fb
+    product = poly_mul(a, b)
+    assert product.d == reference_mul1(da, db)
+    assert product.d == sympy_terms(to_sympy(da) * to_sympy(db))
+    assert (a * b) == product == poly_mul(b, a)
+
+
+@given(dense1(), st.integers(min_value=-40, max_value=40),
+       st.one_of(st.integers(min_value=-3, max_value=3), st.just(BIG), st.just(-(1 << 70))))
+@settings(max_examples=100, deadline=None)
+def test_dense_scalar_and_monomial_products(fa, e, c):
+    a, da = fa
+    expected = {k + e: v * c for k, v in da.items() if v * c}
+    assert a.mul_tpow(e, c).d == expected
+    assert (a * c).mul_tpow(e).d == expected
+
+
+@given(dense1(), st.sampled_from((0, 1, 2, 3)), st.integers(min_value=-20, max_value=20))
+@settings(max_examples=150, deadline=None)
+def test_div_qint_den_exact(fa, shift, e):
+    """Products with t^2 - t^-2 divide back, for every stride and offset."""
+    a, da = fa
+    a = a.mul_tpow(e + shift)
+    da = {k + e + shift: c for k, c in da.items()}
+    product = reference_mul1(da, {2: 1, -2: -1})
+    quotient = div_qint_den(IntLaurent1(product))
+    assert quotient.d == da == reference_div1(product, {2: 1, -2: -1})
+
+
+@given(dense1(nonzero=True), dense1(nonzero=True))
+@settings(max_examples=150, deadline=None)
+def test_div_qint_den_matches_dict_long_division(fa, fb):
+    """Arbitrary dividends, mostly not multiples: the same outcome as the
+    dict long division, NotDivisible included."""
+    (a, da), (b, db) = fa, fb
+    for f, d in ((a, da), (a + b, reference_merge(da, db)),
+                 (poly_mul(b, QINT) + a, reference_merge(reference_mul1(db, QINT.d), da))):
+        expected = outcome(reference_div1, d, QINT.d)
+        got = outcome(div_qint_den, f)
+        assert (got if got is NotDivisible else got.d) == expected
+
+
+@given(dense1(), dense1(nonzero=True, coeffs=st.integers(min_value=-5, max_value=5)), dense1())
+@settings(max_examples=150, deadline=None)
+def test_dense_long_division_matches_dict_kernel(fa, fb, fc):
+    (a, da), (b, db), (c, dc) = fa, fb, fc
+    product = poly_mul(a, b)
+    assert poly_exact_div(product, b) == a
+    perturbed = product + c
+    expected = outcome(reference_div1, perturbed.d, db)
+    got = outcome(poly_exact_div, perturbed, b)
+    assert (got if got is NotDivisible else got.d) == expected
+
+
+QINT = L1({2: 1, -2: -1})
+
+
+def test_div_qint_den_rejects_a_nonzero_top_partial_sum():
+    # t^4 - 1 over t^2 - t^-2 is t^2; t^4 - 2 leaves a remainder in one class
+    assert div_qint_den(L1({4: 1, 0: -1})) == L1({2: 1})
+    with pytest.raises(NotDivisible):
+        div_qint_den(L1({4: 1, 0: -2}))
+    # span below 4: no nonzero multiple of t^4 - 1 fits
+    with pytest.raises(NotDivisible):
+        div_qint_den(L1({1: 1, 0: -1}))
+    assert not div_qint_den(L1({}))
+
+
+def test_int64_bound_selects_the_dtype():
+    # products: ||a||_1 * ||b||_inf < 2^63 stays int64, 2^63 itself does not
+    a = IntLaurent1.from_array(0, 4, np.array([1 << 61, 1 << 61], dtype=np.int64))
+    b = IntLaurent1.from_array(3, 1, np.array([1, -1], dtype=np.int64))
+    fits = poly_mul(a, b.mul_tpow(0, 1))
+    assert fits.c.dtype == np.int64
+    assert fits.d == reference_mul1(a.d, b.d)
+    wide = poly_mul(a, b * 2)
+    assert wide.c.dtype == object
+    assert wide.d == reference_mul1(a.d, (b * 2).d)
+    # sums: |a| + |b| near 2^63 overflows int64 but not the object path
+    edge = L1({0: (1 << 63) - 1})
+    assert edge.c.dtype == np.int64
+    total = edge + edge
+    assert total.c.dtype == object and total.d == {0: (1 << 64) - 2}
+    # an object-path value that becomes small again computes in int64
+    assert (total - edge - edge).d == {} and (total - edge).c.dtype == object
+    # division: each partial sum is bounded by len(c) * max|c|
+    top = (1 << 62) + 1
+    f = IntLaurent1.from_array(0, 1, np.array([top, 0, 0, 0, -top], dtype=np.int64))
+    assert f.c.size * f.max_abs() >= 1 << 63
+    quotient = div_qint_den(f)
+    assert quotient.c.dtype == object and quotient.d == reference_div1(f.d, QINT.d)
+
+
+def test_same_polynomial_on_different_strides():
+    fine = IntLaurent1.from_array(-4, 2, np.array([1, 0, 3, 0, -2], dtype=np.int64))
+    coarse = IntLaurent1.from_array(-4, 4, np.array([1, 3, -2], dtype=object))
+    assert fine == coarse and hash(fine) == hash(coarse)
+    assert fine.text() == coarse.text() == "-2*t^4 + 3 + t^-4"
+    assert degree_bounds(fine) == degree_bounds(coarse) == (-4, 4)
+    assert fine != coarse.mul_tpow(2)
+    assert hash(L1({5: 7, -1: 2})) == hash(frozenset({(5, 7), (-1, 2)}))
+    # trimming: zero ends never count, and zero is falsy
+    padded = IntLaurent1.from_array(0, 3, np.array([0, 0, 5, 0], dtype=np.int64))
+    assert padded == L1({6: 5}) and (padded.off, padded.step) == (6, 0)
+    assert not IntLaurent1.from_array(7, 2, np.zeros(4, dtype=np.int64))

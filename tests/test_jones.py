@@ -314,3 +314,49 @@ def test_identity_suite_all_pass_smoke():
     for params in (CablingParams(3, 2, 13, 2), CablingParams(5, 3, 76, 5)):
         for report in identity_suite(params, 1, 6):
             assert report["pass"], (report["id"], report["failures"])
+
+
+# --- the closed formulas against a copy of the former dict implementation ------
+
+def reference_torus(p, q, n):
+    """Closed summation formula accumulated term by term in a dict."""
+    if n < 0:
+        return {e: -c for e, c in reference_torus(p, q, -n).items()}
+    pq = p * q
+    acc = {}
+    for m in range(-(n - 1), n, 2):
+        w = m * q + 1
+        if w == 0:
+            continue
+        e0 = -pq * (n * n - 1) + pq * m * m + 2 * p * m
+        sign = 1 if w > 0 else -1
+        for i in range(abs(w)):
+            e = e0 + 2 * (abs(w) - 1) - 4 * i
+            acc[e] = acc.get(e, 0) + sign
+    return {e: c for e, c in acc.items() if c}
+
+
+def reference_cable(params, n):
+    p, q, r, s = params.p, params.q, params.r, params.s
+    rs = r * s
+    acc = {}
+    for m in range(-(n - 1), n, 2):
+        e0 = -rs * (n * n - 1) + rs * m * m + 2 * r * m
+        for e, c in reference_torus(p, q, m * s + 1).items():
+            acc[e + e0] = acc.get(e + e0, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("params", [
+    CablingParams(3, 2, 13, 2),
+    CablingParams(-5, 3, -7, 3),
+    CablingParams(5, 3, 121, 4),
+    CablingParams(-3, 2, 1, 5),
+])
+def test_dense_values_match_dict_formula(params):
+    for n in range(0, 9):
+        assert torus_jones(params.p, params.q, n).d == reference_torus(params.p, params.q, n)
+        value = cabled_jones(params, n)
+        assert value.d == reference_cable(params, n)
+        if value.c.size > 1:
+            assert value.step % 4 == 0  # values live on every fourth exponent

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajcable.algebra import IntLaurent1, IntLaurent2, RationalTM
+from ajcable.algebra import IntLaurent1, IntLaurent2, NotDivisible, RationalTM
 from ajcable.jones import CablingParams, cable_step_coefficients, unknot_sequence
 from ajcable.qtorus import (
+    DiscreteSequence,
     SkewOperator,
     apply_operator,
     check_annihilation,
@@ -188,3 +189,19 @@ def test_action_respects_composition(a, b, n):
 def test_clear_denominators_is_left_multiplication(p):
     pc, c = clear_denominators(p)
     assert skew_multiply(SkewOperator({0: c}), p) == pc
+
+
+@given(operators(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=40, deadline=None)
+def test_rational_coefficients_take_the_division_path(p, n):
+    """Dividing every coefficient by 1 + t^2 and multiplying the sequence by
+    it leaves the action unchanged; the fractions run through the long
+    division instead of the shifted sum."""
+    den = IntLaurent2({(2, 0): 1, (0, 0): 1})
+    divided = SkewOperator({i: c * RationalTM(IntLaurent2.one(), den) for i, c in p.coeffs.items()})
+    assert p.is_zero() or not divided.has_polynomial_coeffs()
+    ju = unknot_sequence()
+    scaled = DiscreteSequence(lambda k: IntLaurent1({2: 1, 0: 1}) * ju(k))
+    assert apply_operator(divided, scaled, n) == apply_operator(p, ju, n)
+    with pytest.raises(NotDivisible):
+        apply_operator(SkewOperator({0: RationalTM(IntLaurent2.one(), den)}), ju, n)
