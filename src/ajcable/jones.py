@@ -22,7 +22,15 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import IntLaurent1, IntLaurent2, div_qint_den, poly_mul, realized_terms, shifted_sum, substitute_M
+from .algebra import (
+    IntLaurent1,
+    IntLaurent2,
+    div_qint_den,
+    poly_mul,
+    realized_terms,
+    shifted_sum,
+    substitute_M,
+)
 from .qtorus import DiscreteSequence
 
 QINT_DEN = IntLaurent1({2: 1, -2: -1})  # t^2 - t^-2
@@ -130,7 +138,9 @@ def torus_jones(p, q, n):
     # t^base * sum over m of t^(pq m^2 + 2pm) [mq + 1]
     pq = p * q
     base = -pq * (n * n - 1)
-    v = shifted_sum((base + pq * m * m + 2 * p * m, 1, quantum_integer(m * q + 1)) for m in range(-(n - 1), n, 2))
+    v = shifted_sum(
+        (base + pq * m * m + 2 * p * m, 1, quantum_integer(m * q + 1)) for m in range(-(n - 1), n, 2)
+    )
     cache[n] = v
     return v
 
