@@ -25,6 +25,7 @@ between the two, and the determinant-style nonvanishing checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -210,7 +211,9 @@ def cabled_a_polynomial(params):
 class AnnihilatorBundle:
     """Constructed annihilator and every intermediate needed to check it.
 
-    ``factors`` multiply out (skew product, in order) to ``P``.  ``a`` is
+    ``factors`` multiply out (skew product, in order) to ``P``, which is
+    expanded on first read only: the checks use the factors and the cleared
+    form, and only the operator text needs ``P``.  ``a`` is
     the torus-term coefficient of the cable two-step relation; ``b`` the
     composed relation's inhomogeneous term.  ``cleared_rhs`` (= scale * b,
     a polynomial) and ``cleared_body`` give the denominator-free form
@@ -224,13 +227,19 @@ class AnnihilatorBundle:
     factors: list
     a: IntLaurent2
     b: RationalTM
-    P: SkewOperator
     scale: IntLaurent2
     cleared_rhs: IntLaurent2
     cleared_body: SkewOperator
 
+    @cached_property
+    def P(self):
+        return _multiply(self.factors)
+
     def l_degree(self):
-        return self.P.l_degree()
+        """L-degree of ``P``, without expanding it: the coefficients lie in
+        a field, and the twist is an automorphism, so the leading
+        coefficients of a skew product multiply to a nonzero one."""
+        return sum(f.l_degree() for f in self.factors)
 
     def cleared_chain(self):
         """Denominator-free factored chain (apply right factor first)."""
@@ -318,17 +327,27 @@ def build_annihilator(params):
     body = _multiply([SkewOperator({0: c["scale"]})] + c["factors"][2:])
     if not body.has_polynomial_coeffs():
         raise ArithmeticError("cleared body failed to cancel to polynomial coefficients")
-    return AnnihilatorBundle(params=params, P=_multiply(c["factors"]), cleared_body=body, **c)
+    return AnnihilatorBundle(params=params, cleared_body=body, **c)
 
 
 def evaluate_annihilator_at_minus1(bundle):
-    """Coefficient-wise value of P at t = -1 (regular there by construction)."""
-    out = {}
-    for i, coeff in bundle.P.coeffs.items():
-        v = limit_t_minus1(coeff)
-        if not v.is_zero():
-            out[i] = v
-    return LPolynomialOverM(out)
+    """Value of P at t = -1: the commutative product of the factors' values.
+
+    Why this is P(-1, M, L) (Garoufalidis 2004; Frohman, Gelca and Lofaro
+    2002): the rational functions of (t, M) regular at t = -1 form a ring,
+    and t -> -1 is a ring homomorphism from it onto Q(M).  The twist
+    M -> t^2 M maps that ring to itself and becomes the identity at
+    t = -1.  So on operators with such coefficients, evaluating at t = -1 is
+    a ring homomorphism onto the commutative Q(M)[L]:
+    ``f L^a * g L^b = f g(t, t^(2a) M) L^(a+b)`` goes to
+    ``f(-1) g(-1) L^(a+b)``.  Each factor's coefficients are evaluated with
+    :func:`limit_t_minus1`, which raises :class:`PoleAtMinusOne` if one is
+    not regular there.
+    """
+    out = LPolynomialOverM({0: RationalM.from_int(1)})
+    for op in bundle.factors:
+        out = out * LPolynomialOverM({i: limit_t_minus1(c) for i, c in op.coeffs.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +518,7 @@ def compare_aj(params, bundle=None):
     report = {
         "params": params.as_dict(),
         "case_tag": bundle.case_tag,
-        "L_degree": bundle.P.l_degree(),
+        "L_degree": bundle.l_degree(),
         "degrees_equal": degree_equal,
         "zero_pattern_equal": support_equal,
         "projective_match": projective,
@@ -552,7 +571,7 @@ def verify_tuple(params, nmax=12, with_identities=False):
     record = {
         "params": params.as_dict(),
         "case_tag": bundle.case_tag,
-        "L_degree": bundle.P.l_degree(),
+        "L_degree": bundle.l_degree(),
         "annihilates": ann["pass"],
         "n_checked": [1, nmax],
         "b_at_minus1": det["b_at_minus1"],

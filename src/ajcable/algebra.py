@@ -823,6 +823,7 @@ def _prim(u):
         u = [-c for c in u]
     return u[: d + 1] if d >= 0 else []
 
+
 def _prem(u, v):
     """Pseudo-remainder of dense integer polynomials (lists, low-to-high)."""
     dv = _deg(v)
@@ -839,26 +840,134 @@ def _prem(u, v):
     return r
 
 
+def _gcd_prs(a, b):
+    """gcd of nonzero primitive ``a``, ``b`` by a primitive pseudo-remainder
+    sequence."""
+    if _deg(a) < _deg(b):
+        a, b = b, a
+    while b:
+        a, b = b, _prim(_prem(a, b))
+    return a
+
+
+def _norm(u):
+    return max(map(abs, u), default=0)
+
+
+def _halves(n, w):
+    """``B/2`` in each of ``n`` digit places of base ``B = 2^(8w)``."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(u, w):
+    """Value of dense ``u`` at ``B = 2^(8w)``; every coefficient in
+    [-B/2, B/2).  The coefficients plus B/2 are the bytes of the value plus
+    :func:`_halves`; numpy lays them out while they fit in int64."""
+    half = 1 << (8 * w - 1)
+    if w < 8:
+        raw = (np.array(u, dtype="<i8") + half).view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
+    else:
+        raw = b"".join((c + half).to_bytes(w, "little") for c in u)
+    return int.from_bytes(raw, "little") - _halves(len(u), w)
+
+
+def _unpack(x, w):
+    """The dense polynomial whose value at ``B = 2^(8w)`` is ``x`` and whose
+    coefficients are the balanced B-adic digits of ``x``, in [-B/2, B/2):
+    the inverse of :func:`_pack`."""
+    n = x.bit_length() // (8 * w) + 2
+    raw = (x + _halves(n, w)).to_bytes(n * w, "little")
+    half = 1 << (8 * w - 1)
+    if w < 8:
+        d = np.zeros((n, 8), np.uint8)
+        d[:, :w] = np.frombuffer(raw, np.uint8).reshape(n, w)
+        out = (d.view("<i8").ravel() - half).tolist()
+    else:
+        out = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, n * w, w)]
+    return out[: _deg(out) + 1]
+
+
+# GCDHEU gives up after this many evaluation points and runs the PRS.
+_HEU_TRIES = 4
+
+
 def _gcd_dense(u, v):
-    u = _prim(u)
-    v = _prim(v)
-    if not u:
-        return v or [1]
-    if not v:
-        return u
-    if _deg(u) < _deg(v):
-        u, v = v, u
-    while v:
-        r = _prim(_prem(u, v))
-        u, v = v, r
-    return u
+    """Gcd ``g`` of the primitive parts of nonzero dense ``u``, ``v`` (lists,
+    low-to-high), with the cofactors: returns ``(g, u / g, v / g)``.
+
+    ``g`` has positive leading coefficient.  It is found by the heuristic
+    gcd GCDHEU (Char, Geddes and Gonnet 1989) at ``xi = 2^(8w)``: take
+    ``gamma = igcd(u(xi), v(xi))``, read the candidate ``g`` as the
+    primitive part of the balanced xi-adic digits of ``gamma``, and accept
+    it only if it divides ``u`` and ``v`` exactly; the quotients are the
+    cofactors.  If no candidate is accepted after ``_HEU_TRIES`` points, the
+    PRS and long division decide.
+
+    Why an accepted candidate is the gcd (Geddes, Czapor and Labahn,
+    Thm 7.7).  Let a, b be the primitive parts, G = gcd(a, b),
+    xi >= 2 ||a||_inf + 2, and write gamma = c g(xi) with c the content of
+    the digit polynomial, so 0 < |c| <= xi/2 (u(xi) != 0: xi is above every
+    root of u).  If g divides u and v then (Gauss) g | G: G = g h with h in
+    Z[x].  G(xi) divides u(xi) and v(xi), hence gamma, so h(xi) divides c.
+    Every root z of h is a root of a, so |z| < 1 + ||a||_inf (Cauchy); if h
+    is not constant, |h(xi)| >= prod |xi - z| > xi - 1 - ||a||_inf >= xi/2
+    >= |c|, which a divisor of c cannot be.  So h = +-1 and g = G.
+
+    How "divides exactly" is decided, at the same xi (:func:`_value_quotient`).
+    ``g | u`` implies ``g(xi) | u(xi)``, so a remainder there rejects.
+    Otherwise the cofactor ``q`` is read from the balanced digits of
+    ``u(xi) / g(xi)``; ``g q`` and ``u`` agree at xi, and if every
+    coefficient of both is below xi/2 in absolute value they are equal
+    (balanced digits are unique).  A candidate that cannot be proved so is
+    rejected.  The check also gives xi > 2 ||u||_inf, hence, xi and
+    2 ||u||_inf being even, xi >= 2 ||u||_inf + 2 >= 2 ||a||_inf + 2: the
+    bound of the argument above holds at every accepting point.
+    """
+    du, dv = _deg(u), _deg(v)
+    if du == 0 or dv == 0:
+        return [1], u, v
+    nu, nv = _norm(u), _norm(v)
+    # the first xi = 2^(8w) meets xi >= 2 max(||u||, ||v||) + 2 with room for
+    # the cofactor check when the gcd and the cofactors have coefficients up
+    # to 2^8 times the inputs'
+    w0 = ((min(du, dv) + 1) * max(nu, nv) ** 2 << 17).bit_length() // 8 + 1
+    for w in range(w0, w0 + _HEU_TRIES):
+        pu, pv = _pack(u, w), _pack(v, w)
+        g, pg = _heu_candidate(gcd(pu, pv), w)
+        cu = _value_quotient(pu, nu, g, pg, w)
+        cv = cu and _value_quotient(pv, nv, g, pg, w)
+        if cv:
+            return g, cu, cv
+    g = _gcd_prs(_prim(u), _prim(v))
+    return g, _div_dense(u, g), _div_dense(v, g)
+
+
+def _heu_candidate(gamma, w):
+    """The candidate read from ``gamma`` at ``xi = 2^(8w)``: the primitive
+    part ``g`` of its balanced digit polynomial ``c g``, and ``g(xi)``."""
+    digits = _unpack(gamma, w)
+    g = _prim(digits)
+    return g, gamma // (digits[-1] // g[-1])
+
+
+def _value_quotient(pu, nu, g, pg, w):
+    """``u / g`` from ``pu = u(xi)``, ``nu = ||u||_inf`` and ``pg = g(xi)``
+    at ``xi = 2^(8w)``, or None when the values do not prove that ``g``
+    divides ``u`` (see :func:`_gcd_dense`)."""
+    qb, rb = divmod(pu, pg)
+    if rb:
+        return None
+    q = _unpack(qb, w)
+    if 2 * max(nu, min(len(q), len(g)) * _norm(g) * _norm(q)) >= 1 << 8 * w:
+        return None
+    return q
 
 
 class RationalM:
     """Reduced fraction of integer Laurent polynomials in ``M``.
 
-    Fully canonical: common polynomial factors are removed (gcd via a
-    primitive pseudo-remainder sequence), the denominator is monomial- and
+    Fully canonical: common polynomial factors are removed (heuristic gcd
+    with cofactors, :func:`_gcd_dense`), the denominator is monomial- and
     sign-normalized (minimum exponent 0; lowest-exponent coefficient
     positive), and the shared integer content is 1.  Equality is
     structural.
@@ -887,12 +996,8 @@ class RationalM:
             num = {e - d0: c for e, c in num.items()}
         if den != {0: 1}:
             n0 = min(num)
-            nu = _dense(num, n0, max(num))
-            de = _dense(den, 0, max(den))
-            g = _gcd_dense(nu, de)
-            if _deg(g) > 0:
-                nu = _div_dense(nu, g)
-                de = _div_dense(de, g)
+            g, nu, de = _gcd_dense(_dense(num, n0, max(num)), _dense(den, 0, max(den)))
+            if len(g) > 1:
                 num = {e + n0: c for e, c in enumerate(nu) if c}
                 den = {e: c for e, c in enumerate(de) if c}
         cg = gcd(_content(num), _content(den))
@@ -969,24 +1074,22 @@ class RationalM:
 
 
 def _div_dense(u, v):
-    """Exact dense quotient (used only right after a gcd computation)."""
+    """Exact quotient ``u / v`` of dense integer polynomials (lists,
+    low-to-high) by long division, for the cofactors of the PRS gcd in
+    :func:`_gcd_dense`; raises :class:`NotDivisible` if ``v`` does not divide
+    ``u`` in Z[x]."""
     du, dv = _deg(u), _deg(v)
     q = [0] * (du - dv + 1)
     r = list(u)
     for k in range(du - dv, -1, -1):
-        dr = dv + k
-        if r[dr] == 0:
-            continue
-        if r[dr] % v[dv]:
-            # the gcd was computed over primitive parts; integer contents can
-            # still obstruct exact division, so scale through fractions-free:
-            raise NotDivisible("internal: dense quotient not integral")
-        c = r[dr] // v[dv]
+        c, rem = divmod(r[dv + k], v[dv])
+        if rem:
+            raise NotDivisible("quotient coefficient is not an integer")
         q[k] = c
         for i in range(dv + 1):
             r[i + k] -= c * v[i]
     if any(r):
-        raise NotDivisible("internal: dense division left a remainder")
+        raise NotDivisible("division left a remainder")
     return q
 
 

@@ -227,12 +227,12 @@ def _cmd_annihilator(args):
         "kind": "annihilator",
         "params": params.as_dict(),
         "case_tag": bundle.case_tag,
-        "L_degree": bundle.P.l_degree(),
+        "L_degree": bundle.l_degree(),
         "theorem_applies": params.theorem_applies,
         "factors": [f.text() for f in bundle.factors],
         "operator": bundle.P.text(),
     }
-    lines = [f"case={bundle.case_tag}  L-degree={bundle.P.l_degree()}"]
+    lines = [f"case={bundle.case_tag}  L-degree={record['L_degree']}"]
     lines += [f"factor: {t}" for t in record["factors"]]
     lines.append(f"operator: {record['operator']}")
     if args.eval_t_neg1:

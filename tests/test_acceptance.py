@@ -201,7 +201,26 @@ def test_criterion_6_minimality():
     )
 
 
-def test_criterion_7_dual_oracles():
+def expanded_at_minus1(P):
+    """Coefficient-wise value at t = -1 of the expanded operator: the route
+    ``evaluate_annihilator_at_minus1`` took before it went factor-wise, kept
+    as the second oracle."""
+    out = {}
+    for i, coeff in P.coeffs.items():
+        v = limit_t_minus1(coeff)
+        if not v.is_zero():
+            out[i] = v
+    return LPolynomialOverM(out)
+
+
+def test_criterion_7_dual_oracles(bundles):
+    # the value at t = -1: expanded P against the product of the factors'
+    # values, and the L-degree of P against the sum of the factors'
+    for params in GRID:
+        bundle = bundles[params]
+        assert evaluate_annihilator_at_minus1(bundle) == expanded_at_minus1(bundle.P), params
+        assert bundle.l_degree() == bundle.P.l_degree(), params
+
     # two independent torus evaluations
     for p, q in GRID_PQ:
         for n in range(1, 21):
@@ -252,9 +271,10 @@ def test_criterion_7_dual_oracles():
                 assert sym.realize(n) == direct, ("V", p, q, s, n)
 
     print(
-        "\nPASS criterion 7: dual torus oracles agree n in [1,20]; symbolic "
-        "realizations equal direct summation for the step term and all three "
-        "peel sums, n in [0,10]"
+        "\nPASS criterion 7: expanded and factor-wise P(-1, M, L) and L-degrees "
+        f"agree on all {len(GRID)} tuples; dual torus oracles agree n in [1,20]; "
+        "symbolic realizations equal direct summation for the step term and all "
+        "three peel sums, n in [0,10]"
     )
 
 

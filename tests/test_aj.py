@@ -1,11 +1,20 @@
 """Annihilator construction, closed forms at t = -1, and the A-polynomial match."""
 
+import dataclasses
 import importlib.resources
 
 import pytest
 
 import ajcable.aj as aj
-from ajcable.algebra import IntLaurent2, RationalM, RationalTM, limit_t_minus1, poly_mul, shift_M
+from ajcable.algebra import (
+    IntLaurent2,
+    PoleAtMinusOne,
+    RationalM,
+    RationalTM,
+    limit_t_minus1,
+    poly_mul,
+    shift_M,
+)
 from ajcable.aj import (
     LPolynomialOverM,
     b_minus1_closed_form,
@@ -32,7 +41,7 @@ from ajcable.jones import (
     symbolic_delta,
     symbolic_sum,
 )
-from ajcable.qtorus import check_annihilation, skew_multiply
+from ajcable.qtorus import SkewOperator, check_annihilation, skew_multiply
 
 # one representative tuple per construction regime
 REPRESENTATIVES = {
@@ -373,6 +382,40 @@ def test_verify_tuple_builds_once(monkeypatch):
     monkeypatch.setattr(aj, "_ingredients", lambda params: calls.append(params) or real(params))
     assert verify_tuple(CablingParams(3, 2, 13, 2), nmax=3)["pass"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
+def test_verify_tuple_never_expands_P(monkeypatch, tag):
+    """verify_tuple reads the L-degree from the factors and evaluates them
+    at t = -1 one by one: the only skew products are the cleared body's."""
+    built, products = [], []
+    real_build, real_multiply = aj.build_annihilator, aj.skew_multiply
+    monkeypatch.setattr(aj, "build_annihilator", lambda params: built.append(real_build(params)) or built[-1])
+    monkeypatch.setattr(aj, "skew_multiply", lambda p, q: products.append(1) or real_multiply(p, q))
+    record = verify_tuple(REPRESENTATIVES[tag], nmax=3)
+    assert record["pass"] and record["L_degree"] == case_l_degree(tag)
+    (bundle,) = built
+    assert "P" not in vars(bundle)
+    body_products = len(bundle.factors) - 2  # scale times the factors after (L - 1) b^-1
+    assert len(products) == body_products
+    # P is still there on first read, and its degree is the one reported
+    assert bundle.P.l_degree() == record["L_degree"]
+    assert len(products) == body_products + len(bundle.factors) - 1
+
+
+def test_factor_with_a_pole_at_minus1_raises():
+    """A scalar factor with a genuine pole at t = -1 makes the evaluation
+    raise; it never returns a value."""
+    bundle = build_annihilator(REPRESENTATIVES["S_EQ_2"])
+    t_plus_1 = IntLaurent2({(1, 0): 1, (0, 0): 1})
+    pole = SkewOperator({0: RationalTM(IntLaurent2.one(), t_plus_1)})
+    bad = dataclasses.replace(bundle, factors=[bundle.factors[0], pole] + bundle.factors[2:])
+    with pytest.raises(PoleAtMinusOne):
+        evaluate_annihilator_at_minus1(bad)
+    # a removable (t + 1) / (t + 1) is no pole
+    removable = SkewOperator({0: RationalTM(t_plus_1, t_plus_1)})
+    fine = dataclasses.replace(bundle, factors=bundle.factors[:2] + [removable] + bundle.factors[2:])
+    assert evaluate_annihilator_at_minus1(fine) == evaluate_annihilator_at_minus1(bundle)
 
 
 def test_default_grid_shape():

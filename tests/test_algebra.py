@@ -1,8 +1,13 @@
+from math import gcd
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_zz_heu_gcd
+from sympy.polys.polyerrors import HeuristicGCDFailed
 
 import ajcable.algebra as algebra
 from ajcable.algebra import (
@@ -566,3 +571,209 @@ def test_same_polynomial_on_different_strides():
     padded = IntLaurent1.from_array(0, 3, np.array([0, 0, 5, 0], dtype=np.int64))
     assert padded == L1({6: 5}) and (padded.off, padded.step) == (6, 0)
     assert not IntLaurent1.from_array(7, 2, np.zeros(4, dtype=np.int64))
+
+
+# --- the heuristic gcd with cofactors against the PRS and sympy -----------------
+#
+# reference_prim, reference_prem and reference_gcd_dense are copies of the
+# primitive pseudo-remainder gcd that RationalM used before GCDHEU.
+
+
+def reference_deg(u):
+    for i in range(len(u) - 1, -1, -1):
+        if u[i]:
+            return i
+    return -1
+
+
+def reference_prim(u):
+    g = 0
+    for c in u:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if g > 1:
+        u = [c // g for c in u]
+    d = reference_deg(u)
+    if d >= 0 and u[d] < 0:
+        u = [-c for c in u]
+    return u[: d + 1] if d >= 0 else []
+
+
+def reference_prem(u, v):
+    dv = reference_deg(v)
+    lv = v[dv]
+    r = list(u)
+    dr = reference_deg(r)
+    while dr >= dv:
+        lead = r[dr]
+        r = [c * lv for c in r]
+        shift = dr - dv
+        for i in range(dv + 1):
+            r[i + shift] -= lead * v[i]
+        dr = reference_deg(r)
+    return r
+
+
+def reference_gcd_dense(u, v):
+    u = reference_prim(u)
+    v = reference_prim(v)
+    if not u:
+        return v or [1]
+    if not v:
+        return u
+    if reference_deg(u) < reference_deg(v):
+        u, v = v, u
+    while v:
+        r = reference_prim(reference_prem(u, v))
+        u, v = v, r
+    return u
+
+
+def dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def sympy_gcd(u, v):
+    """Primitive part of sympy's gcd (dup lists run high-to-low)."""
+    try:
+        h = dup_zz_heu_gcd(u[::-1], v[::-1], ZZ)[0]
+    except HeuristicGCDFailed:
+        h = sympy.Poly(u[::-1], X).gcd(sympy.Poly(v[::-1], X)).all_coeffs()
+    return reference_prim([int(c) for c in h[::-1]])
+
+
+gcd_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(1 << 70), max_value=1 << 70),  # above 2^64
+)
+
+
+@st.composite
+def dense_polys(draw, max_len=5):
+    """A nonzero dense polynomial (top coefficient nonzero), low-to-high."""
+    cs = draw(st.lists(gcd_coeffs, min_size=1, max_size=max_len))
+    if not cs[-1]:
+        cs[-1] = draw(st.sampled_from((1, -1, 3)))
+    return cs
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(u, v): free (mostly coprime), a planted common factor, one dividing
+    the other, or equal; each scaled by an integer content of either sign
+    and sometimes shifted by a power of x."""
+    f, g, h = draw(dense_polys()), draw(dense_polys()), draw(dense_polys())
+    kind = draw(st.sampled_from(("free", "common", "divides", "equal")))
+    if kind == "free":
+        u, v = f, g
+    elif kind == "common":
+        u, v = dense_mul(f, h), dense_mul(g, h)
+    elif kind == "divides":
+        u, v = dense_mul(f, h), h
+    else:
+        u = v = dense_mul(f, h)
+    contents = st.one_of(st.sampled_from((1, -1, 2, -6, 12)), st.integers(1, 1 << 66))
+    ku, kv = draw(contents), draw(contents)
+    su, sv = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return [0] * su + [c * ku for c in u], [0] * sv + [c * kv for c in v]
+
+
+def assert_gcd_with_cofactors(u, v):
+    g, cu, cv = algebra._gcd_dense(u, v)
+    assert g == reference_gcd_dense(u, v) == sympy_gcd(u, v), (u, v)
+    assert g[-1] > 0
+    assert dense_mul(g, cu) == u and dense_mul(g, cv) == v, (u, v)
+
+
+@given(gcd_pairs())
+@settings(max_examples=300, deadline=None)
+def test_heuristic_gcd_matches_prs_and_sympy(pair):
+    assert_gcd_with_cofactors(*pair)
+
+
+@given(gcd_pairs())
+@settings(max_examples=100, deadline=None)
+def test_prs_completion_matches_reference(pair):
+    # with no evaluation point the PRS and the long division decide alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_HEU_TRIES", 0)
+        assert_gcd_with_cofactors(*pair)
+
+
+@given(gcd_pairs())
+@settings(max_examples=100, deadline=None)
+def test_every_evaluation_point_meets_the_bound(pair):
+    u, v = pair
+    widths = []
+    real = algebra._heu_candidate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_heu_candidate", lambda gamma, w: widths.append(w) or real(gamma, w))
+        algebra._gcd_dense(u, v)
+    bound = 2 * max(abs(c) for c in u + v) + 2
+    assert all(1 << 8 * w >= bound for w in widths), (widths, bound)
+
+
+# (x^2 + 1)(x - 3) and (x^2 + 1)(2x + 5), and products with coefficients
+# beyond 2^64 and negative leading coefficients
+GCD_CASES = (
+    ([-3, 1, -3, 1], [5, 2, 5, 2], [1, 0, 1]),
+    (dense_mul([3, -(1 << 70), 5], [(1 << 66) - 1, 7, 1]),
+     dense_mul([1, 1 << 65, -4], [(1 << 66) - 1, 7, 1]), [(1 << 66) - 1, 7, 1]),
+    (dense_mul([-2, 0, -(1 << 64)], [4, -9]), [-12, 27], [-4, 9]),
+)
+
+
+@pytest.mark.parametrize("u, v, expected", GCD_CASES)
+def test_heuristic_decides_at_its_first_point(monkeypatch, u, v, expected):
+    """Ordinary inputs are settled by one evaluation; the PRS is a
+    completion, not the common path."""
+    points = []
+    real = algebra._heu_candidate
+    monkeypatch.setattr(algebra, "_heu_candidate", lambda gamma, w: points.append(w) or real(gamma, w))
+    monkeypatch.setattr(algebra, "_gcd_prs", None)
+    g, cu, cv = algebra._gcd_dense(u, v)
+    assert g == expected and len(points) == 1
+    assert dense_mul(g, cu) == u and dense_mul(g, cv) == v
+
+
+def test_rejected_candidates_fall_back_to_the_prs(monkeypatch):
+    """A candidate that divides neither input is rejected at every point,
+    and the PRS gives the gcd."""
+    wrong = [1, 1, 0, 1]  # x^3 + x + 1
+    monkeypatch.setattr(algebra, "_heu_candidate", lambda gamma, w: (wrong, algebra._pack(wrong, w)))
+    prs_calls = []
+    real_prs = algebra._gcd_prs
+    monkeypatch.setattr(algebra, "_gcd_prs", lambda a, b: prs_calls.append(1) or real_prs(a, b))
+    u, v, expected = GCD_CASES[0]
+    g, cu, cv = algebra._gcd_dense(u, v)
+    assert g == expected and prs_calls == [1]
+    assert dense_mul(g, cu) == u and dense_mul(g, cv) == v
+
+
+def test_value_quotient_accepts_only_what_the_digits_prove():
+    # (x + 1)(100x - 100): at xi = 2^8 the digits give the right quotient,
+    # but g q could carry a coefficient of 2 * 100 >= xi/2, so no proof
+    u, g, q = [-100, 0, 100], [1, 1], [-100, 100]
+    assert dense_mul(g, q) == u
+    for w, expected in ((1, None), (2, q)):
+        xi = 1 << 8 * w
+        assert algebra._value_quotient(algebra._pack(u, w), 100, g, xi + 1, w) == expected
+    # a remainder at xi rejects: x + 2 does not divide x^2 + 1
+    assert algebra._value_quotient(algebra._pack([1, 0, 1], 1), 1, [2, 1], 258, 1) is None
+
+
+@given(st.integers(min_value=1, max_value=10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pack_and_unpack_invert_each_other(w, data):
+    half = 1 << (8 * w - 1)
+    digit = st.one_of(st.integers(-half, half - 1), st.sampled_from((-half, half - 1, 0)))
+    u = data.draw(st.lists(digit, min_size=1, max_size=8))
+    value = algebra._pack(u, w)
+    assert value == sum(c << (8 * w * i) for i, c in enumerate(u))
+    trimmed = u[: reference_deg(u) + 1]
+    assert algebra._unpack(value, w) == trimmed
