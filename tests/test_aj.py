@@ -412,10 +412,6 @@ def test_factor_with_a_pole_at_minus1_raises():
     bad = dataclasses.replace(bundle, factors=[bundle.factors[0], pole] + bundle.factors[2:])
     with pytest.raises(PoleAtMinusOne):
         evaluate_annihilator_at_minus1(bad)
-    # a removable (t + 1) / (t + 1) is no pole
-    removable = SkewOperator({0: RationalTM(t_plus_1, t_plus_1)})
-    fine = dataclasses.replace(bundle, factors=bundle.factors[:2] + [removable] + bundle.factors[2:])
-    assert evaluate_annihilator_at_minus1(fine) == evaluate_annihilator_at_minus1(bundle)
 
 
 def test_default_grid_shape():
