@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ajcable.algebra import IntLaurent1, IntLaurent2, NotDivisible, RationalTM
@@ -199,7 +199,9 @@ def test_rational_coefficients_take_the_division_path(p, n):
     division instead of the shifted sum."""
     den = IntLaurent2({(2, 0): 1, (0, 0): 1})
     divided = SkewOperator({i: c * RationalTM(IntLaurent2.one(), den) for i, c in p.coeffs.items()})
-    assert p.is_zero() or not divided.has_polynomial_coeffs()
+    # a p whose coefficients are all multiples of 1 + t^2 (e.g. t - t^-3)
+    # stays polynomial and would not take the division path
+    assume(p.is_zero() or not divided.has_polynomial_coeffs())
     ju = unknot_sequence()
     scaled = DiscreteSequence(lambda k: IntLaurent1({2: 1, 0: 1}) * ju(k))
     assert apply_operator(divided, scaled, n) == apply_operator(p, ju, n)
