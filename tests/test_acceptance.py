@@ -40,7 +40,7 @@ from ajcable.jones import (
     torus_jones_via_step,
     unknot_sequence,
 )
-from ajcable.minimality import default_search_bounds, search_bounded_annihilator
+from ajcable.minimality import SearchBounds, default_search_bounds, search_bounded_annihilator
 from ajcable.qtorus import SkewOperator, check_annihilation
 
 GRID = default_grid()
@@ -169,17 +169,41 @@ def test_criterion_5_degrees():
     )
 
 
+GOLDEN_MINIMALITY = Path(__file__).resolve().parent / "data" / "golden_minimality.json"
+
+# order two (found), M-free order one (none) and order one over an M-box (found)
+UNKNOT_CONTROLS = {
+    "unknot,order2": default_search_bounds(None),
+    "unknot,order1": default_search_bounds(None, l_degree=1),
+    "unknot,order1,m_box": SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10),
+}
+
+
+def minimality_reports():
+    """The full search report of every applicable stock tuple and of the
+    unknot controls, keyed as in ``tests/data/golden_minimality.json``."""
+    reports = {_golden_key(params): search_bounded_annihilator(params) for params in APPLICABLE}
+    for key, bounds in UNKNOT_CONTROLS.items():
+        reports[key] = search_bounded_annihilator(None, bounds)
+    return reports
+
+
+def report_digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def test_criterion_6_minimality():
     t0 = time.time()
-    failures = []
-    for params in APPLICABLE:
-        report = search_bounded_annihilator(params)
-        if report["verdict"] != "no annihilator within bounds":
-            failures.append((params, report["verdict"]))
+    reports = minimality_reports()
+    failures = [
+        (params, reports[_golden_key(params)]["verdict"])
+        for params in APPLICABLE
+        if reports[_golden_key(params)]["verdict"] != "no annihilator within bounds"
+    ]
     assert not failures, failures
 
     # unknot positive control: the second-order operator is recovered
-    found = search_bounded_annihilator(None)
+    found = reports["unknot,order2"]
     assert found["verdict"] == "found annihilator within bounds"
     assert found["found"] == "(1)*L^0 + (-t^2 - t^-2)*L^1 + (1)*L^2"
     recovered = SkewOperator(
@@ -191,13 +215,21 @@ def test_criterion_6_minimality():
     )
     assert check_annihilation(recovered, unknot_sequence(), 1, 20)["pass"]
 
-    # unknot negative control: nothing at first order
-    none = search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
-    assert none["verdict"] == "no annihilator within bounds"
+    # unknot negative control: nothing at first order over the M-free box,
+    # but a first-order operator once M-coefficients are allowed
+    assert reports["unknot,order1"]["verdict"] == "no annihilator within bounds"
+    assert reports["unknot,order1,m_box"]["verdict"] == "found annihilator within bounds"
+
+    # every report field (sizes, prime, nullity, verdict, operator) is pinned
+    expected = json.loads(GOLDEN_MINIMALITY.read_text())
+    assert sorted(expected) == sorted(reports)
+    mismatches = [key for key, report in reports.items() if report_digest(report) != expected[key]]
+    assert not mismatches, mismatches
     elapsed = time.time() - t0
     print(
         f"\nPASS criterion 6: no lower-order annihilator within default bounds for all "
-        f"{len(APPLICABLE)} applicable tuples; unknot controls behave, {elapsed:.1f}s"
+        f"{len(APPLICABLE)} applicable tuples; unknot controls behave; "
+        f"{len(reports)} reports match their golden digests, {elapsed:.1f}s"
     )
 
 
