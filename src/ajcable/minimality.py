@@ -13,7 +13,10 @@ Verdicts are certificates, never guesses:
   full column rank modulo a prime.  Any nonzero rational solution could
   be scaled primitive-integer, and would reduce to a nonzero mod-p kernel
   vector; full rank rules that out.  The rank comes from forward
-  elimination alone; the kernel is computed only when it is nonzero.
+  elimination alone, blocked over F_p: panels of columns are eliminated
+  pivot by pivot and the rest of the matrix is updated by one exact int64
+  matrix product per panel.  The kernel is computed only when it is
+  nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
 * ``inconclusive`` -- the mod-p system was rank-deficient but no lift
@@ -213,6 +216,16 @@ def _equation_count(values, bounds, centers):
 # Everything below works on int64 residues in [0, p) with p < 2^31, so the
 # product of two residues is below 2^62 and a sum of two such products
 # below 2^63: every product is reduced mod p before it is added to another.
+#
+# The one exception is the matrix product of the blocked elimination
+# (``_sub_product``), a sum of k <= _PANEL <= 2^16 products F[i, j] U[j, l]
+# of residues.  F is split into 16-bit limbs, F = hi * 2^16 + lo with
+# lo <= 2^16 - 1 and hi <= 2^15 - 1, so every limb product is below 2^47.
+# Then hi @ U is below 2^16 * 2^46 = 2^62, and with p - 1 <= 2^31 - 2
+#   lo @ U + (hi @ U mod p) * 2^16
+#     <= 2^16 (2^16 - 1)(2^31 - 2) + (2^31 - 2) 2^16 = 2^63 - 2^33,
+# so F @ U is exact in int64 before its reduction, and so is T - F @ U
+# for T in [0, p).
 
 
 def _draw_taus(rng, count, prime):
@@ -359,17 +372,43 @@ def _build_matrix(params, bounds, centers, taus, prime):
     return np.concatenate(blocks, axis=1)
 
 
-def _reduce(x, prime):
+def _reduce(x, prime, scratch=None):
     """``x %= prime`` in place for an int64 array of residue differences
-    and products (|x| < 2^62).
+    and products (|x| < 2^63); ``scratch``, an int64 array of ``x``'s
+    shape, holds the quotients instead of a new array.
 
     numpy floor-divides an integer array by a scalar with a multiply and
     a shift, but computes the remainder with a hardware division, so
     ``x - (x // p) * p`` takes about half the time of ``x % p``.
     """
-    q = x // prime
+    q = np.floor_divide(x, prime, out=scratch)
     q *= prime
     x -= q
+
+
+# Columns per panel of the blocked elimination.  The limb-split product is
+# exact only for _PANEL <= 2^16 (see the int64 note above; checked in the
+# tests).
+_PANEL = 48
+
+
+def _sub_product(T, F, U, prime, scratch):
+    """``T = (T - F @ U) mod prime`` in place for residue arrays, exact in
+    int64 by the limb split (see the int64 note above ``_draw_taus``).
+
+    ``scratch`` is two flat int64 buffers of at least ``T.size`` entries;
+    they hold both partial products and every quotient, so no temporary
+    of ``T``'s size is allocated."""
+    shape = T.shape
+    S = scratch[0][: T.size].reshape(shape)
+    H = scratch[1][: T.size].reshape(shape)
+    np.matmul(F >> 16, U, out=S)
+    _reduce(S, prime, H)
+    S <<= 16
+    np.matmul(F & 0xFFFF, U, out=H)
+    S += H
+    T -= S
+    _reduce(T, prime, S)
 
 
 def _echelon_mod(A, prime):
@@ -377,29 +416,63 @@ def _echelon_mod(A, prime):
     columns, whose count is the rank.
 
     Leaves the first ``rank`` rows of ``A`` in row echelon form with unit
-    pivots.  Each step touches only the rows below the pivot and the
-    columns from the pivot on; the rows below ``rank`` are left as the
-    zero rows the elimination produced.
+    pivots and the rows below them zero.  The pivot of each column is the
+    first row with a nonzero entry there, columns in order.
+
+    The elimination is blocked, right-looking: a panel of ``_PANEL``
+    columns is eliminated pivot by pivot, each step updating only the
+    panel's columns and keeping the multipliers in place of the zeros it
+    makes (rows are swapped whole, multipliers with them).  The pivot rows'
+    trailing parts are then brought up to date by a triangular solve, and
+    every row below them by one product ``T -= F @ U`` (``_sub_product``),
+    after which the multipliers are cleared.  Over a field the echelon form
+    reached with a given row order is unique, and pivots are chosen on
+    up-to-date columns, so ``A`` and the pivots are exactly what the
+    per-pivot loop would leave.
     """
     rows, cols = A.shape
+    scratch = np.empty((2, rows * cols), dtype=np.int64)
     pivots = []
     row = 0
-    for col in range(cols):
+    for c0 in range(0, cols, _PANEL):
+        c1 = min(c0 + _PANEL, cols)
+        top = row
+        inverses = []
+        for col in range(c0, c1):
+            if row == rows:
+                break
+            nz = np.flatnonzero(A[row:, col])
+            if nz.size == 0:
+                continue
+            pr = row + int(nz[0])
+            if pr != row:
+                A[[row, pr], c0:] = A[[pr, row], c0:]
+            inv = pow(int(A[row, col]), prime - 2, prime)
+            head = A[row, col:c1]
+            head *= inv
+            _reduce(head, prime)
+            below = A[row + 1 :, col + 1 : c1]
+            below -= A[row + 1 :, col : col + 1] * head[1:]
+            _reduce(below, prime)
+            inverses.append(inv)
+            pivots.append(col)
+            row += 1
+        panel = pivots[len(pivots) - len(inverses) :]
+        if panel and c1 < cols:
+            # pivot rows: U[i] = (U[i] - F[i, :i] @ U[:i]) / pivot_i
+            for i, inv in enumerate(inverses):
+                u = A[top + i : top + i + 1, c1:]
+                if i:
+                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], A[top : top + i, c1:],
+                                 prime, scratch)
+                u *= inv
+                _reduce(u, prime)
+            if row < rows:
+                _sub_product(A[row:, c1:], A[row:, panel], A[top:row, c1:], prime, scratch)
+        for i, col in enumerate(panel):
+            A[top + i + 1 :, col] = 0
         if row == rows:
             break
-        nz = np.flatnonzero(A[row:, col])
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            A[[row, pr], col:] = A[[pr, row], col:]
-        pivot = A[row, col:]
-        pivot[:] = pivot * pow(int(pivot[0]), prime - 2, prime) % prime
-        below = A[row + 1 :, col:]
-        below -= below[:, :1] * pivot
-        _reduce(below, prime)
-        pivots.append(col)
-        row += 1
     return pivots
 
 

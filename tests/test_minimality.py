@@ -290,6 +290,30 @@ def _rref_reference(A, prime):
     return pivots
 
 
+def _echelon_unblocked(A, prime):
+    """The per-pivot forward elimination the blocked one replaced: one
+    rank-1 update of the rows below per pivot, in place."""
+    rows, cols = A.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row == rows:
+            break
+        nz = np.flatnonzero(A[row:, col])
+        if nz.size == 0:
+            continue
+        pr = row + int(nz[0])
+        if pr != row:
+            A[[row, pr], col:] = A[[pr, row], col:]
+        pivot = A[row, col:]
+        pivot[:] = pivot * pow(int(pivot[0]), prime - 2, prime) % prime
+        below = A[row + 1 :, col:]
+        below[:] = (below - below[:, :1] * pivot) % prime
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
 def _nullspace_reference(A, prime):
     work = A.copy()
     pivots = _rref_reference(work, prime)
@@ -335,15 +359,83 @@ def matrices(draw):
     return A.astype(np.int64), prime
 
 
-@given(matrices())
-@settings(max_examples=300, deadline=None)
-def test_echelon_and_back_substitution_match_rref(case):
-    A, prime = case
+def _check_elimination(A, prime):
     ref_pivots, ref_basis = _nullspace_reference(A, prime)
+    R = A.copy()
+    assert _echelon_unblocked(R, prime) == ref_pivots
     E = A.copy()
     pivots = minimality._echelon_mod(E, prime)
     assert pivots == ref_pivots
+    assert np.array_equal(E, R)
     assert not E[len(pivots):].any()
     assert minimality._nullspace_mod(E, pivots, prime) == ref_basis
     for v in ref_basis:
         assert not (A @ np.array(v, dtype=object) % prime).any()
+    return pivots
+
+
+@given(matrices(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_echelon_and_back_substitution_match_rref(case, panel):
+    # panels of 1 to 4 columns put several panel boundaries, and so the
+    # triangular solve and the trailing product, inside a 12-column draw
+    A, prime = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimality, "_PANEL", panel)
+        _check_elimination(A, prime)
+
+
+def _extremes(prime, shape, seed):
+    """Entries p - 1 (both limbs at their maximum: hi = 2^15 - 1,
+    lo = 2^16 - 2) and 2^30 (lo = 0), with 1 and random residues."""
+    gen = np.random.default_rng(seed)
+    pool = np.array([prime - 1, 1 << 30, 1, prime - 2])
+    A = gen.choice(pool, size=shape)
+    mask = gen.random(shape) < 0.3
+    A[mask] = gen.integers(0, prime, size=int(mask.sum()))
+    return A.astype(np.int64)
+
+
+def _edge_case(name, prime):
+    gen = np.random.default_rng(11)
+    if name == "panel_without_pivot":
+        A = gen.integers(0, prime, size=(6, 8), dtype=np.int64)
+        A[:, 2:4] = 0
+        return 2, A, [0, 1, 4, 5, 6, 7]
+    if name == "rows_run_out_mid_panel":
+        return 4, gen.integers(0, prime, size=(5, 9), dtype=np.int64), [0, 1, 2, 3, 4]
+    if name == "rank_deficient_panel":
+        A = gen.integers(0, prime, size=(7, 8), dtype=np.int64)
+        A[:, 2] = (A[:, 0] + (prime - 1) * A[:, 1]) % prime
+        A[:, 5] = (2 * A[:, 4]) % prime
+        return 4, A, [0, 1, 3, 4, 6, 7]
+    if name == "limb_extremes":
+        return 3, _extremes(prime, (9, 10), 5), None
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize(
+    "name", ["panel_without_pivot", "rows_run_out_mid_panel", "rank_deficient_panel", "limb_extremes"]
+)
+def test_blocked_elimination_edge_cases(name, prime, monkeypatch):
+    panel, A, expected = _edge_case(name, prime)
+    monkeypatch.setattr(minimality, "_PANEL", panel)
+    pivots = _check_elimination(A, prime)
+    if expected is not None:
+        assert pivots == expected
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_blocked_elimination_full_panels_at_the_limb_extremes(prime):
+    # the stock panel width: two trailing products with 48-term sums of
+    # multipliers and pivot-row entries drawn from p - 1 and 2^30
+    A = _extremes(prime, (130, 110), 9)
+    A[:, 60] = (A[:, 3] + A[:, 50]) % prime  # a dependent column in the second panel
+    assert len(_check_elimination(A, prime)) == 109
+
+
+def test_panel_width_keeps_the_limb_split_exact():
+    # the bound in the comment above minimality._PANEL
+    assert 1 <= minimality._PANEL <= 1 << 16
+    assert all(p < 1 << 31 for p in PRIMES)
