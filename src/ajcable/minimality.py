@@ -390,25 +390,28 @@ def _reduce(x, prime, scratch=None):
 # exact only for _PANEL <= 2^16 (see the int64 note above; checked in the
 # tests).
 _PANEL = 48
+# Rows per block of the product: its two buffers hold 2 * _ROWS rows, not
+# two copies of the trailing matrix.
+_ROWS = 64
 
 
-def _sub_product(T, F, U, prime, scratch):
+def _sub_product(T, F, U, prime):
     """``T = (T - F @ U) mod prime`` in place for residue arrays, exact in
     int64 by the limb split (see the int64 note above ``_draw_taus``).
 
-    ``scratch`` is two flat int64 buffers of at least ``T.size`` entries;
-    they hold both partial products and every quotient, so no temporary
-    of ``T``'s size is allocated."""
-    shape = T.shape
-    S = scratch[0][: T.size].reshape(shape)
-    H = scratch[1][: T.size].reshape(shape)
-    np.matmul(F >> 16, U, out=S)
-    _reduce(S, prime, H)
-    S <<= 16
-    np.matmul(F & 0xFFFF, U, out=H)
-    S += H
-    T -= S
-    _reduce(T, prime, S)
+    Runs over blocks of ``_ROWS`` rows of ``T``; two buffers of one block
+    hold both partial products and every quotient."""
+    S, H = np.empty((2, min(_ROWS, T.shape[0]), T.shape[1]), dtype=np.int64)
+    for r0 in range(0, T.shape[0], _ROWS):
+        t, f = T[r0 : r0 + _ROWS], F[r0 : r0 + _ROWS]
+        s, h = S[: t.shape[0]], H[: t.shape[0]]
+        np.matmul(f >> 16, U, out=s)
+        _reduce(s, prime, h)
+        s <<= 16
+        np.matmul(f & 0xFFFF, U, out=h)
+        s += h
+        t -= s
+        _reduce(t, prime, s)
 
 
 def _echelon_mod(A, prime):
@@ -431,7 +434,6 @@ def _echelon_mod(A, prime):
     per-pivot loop would leave.
     """
     rows, cols = A.shape
-    scratch = np.empty((2, rows * cols), dtype=np.int64)
     pivots = []
     row = 0
     for c0 in range(0, cols, _PANEL):
@@ -463,16 +465,13 @@ def _echelon_mod(A, prime):
             for i, inv in enumerate(inverses):
                 u = A[top + i : top + i + 1, c1:]
                 if i:
-                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], A[top : top + i, c1:],
-                                 prime, scratch)
+                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], A[top : top + i, c1:], prime)
                 u *= inv
                 _reduce(u, prime)
             if row < rows:
-                _sub_product(A[row:, c1:], A[row:, panel], A[top:row, c1:], prime, scratch)
+                _sub_product(A[row:, c1:], A[row:, panel], A[top:row, c1:], prime)
         for i, col in enumerate(panel):
             A[top + i + 1 :, col] = 0
-        if row == rows:
-            break
     return pivots
 
 

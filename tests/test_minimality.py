@@ -385,18 +385,8 @@ def test_echelon_and_back_substitution_match_rref(case, panel):
         _check_elimination(A, prime)
 
 
-def _extremes(prime, shape, seed):
-    """Entries p - 1 (both limbs at their maximum: hi = 2^15 - 1,
-    lo = 2^16 - 2) and 2^30 (lo = 0), with 1 and random residues."""
-    gen = np.random.default_rng(seed)
-    pool = np.array([prime - 1, 1 << 30, 1, prime - 2])
-    A = gen.choice(pool, size=shape)
-    mask = gen.random(shape) < 0.3
-    A[mask] = gen.integers(0, prime, size=int(mask.sum()))
-    return A.astype(np.int64)
-
-
 def _edge_case(name, prime):
+    """(panel width, matrix, expected pivots) for one panel edge case."""
     gen = np.random.default_rng(11)
     if name == "panel_without_pivot":
         A = gen.integers(0, prime, size=(6, 8), dtype=np.int64)
@@ -404,38 +394,35 @@ def _edge_case(name, prime):
         return 2, A, [0, 1, 4, 5, 6, 7]
     if name == "rows_run_out_mid_panel":
         return 4, gen.integers(0, prime, size=(5, 9), dtype=np.int64), [0, 1, 2, 3, 4]
-    if name == "rank_deficient_panel":
-        A = gen.integers(0, prime, size=(7, 8), dtype=np.int64)
-        A[:, 2] = (A[:, 0] + (prime - 1) * A[:, 1]) % prime
-        A[:, 5] = (2 * A[:, 4]) % prime
-        return 4, A, [0, 1, 3, 4, 6, 7]
-    if name == "limb_extremes":
-        return 3, _extremes(prime, (9, 10), 5), None
-    raise ValueError(name)
+    assert name == "rank_deficient_panel"
+    A = gen.integers(0, prime, size=(7, 8), dtype=np.int64)
+    A[:, 2] = (A[:, 0] + (prime - 1) * A[:, 1]) % prime
+    A[:, 5] = (2 * A[:, 4]) % prime
+    return 4, A, [0, 1, 3, 4, 6, 7]
 
 
 @pytest.mark.parametrize("prime", PRIMES)
-@pytest.mark.parametrize(
-    "name", ["panel_without_pivot", "rows_run_out_mid_panel", "rank_deficient_panel", "limb_extremes"]
-)
+@pytest.mark.parametrize("name", ["panel_without_pivot", "rows_run_out_mid_panel", "rank_deficient_panel"])
 def test_blocked_elimination_edge_cases(name, prime, monkeypatch):
     panel, A, expected = _edge_case(name, prime)
     monkeypatch.setattr(minimality, "_PANEL", panel)
-    pivots = _check_elimination(A, prime)
-    if expected is not None:
-        assert pivots == expected
+    assert _check_elimination(A, prime) == expected
 
 
 @pytest.mark.parametrize("prime", PRIMES)
-def test_blocked_elimination_full_panels_at_the_limb_extremes(prime):
-    # the stock panel width: two trailing products with 48-term sums of
-    # multipliers and pivot-row entries drawn from p - 1 and 2^30
-    A = _extremes(prime, (130, 110), 9)
+def test_blocked_elimination_at_the_limb_extremes(prime):
+    # the stock panel width, so the trailing products sum 48 terms; most
+    # entries, the first column's multipliers among them, are p - 1
+    # (hi = 2^15 - 1, lo = 2^16 - 2) or 2^30 (lo = 0)
+    gen = np.random.default_rng(9)
+    A = gen.choice(np.array([prime - 1, 1 << 30, 1, prime - 2]), size=(130, 110))
+    mask = gen.random(A.shape) < 0.3
+    A[mask] = gen.integers(0, prime, size=int(mask.sum()))
     A[:, 60] = (A[:, 3] + A[:, 50]) % prime  # a dependent column in the second panel
     assert len(_check_elimination(A, prime)) == 109
 
 
 def test_panel_width_keeps_the_limb_split_exact():
-    # the bound in the comment above minimality._PANEL
+    # the bound in the int64 note of ajcable.minimality
     assert 1 <= minimality._PANEL <= 1 << 16
     assert all(p < 1 << 31 for p in PRIMES)
