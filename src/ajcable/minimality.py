@@ -19,8 +19,15 @@ Verdicts are certificates, never guesses:
   nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
-* ``inconclusive`` -- the mod-p system was rank-deficient but no lift
-  verified and the exact system was too large to eliminate directly.
+* ``inconclusive`` -- every system tried was rank-deficient mod p and no
+  lift verified.
+
+The evaluation matrix is tried at each prime in turn.  When both are
+rank-deficient and nothing lifts, a small enough box gets one more try:
+the exact system itself (one row per color and t-exponent, its integer
+entries reduced mod the last prime) goes through the same elimination
+and lift.  Its full column rank mod p is full rank over Q by the argument
+above.
 
 Nothing here ever claims minimality outright: the result is always
 relative to the stated boxes and color window.
@@ -30,8 +37,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -75,6 +80,8 @@ class SearchBounds:
         if self.t_span < 0 or self.m_span < 0:
             raise ValueError(f"box half-widths must be non-negative, got "
                              f"t_span={self.t_span}, m_span={self.m_span}")
+        if self.n_lo < 1:
+            raise ValueError(f"colors start at 1, got n_lo={self.n_lo}")
         if self.n_lo > self.n_hi:
             raise ValueError(f"empty color window [{self.n_lo}, {self.n_hi}]")
 
@@ -216,6 +223,8 @@ def _equation_count(values, bounds, centers):
 # Everything below works on int64 residues in [0, p) with p < 2^31, so the
 # product of two residues is below 2^62 and a sum of two such products
 # below 2^63: every product is reduced mod p before it is added to another.
+# The entries of the exact system (``_exact_matrix``) are summed as Python
+# ints and reduced mod p before they are stored.
 #
 # The one exception is the matrix product of the blocked elimination
 # (``_sub_product``), a sum of k <= _PANEL <= 2^16 products F[i, j] U[j, l]
@@ -516,9 +525,32 @@ def _candidate_operator(vec, cols):
     for (i, a, b), c in zip(cols, vec):
         if c:
             terms.setdefault(i, {})[(a, b)] = c
-    if not terms:
-        return None
     return SkewOperator({i: IntLaurent2(d) for i, d in terms.items()})
+
+
+def _certify(matrix, prime, cols, seq, bounds):
+    """``(nullity, operator or None)`` for one residue system over F_prime.
+
+    The nullity comes from forward elimination alone.  Only when it is
+    above 0 is the kernel back-substituted; each of its first 24 basis
+    vectors is scaled by the first k in 1..64 that brings every entry's
+    symmetric lift within 2^25, and the lift is returned only if it
+    annihilates ``seq`` exactly over the color window.  The free column
+    of a basis vector holds k, nonzero mod p, so no lift is zero.
+    """
+    pivots = _echelon_mod(matrix, prime)
+    nullity = len(cols) - len(pivots)
+    if nullity:
+        for v in _nullspace_mod(matrix, pivots, prime)[:24]:
+            for k in range(1, 65):
+                lifted = _symmetric_lift(v, prime, k)
+                if max(abs(x) for x in lifted) > 1 << 25:
+                    continue
+                op = _candidate_operator(lifted, cols)
+                if check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
+                    return nullity, op
+                break
+    return nullity, None
 
 
 def _sequence_for(params):
@@ -546,8 +578,12 @@ _EXACT_LIMIT_COLS = 90
 _EXACT_LIMIT_ROWS = 2500
 
 
-def _exact_rows(params, bounds, centers, cols):
-    """The exact sparse system, one row per (color, t-exponent)."""
+def _exact_matrix(params, bounds, centers, cols, prime):
+    """The exact system mod ``prime``, one row per (color, t-exponent).
+
+    Its entries are the integer coefficients of the values, so full column
+    rank mod ``prime`` is full rank over Q, as for the evaluation rows.
+    """
     seq = _sequence_for(params)
     col_index = {c: k for k, c in enumerate(cols)}
     rows = []
@@ -563,59 +599,11 @@ def _exact_rows(params, bounds, centers, cols):
                     for e, c in terms:
                         cell = by_exp.setdefault(off + e, {})
                         cell[k] = cell.get(k, 0) + c
-        for row in by_exp.values():
-            row = {k: c for k, c in row.items() if c}
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _exact_nullspace(rows, width):
-    """Dense fraction Gauss-Jordan; returns a null-space basis over Q."""
-    mat = [[Fraction(0)] * width for _ in range(len(rows))]
-    for ri, row in enumerate(rows):
-        for k, c in row.items():
-            mat[ri][k] = Fraction(c)
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * width
-        v[f] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][f]
-        basis.append(v)
-    return basis
-
-
-def _integerize(vec):
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+        rows.extend(by_exp.values())
+    matrix = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for r, row in enumerate(rows):
+        matrix[r, list(row)] = [c % prime for c in row.values()]
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -659,42 +647,23 @@ def search_bounded_annihilator(params, bounds=None):
     for prime in PRIMES:
         taus = _draw_taus(rng, tau_count, prime)
         matrix = _build_matrix(params, bounds, centers, taus, prime)
-        pivots = _echelon_mod(matrix, prime)
-        nullity = unknowns - len(pivots)
-        report["nullity"] = nullity
         report["prime"] = prime
         report["rows"] = matrix.shape[0]
-        if nullity == 0:
-            report["verdict"] = "no annihilator within bounds"
-            return report
-        for v in _nullspace_mod(matrix, pivots, prime)[:24]:
-            for k in range(1, 65):
-                lifted = _symmetric_lift(v, prime, k)
-                if max(abs(x) for x in lifted) > 1 << 25:
-                    continue
-                op = _candidate_operator(lifted, cols)
-                if op is None:
-                    continue
-                if check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
-                    report["verdict"] = "found annihilator within bounds"
-                    report["found"] = op.text()
-                    return report
-                break
-    # both primes rank-deficient and no lift verified: go exact if feasible
-    if unknowns <= _EXACT_LIMIT_COLS and equations <= _EXACT_LIMIT_ROWS:
-        rows = _exact_rows(params, bounds, centers, cols)
-        basis = _exact_nullspace(rows, unknowns)
-        report["nullity"] = len(basis)
-        if not basis:
-            report["verdict"] = "no annihilator within bounds"
-            return report
-        vec = _integerize(basis[0])
-        op = _candidate_operator(vec, cols)
-        if op is not None and check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
-            report["verdict"] = "found annihilator within bounds"
-            report["found"] = op.text()
-            return report
+        nullity, op = _certify(matrix, prime, cols, seq, bounds)
+        if nullity == 0 or op is not None:
+            break
+    else:
+        # both primes rank-deficient and no lift verified: the exact
+        # system, at the last prime, if it is small enough
+        if unknowns <= _EXACT_LIMIT_COLS and equations <= _EXACT_LIMIT_ROWS:
+            matrix = _exact_matrix(params, bounds, centers, cols, prime)
+            nullity, op = _certify(matrix, prime, cols, seq, bounds)
+    report["nullity"] = nullity
+    if op is not None:
+        report["verdict"] = "found annihilator within bounds"
+        report["found"] = op.text()
+    elif nullity == 0:
+        report["verdict"] = "no annihilator within bounds"
+    else:
         report["verdict"] = "inconclusive"
-        return report
-    report["verdict"] = "inconclusive"
     return report

@@ -4,8 +4,10 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import ajcable.minimality as minimality
 from ajcable.algebra import IntLaurent2
@@ -63,12 +65,12 @@ def test_unknot_second_order_found(monkeypatch):
 
 
 def test_unknot_first_order_none_over_m_free_box(monkeypatch):
-    exact = _count_calls(monkeypatch, "_exact_nullspace")
+    exact = _count_calls(monkeypatch, "_exact_matrix")
     report = search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
     assert report["verdict"] == "no annihilator within bounds"
     assert report["nullity"] == 0
     # both primes are rank-deficient here (7 points, each adding at most
-    # rank 2): the verdict comes from the exact fallback
+    # rank 2): the verdict comes from the exact system, built once
     assert len(exact) == 1
 
 
@@ -117,6 +119,10 @@ def test_torus_pair_search_runs_with_default_bounds():
     {"l_degree": 2, "t_span": -1},
     {"l_degree": 2, "m_span": -1},
     {"l_degree": 2, "n_lo": 5, "n_hi": 4},
+    # a color below 1 would index the evaluation table from its end
+    {"l_degree": 2, "t_span": 4, "m_span": 0, "n_lo": -3, "n_hi": 10},
+    {"l_degree": 2, "n_lo": -6, "n_hi": 2},
+    {"l_degree": 2, "n_lo": 0},
 ])
 def test_search_bounds_validated(fields):
     with pytest.raises(ValueError):
@@ -426,3 +432,64 @@ def test_panel_width_keeps_the_limb_split_exact():
     # the bound in the int64 note of ajcable.minimality
     assert 1 <= minimality._PANEL <= 1 << 16
     assert all(p < 1 << 31 for p in PRIMES)
+
+
+# --- the exact system against sympy, and through the shared certificate -----------------
+
+
+def _exact_system_sympy(params, bounds, centers, cols):
+    """The exact system, expanded in sympy's sparse ring Z[t, x_k]: the
+    coefficient of each power of t in sum_k x_k t^(a + 2nb) J(n + i), one
+    row per color and power."""
+    ring, t, *xs = sympy.ring(["t"] + [f"x{k}" for k in range(len(cols))], sympy.ZZ)
+    seq = minimality._sequence_for(params)
+    rows = []
+    for n in range(bounds.n_lo, bounds.n_hi + 1):
+        terms = [seq(n + i).items() for i in range(len(centers))]
+        # every power is shifted so that the ring sees no negative exponent
+        lows = [items[0][0] for items in terms]
+        values = [
+            sum((c * t ** (e - lo) for e, c in items), ring.zero)
+            for items, lo in zip(terms, lows)
+        ]
+        shifts = [a + 2 * n * b + lows[i] for i, a, b in cols]
+        low = min(shifts)
+        expr = sum(
+            (x * t ** (sh - low) * values[i] for x, sh, (i, _, _) in zip(xs, shifts, cols)),
+            ring.zero,
+        )
+        by_power = {}
+        for monom, c in expr.terms():
+            by_power.setdefault(monom[0], [0] * len(cols))[monom[1:].index(1)] = int(c)
+        rows.extend(by_power.values())
+    return rows
+
+
+@pytest.mark.parametrize("params, bounds", [
+    (None, default_search_bounds(None)),
+    (None, default_search_bounds(None, l_degree=1)),
+    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10)),
+    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5)),
+])
+def test_exact_matrix_rank_matches_sympy(params, bounds):
+    centers = minimality._box_centers(params, bounds.l_degree)
+    cols = minimality._columns(bounds, centers)
+    rows = _exact_system_sympy(params, bounds, centers, cols)
+    rank = DomainMatrix.from_list(rows, sympy.QQ).rank()  # over Q
+    for prime in PRIMES:
+        matrix = minimality._exact_matrix(params, bounds, centers, cols, prime)
+        assert matrix.dtype == np.int64
+        assert sorted(matrix.tolist()) == sorted([c % prime for c in row] for row in rows)
+        assert len(minimality._echelon_mod(matrix, prime)) == rank
+
+
+def test_exact_matrix_certifies_the_unknot_second_order_operator():
+    bounds = default_search_bounds(None)
+    centers = minimality._box_centers(None, bounds.l_degree)
+    cols = minimality._columns(bounds, centers)
+    prime = PRIMES[-1]
+    matrix = minimality._exact_matrix(None, bounds, centers, cols, prime)
+    nullity, op = minimality._certify(matrix, prime, cols, unknot_sequence(), bounds)
+    assert nullity > 0
+    assert op is not None
+    assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
