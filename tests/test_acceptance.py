@@ -358,6 +358,22 @@ def test_golden_annihilator_digests(bundles, capsys):
         assert results == [annihilator_record(params, build_annihilator(params))], params
 
 
+GOLDEN_COMPARE_AJ = Path(__file__).resolve().parent / "data" / "golden_compare_aj.json"
+
+
+def test_golden_compare_aj_digests(bundles):
+    """The full ``compare_aj`` report of every stock tuple (ratio, zero
+    pattern and projective verdict included) hashes to the digest recorded
+    in ``tests/data``; grid records keep only its pass flag."""
+    expected = json.loads(GOLDEN_COMPARE_AJ.read_text())
+    assert sorted(expected) == sorted(_golden_key(params) for params in GRID)
+    mismatches = [
+        params for params in GRID
+        if report_digest(compare_aj(params, bundles[params])) != expected[_golden_key(params)]
+    ]
+    assert not mismatches, mismatches
+
+
 # --- golden verification records and a failing check ------------------------------
 
 GOLDEN_VERIFY = Path(__file__).resolve().parent / "data" / "golden_verify.json"
