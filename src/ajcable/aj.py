@@ -26,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 
 from .algebra import (
     IntLaurent2,
     RationalM,
     RationalTM,
-    _mul1,
     limit_t_minus1,
     poly_mul,
     shift_M,
@@ -493,8 +491,10 @@ def compare_aj(params, bundle=None):
     """Projective comparison of P(-1, M, L) with the cable's A-polynomial.
 
     Both sides are L-polynomials over rational functions of M; the check
-    is cross-multiplicative equality of all coefficient pairs plus equal
-    L-degree and matching zero patterns.  The common ratio is recorded.
+    is equal L-degree, matching zero patterns, and ``lhs = c * rhs``
+    coefficient by coefficient, where ``c`` is the ratio of the leading
+    coefficients.  ``RationalM`` is fully reduced, so its ``==`` is equality
+    of fractions.  The ratio ``c`` is recorded.
     """
     if bundle is None:
         bundle = build_annihilator(params)
@@ -502,19 +502,13 @@ def compare_aj(params, bundle=None):
     rhs = cabled_a_polynomial(params)
     support_equal = lhs.support() == rhs.support()
     degree_equal = bool(lhs.coeffs) and bool(rhs.coeffs) and lhs.l_degree() == rhs.l_degree()
-
-    def cross_equal(i, j):
-        # raw cross-multiplication (no re-canonicalization):
-        # (n_i/d_i)(u_j/v_j) == (n_j/d_j)(u_i/v_i)  iff  n_i u_j d_j v_i == n_j u_i d_i v_j
-        li, lj, ri, rj = lhs.coeffs[i], lhs.coeffs[j], rhs.coeffs[i], rhs.coeffs[j]
-        left = _mul1(_mul1(li.num, rj.num), _mul1(lj.den, ri.den))
-        return left == _mul1(_mul1(lj.num, ri.num), _mul1(li.den, rj.den))
-
-    projective = support_equal and all(cross_equal(i, j) for i, j in combinations(lhs.support(), 2))
-    ratio = None
-    if projective and degree_equal:
+    projective, ratio = support_equal, None
+    if support_equal and degree_equal:
         d = lhs.l_degree()
-        ratio = (lhs.coeffs[d] / rhs.coeffs[d]).text()
+        c = lhs.coeffs[d] / rhs.coeffs[d]
+        projective = all(lhs.coeffs[i] == c * rhs.coeffs[i] for i in lhs.support())
+        if projective:
+            ratio = c.text()
     report = {
         "params": params.as_dict(),
         "case_tag": bundle.case_tag,

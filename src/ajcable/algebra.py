@@ -411,10 +411,10 @@ def realized_terms(f, n, v, k=1):
 
 def _spread(f, step):
     """The coefficients of ``f`` on the finer stride ``step`` (which divides
-    ``f.step``), as an object array."""
+    ``f.step``), as a list of Python ints, low to high."""
     j = f.step // step or 1
-    out = np.zeros(j * (f.c.size - 1) + 1, dtype=object)
-    out[::j] = f.c
+    out = [0] * (j * (f.c.size - 1) + 1)
+    out[::j] = f.c.tolist()
     return out
 
 
@@ -458,21 +458,8 @@ def _div_dense1(a, b):
     # coefficients are Python ints: the quotient of a long division has no
     # simple a-priori bound.
     step = gcd(a.step, b.step) or 1
-    r, den = _spread(a, step), _spread(b, step)
-    if r.size < den.size:
-        raise NotDivisible("quotient is not an integer Laurent polynomial")
-    lead = den[-1]
-    q = np.zeros(r.size - den.size + 1, dtype=object)
-    for k in range(q.size - 1, -1, -1):
-        top = r[k + den.size - 1]
-        if top:
-            if top % lead:
-                raise NotDivisible("quotient is not an integer Laurent polynomial")
-            q[k] = top // lead
-            r[k:k + den.size] -= q[k] * den
-    if r.any():
-        raise NotDivisible("quotient is not an integer Laurent polynomial")
-    return IntLaurent1.from_array(a.off - b.off, step, q)
+    q = _div_dense(_spread(a, step), _spread(b, step))
+    return IntLaurent1.from_array(a.off - b.off, step, np.array(q, dtype=object))
 
 
 class IntLaurent2:
@@ -1075,9 +1062,10 @@ class RationalM:
 
 def _div_dense(u, v):
     """Exact quotient ``u / v`` of dense integer polynomials (lists,
-    low-to-high) by long division, for the cofactors of the PRS gcd in
-    :func:`_gcd_dense`; raises :class:`NotDivisible` if ``v`` does not divide
-    ``u`` in Z[x]."""
+    low-to-high, ``v`` nonzero) by long division; raises
+    :class:`NotDivisible` if ``v`` does not divide ``u`` in Z[x].  It gives
+    the cofactors of the PRS gcd in :func:`_gcd_dense` and, on a common
+    stride, the one-variable Laurent quotients of :func:`poly_exact_div`."""
     du, dv = _deg(u), _deg(v)
     q = [0] * (du - dv + 1)
     r = list(u)
@@ -1085,9 +1073,9 @@ def _div_dense(u, v):
         c, rem = divmod(r[dv + k], v[dv])
         if rem:
             raise NotDivisible("quotient coefficient is not an integer")
-        q[k] = c
-        for i in range(dv + 1):
-            r[i + k] -= c * v[i]
+        if c:
+            q[k] = c
+            r[k:k + dv + 1] = [x - c * y for x, y in zip(r[k:k + dv + 1], v)]
     if any(r):
         raise NotDivisible("division left a remainder")
     return q

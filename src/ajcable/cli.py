@@ -322,6 +322,18 @@ def _read_grid_file(path):
     return tuples
 
 
+def _grid_threads():
+    """The ``AJCABLE_THREADS`` thread count; 0, or unset, selects the default."""
+    raw = os.environ.get("AJCABLE_THREADS", "0")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = -1
+    if threads < 0:
+        raise ValueError(f"AJCABLE_THREADS must be a non-negative integer, got {raw!r}")
+    return threads
+
+
 def _cmd_grid(args):
     path = args.grid_file or args.file
     if path is None or (args.grid_file and args.file):
@@ -330,12 +342,12 @@ def _cmd_grid(args):
         return 1
     try:
         grid = _read_grid_file(path)
+        workers = _grid_threads() or min(8, len(grid))
     except (OSError, ValueError) as exc:
         print(f"ajcable: error: {exc}", file=sys.stderr)
         return 1
     for params in grid:
         _warn_in_band(params)
-    workers = int(os.environ.get("AJCABLE_THREADS", "0")) or min(8, len(grid))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         records = list(pool.map(lambda t: _verify_pipeline(t, args.nmax), grid))
     lines = []

@@ -3,13 +3,14 @@
 Values are exact one-variable Laurent polynomials in ``t``.  Sequences are
 normalized so the unknot value at color ``n`` is the quantum integer
 ``[n]``, the value at color 0 is 0, and negative colors carry the odd
-extension ``f(-n) = -f(n)``.
+extension ``f(-n) = -f(n)``.  Torus and cable values come from one
+cabling formula: the (p, q) torus knot is the (p, q)-cable of the unknot.
 
 The module also builds the symbolic-in-color data that the recurrences
 are assembled from: the step inhomogeneity ``delta``, and three families
-of peel sums (full, alternating, half), each stored as a two-variable
-polynomial in ``(t, M)`` with ``M`` standing for ``t^(2n)``, flagged when
-a final division by ``t^2 - t^-2`` is still owed.
+of peel sums (full, alternating, half), each stored as the numerator of a
+quotient by ``t^2 - t^-2``, a two-variable polynomial in ``(t, M)`` with
+``M`` standing for ``t^(2n)``.
 
 ``verify_identity`` checks every recurrence this package relies on,
 exactly, color by color.
@@ -115,13 +116,30 @@ class CablingParams:
 # torus-knot values
 # ---------------------------------------------------------------------------
 
+
+def _cabling_sum(a, b, inner, n):
+    """The cabling formula at color ``n >= 1``: the value of the (a, b)-cable
+    of a knot whose colored Jones values are ``inner``, i.e.
+    ``t^(-ab(n^2-1)) * sum t^(ab m^2 + 2am) inner(mb + 1)`` over
+    ``m = -(n-1), -(n-3), .., n-1``.
+
+    The (p, q) torus knot is the (p, q)-cable of the unknot:
+
+    >>> _cabling_sum(3, 2, quantum_integer, 2).text()
+    't^-2 + t^-6 + t^-10 - t^-18'
+    """
+    ab = a * b
+    base = -ab * (n * n - 1)
+    return shifted_sum((base + ab * m * m + 2 * a * m, 1, inner(m * b + 1)) for m in range(-(n - 1), n, 2))
+
+
 _TORUS_CACHE = {}
 
 
 def torus_jones(p, q, n):
     """Colored Jones value of the (p, q) torus knot at color n.
 
-    Computed by the closed summation formula; memoized per (p, q).
+    Computed by the cabling formula over the unknot; memoized per (p, q).
 
     >>> torus_jones(3, 2, 2).text()
     't^-2 + t^-6 + t^-10 - t^-18'
@@ -135,20 +153,14 @@ def torus_jones(p, q, n):
     v = cache.get(n)
     if v is not None:
         return v
-    # t^base * sum over m of t^(pq m^2 + 2pm) [mq + 1]
-    pq = p * q
-    base = -pq * (n * n - 1)
-    v = shifted_sum(
-        (base + pq * m * m + 2 * p * m, 1, quantum_integer(m * q + 1)) for m in range(-(n - 1), n, 2)
-    )
-    cache[n] = v
+    v = cache[n] = _cabling_sum(p, q, quantum_integer, n)
     return v
 
 
 def torus_jones_via_step(p, q, n):
     """Same value by iterating the two-step recurrence from colors 0 and 1.
 
-    Independent route kept for cross-checking the closed formula.
+    Independent route kept for cross-checking the cabling formula.
     """
     _check_torus(p, q)
     if n == 0:
@@ -196,14 +208,8 @@ def cabled_jones(params, n):
     v = cache.get(n)
     if v is not None:
         return v
-    # a sum of shifted torus values: t^base * sum over m of t^(rs m^2 + 2rm) J(ms + 1)
-    p, q, r, s = params.p, params.q, params.r, params.s
-    rs = r * s
-    base = -rs * (n * n - 1)
-    v = shifted_sum(
-        (base + rs * m * m + 2 * r * m, 1, torus_jones(p, q, m * s + 1)) for m in range(-(n - 1), n, 2)
-    )
-    cache[n] = v
+    p, q = params.p, params.q
+    v = cache[n] = _cabling_sum(params.r, params.s, lambda k: torus_jones(p, q, k), n)
     return v
 
 
@@ -250,19 +256,15 @@ def delta_term(p, q, j):
 class SymbolicSequence:
     """A color-symbolic value: polynomial in (t, M) with M = t^(2n).
 
-    When ``needs_qint_div`` is set, realizing at a color still owes an
-    exact division by ``t^2 - t^-2`` (the stored numerator form keeps the
+    ``num`` is a numerator form: realizing at a color substitutes M and
+    then divides exactly by ``t^2 - t^-2`` (the stored form keeps the
     coefficients integral).
     """
 
     num: IntLaurent2
-    needs_qint_div: bool = False
 
     def realize(self, n):
-        f = substitute_M(self.num, n)
-        if self.needs_qint_div:
-            return div_qint_den(f)
-        return f
+        return div_qint_den(substitute_M(self.num, n))
 
 
 def _affine_monomial(slope, const, coeff=1):
@@ -293,7 +295,7 @@ def symbolic_delta(p, q, a, b):
         (-2 * w * a, -2 * w * b1 - 2, -1),
     ):
         acc = acc + _affine_monomial(slope, const, coeff)
-    return SymbolicSequence(acc, needs_qint_div=True)
+    return SymbolicSequence(acc)
 
 
 def _two_step_peel(p, q, m, a, b):
@@ -360,7 +362,7 @@ def symbolic_sum(kind, p, q, s):
     of peeling the torus-index from s(n+3)-1, s(n+2)-1 (q = 2) and
     s(n+2)-1 (s even) down to s(n+1)-1.
     """
-    return SymbolicSequence(peel(kind, p, q, s)[1], needs_qint_div=True)
+    return SymbolicSequence(peel(kind, p, q, s)[1])
 
 
 def cable_step_coefficients(params):
@@ -492,7 +494,7 @@ def _cable_step(p, q, cp, m, J):
 
 def _peel_check(J, index, drop, c, total):
     """n -> J(index(n)) - c(n)*J(index(n) - drop) - total(n)/(t^2 - t^-2)."""
-    total_over_den = SymbolicSequence(total, needs_qint_div=True)
+    total_over_den = SymbolicSequence(total)
 
     def residue(n):
         k = index(n)

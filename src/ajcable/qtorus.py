@@ -99,10 +99,6 @@ class SkewOperator:
     def l_power(cls, i):
         return cls({i: RationalTM.one()})
 
-    @classmethod
-    def from_scalar(cls, c):
-        return cls({0: c})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -113,15 +109,6 @@ class SkewOperator:
 
     def has_polynomial_coeffs(self):
         return all(c.is_poly() for c in self.coeffs.values())
-
-    def poly_coeffs(self):
-        """Coefficients as plain polynomials; fails if any is a fraction."""
-        out = {}
-        for i, c in self.coeffs.items():
-            if not c.is_poly():
-                raise NotDivisible(f"coefficient of L^{i} is not polynomial")
-            out[i] = c.num
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, SkewOperator):
@@ -149,11 +136,6 @@ class SkewOperator:
 
     def __mul__(self, other):
         return skew_multiply(self, other)
-
-    def scale(self, c):
-        """Left-multiply by a scalar (an L-degree-0 coefficient)."""
-        c = _coerce_coeff(c)
-        return SkewOperator({i: c * v for i, v in self.coeffs.items()})
 
     def text(self):
         if not self.coeffs:

@@ -313,6 +313,7 @@ def test_compare_aj_negative_control(monkeypatch):
     report = compare_aj(CablingParams(3, 2, 13, 2))
     assert not report["pass"]
     assert not report["projective_match"]
+    assert report["zero_pattern_equal"] and report["ratio"] is None
 
 
 def test_minus1_shapes_by_case():

@@ -280,6 +280,17 @@ def test_grid_json_meta(tmp_path, monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
+def test_grid_bad_thread_count(tmp_path, monkeypatch, capsys, threads):
+    path = tmp_path / "grid.txt"
+    path.write_text(GRID_BODY)
+    monkeypatch.setenv("AJCABLE_THREADS", threads)
+    assert main(["grid", str(path), "--nmax", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ajcable: error: AJCABLE_THREADS must be a non-negative integer, got {threads!r}\n"
+
+
 def test_grid_missing_file(capsys):
     rc = main(["grid", "/nonexistent/grid.txt"])
     assert rc == 1

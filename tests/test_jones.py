@@ -151,7 +151,6 @@ def test_delta_term_symmetry_and_center():
 def test_symbolic_delta_frozen_and_realize():
     sym = symbolic_delta(3, 2, 2, 1)
     assert sym.num.text() == "t^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10"
-    assert sym.needs_qint_div
     for p, q in GRID_PQ:
         for a, b in ((1, 0), (2, 1), (3, -1), (2, 5)):
             sym = symbolic_delta(p, q, a, b)
