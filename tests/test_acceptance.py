@@ -18,6 +18,8 @@ from ajcable.aj import (
     b_minus1_closed_form,
     build_ab,
     build_annihilator,
+    cabled_a_polynomial,
+    cabled_a_polynomial_factors,
     case_l_degree,
     case_tag,
     compare_aj,
@@ -372,6 +374,35 @@ def test_golden_compare_aj_digests(bundles):
         if report_digest(compare_aj(params, bundles[params])) != expected[_golden_key(params)]
     ]
     assert not mismatches, mismatches
+
+
+GOLDEN_APOLY = Path(__file__).resolve().parent / "data" / "golden_apoly.json"
+
+
+def apoly_record(params):
+    """The ``results`` record of ``ajcable apoly``."""
+    return {
+        "kind": "apoly",
+        "params": params.as_dict(),
+        "factors": [f.text() for f in cabled_a_polynomial_factors(params)],
+        "expanded": cabled_a_polynomial(params).text(),
+    }
+
+
+def test_golden_apoly_digests(capsys):
+    """The A-polynomial record (factors and expanded text) of every stock
+    tuple hashes to the digest recorded in ``tests/data``."""
+    expected = json.loads(GOLDEN_APOLY.read_text())
+    assert sorted(expected) == sorted(_golden_key(params) for params in GRID)
+    mismatches = [params for params in GRID if report_digest(apoly_record(params)) != expected[_golden_key(params)]]
+    assert not mismatches, mismatches
+
+    # the record above is the one the CLI prints
+    for params in CASE_EXEMPLARS.values():
+        argv = ["apoly", "-p", str(params.p), "-q", str(params.q), "-r", str(params.r),
+                "-s", str(params.s), "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == [apoly_record(params)], params
 
 
 # --- golden verification records and a failing check ------------------------------

@@ -10,6 +10,7 @@ from sympy.polys.euclidtools import dup_zz_heu_gcd
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 import ajcable.algebra as algebra
+from ajcable.aj import LPolynomialOverM
 from ajcable.algebra import (
     DivByZero,
     IntLaurent1,
@@ -346,6 +347,73 @@ def test_rational_m_arithmetic():
     one = RationalM.from_int(1)
     assert (m - one) * (m + one) == RationalM({2: 1, 0: -1})
     assert (m / (m + one)) + (one / (m + one)) == one
+
+
+# --- RationalM against sympy ----------------------------------------------------
+
+MVAR = sympy.Symbol("M")
+
+
+def m_expr(terms):
+    return sum((c * MVAR**e for e, c in terms), sympy.Integer(0))
+
+
+def frac_expr(f):
+    return m_expr(f.num.items()) / m_expr(f.den.items())
+
+
+@st.composite
+def m_fractions(draw, g):
+    """``(num, den)`` dicts: polynomials in ``M^g``, each times its own
+    power of M, and half of the time sharing a planted factor in ``M^g``."""
+
+    def poly(nonzero):
+        off = draw(st.integers(-3, 3))
+        cs = draw(st.lists(st.integers(-4, 4), min_size=1 if nonzero else 0, max_size=4))
+        d = {off + g * i: c for i, c in enumerate(cs) if c}
+        return d or ({off: draw(st.sampled_from((1, -1, 2)))} if nonzero else {})
+
+    num, den, common = poly(False), poly(True), poly(True)
+    if draw(st.booleans()):
+        num, den = reference_mul1(num, common), reference_mul1(den, common)
+    return num, den
+
+
+def assert_canonical(f):
+    """Denominator min exponent 0 with positive lowest coefficient, content
+    1, and no common factor of positive degree."""
+    num, den = dict(f.num.items()), dict(f.den.items())
+    assert min(den) == 0 and den[0] > 0
+    content = 0
+    for c in list(num.values()) + list(den.values()):
+        content = gcd(content, c)
+    assert content == 1
+    if num:
+        shifted = m_expr((e - min(num), c) for e, c in num.items())
+        assert sympy.degree(sympy.gcd(shifted, m_expr(den.items())), MVAR) == 0
+    else:
+        assert den == {0: 1}
+
+
+@given(st.integers(1, 4).flatmap(lambda g: st.tuples(m_fractions(g), m_fractions(g), st.integers(1, 4))),
+       st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_rational_m_matches_sympy_cancel(operands, k):
+    (an, ad), (bn, bd), power = operands
+    a, b = RationalM(an, ad), RationalM(bn, bd)
+    ea, eb = m_expr(an.items()) / m_expr(ad.items()), m_expr(bn.items()) / m_expr(bd.items())
+    results = [(a, ea), (b, eb), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (a * k, ea * k)]
+    if bn:
+        results.append((a / b, ea / eb))
+    lifted = LPolynomialOverM({0: a}).substitute_M_power(power).coeffs.get(0, RationalM({}))
+    results.append((lifted, ea.subs(MVAR, MVAR**power)))
+    for f, expected in results:
+        assert sympy.cancel(frac_expr(f) - expected) == 0, (f, expected)
+        assert_canonical(f)
+        # the same value written with a common factor is the same object
+        factor = {e + power: c * k or 1 for e, c in bd.items()}
+        again = RationalM(reference_mul1(dict(f.num.items()), factor), reference_mul1(dict(f.den.items()), factor))
+        assert again == f and hash(again) == hash(f)
 
 
 # --- the dense one-variable kernels against the dict kernels and sympy --------
