@@ -29,6 +29,7 @@ from functools import cached_property
 from math import gcd
 
 from .algebra import (
+    IntLaurent1,
     IntLaurent2,
     RationalM,
     RationalTM,
@@ -122,12 +123,10 @@ class LPolynomialOverM:
 
     def substitute_M_power(self, k):
         """Replace M by M^k (k >= 1)."""
-        return LPolynomialOverM(
-            {
-                i: RationalM({e * k: v for e, v in c.num.items()}, {e * k: v for e, v in c.den.items()})
-                for i, c in self.coeffs.items()
-            }
-        )
+        def lift(f):
+            return IntLaurent1.from_array(f.off * k, f.step * k, f.c)
+
+        return LPolynomialOverM({i: RationalM(lift(c.num), lift(c.den)) for i, c in self.coeffs.items()})
 
     def text(self):
         if not self.coeffs:
@@ -358,7 +357,7 @@ def _mm(e, c=1):
 
 
 def _binom(e1, c1, e2, c2):
-    return RationalM({e1: c1, e2: c2} if e1 != e2 else {e1: c1 + c2})
+    return RationalM([(e1, c1), (e2, c2)])
 
 
 def b_minus1_closed_form(params):

@@ -2,13 +2,15 @@
 
 Two polynomial shapes cover everything in this package:
 
-* one variable ``t`` -- invariant values at a fixed color.  An
+* one variable -- invariant values at a fixed color in ``t``, and the
+  numerators and denominators of fractions in ``M``.  An
   :class:`IntLaurent1` is dense along an arithmetic progression of
   exponents: ``sum_i c[i] * t^(off + step*i)`` with a numpy coefficient
   array ``c``.  Colored Jones values use every fourth exponent, so the
   stride keeps the arrays about four times shorter than their t-span;
 * two variables ``t, M`` -- operator coefficients and symbolic-in-color
-  data, stored sparsely as ``{(t_exponent, M_exponent): coefficient}``.
+  data, stored sparsely as ``{(t_exponent, M_exponent): coefficient}``;
+  the raw-dict kernels below serve this shape only.
 
 The one-variable side has one kernel, :func:`shifted_sum`
 (``sum k * t^e * v``, one shifted, scaled vector add per term), behind
@@ -20,8 +22,9 @@ code.
 
 On top of these sit two fraction types: :class:`RationalTM` (numerator and
 denominator in ``t, M``; reduced opportunistically, compared by
-cross-multiplication) and :class:`RationalM` (single variable ``M``; fully
-reduced and canonical, compared structurally).
+cross-multiplication) and :class:`RationalM` (numerator and denominator
+:class:`IntLaurent1` values in ``M``; fully reduced and canonical, compared
+structurally).
 
 Everything is exact integer arithmetic; no floats anywhere.
 
@@ -55,7 +58,7 @@ class ZeroPolynomial(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw-dict kernels of the sparse shapes (IntLaurent2, and RationalM's M-dicts)
+# raw-dict kernels of the sparse two-variable shape (IntLaurent2, RationalTM)
 # ---------------------------------------------------------------------------
 
 
@@ -68,21 +71,6 @@ def _merge(a, b, sign=1):
             r[k] = v
         else:
             r.pop(k, None)
-    return r
-
-
-def _mul1(a, b):
-    if len(a) > len(b):
-        a, b = b, a
-    r = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            k = ea + eb
-            v = r.get(k, 0) + ca * cb
-            if v:
-                r[k] = v
-            else:
-                del r[k]
     return r
 
 
@@ -168,9 +156,9 @@ def _div2(num, den):
     return q
 
 
-def _content(d):
+def _content(coeffs):
     g = 0
-    for c in d.values():
+    for c in coeffs:
         g = gcd(g, c)
         if g == 1:
             return 1
@@ -532,15 +520,9 @@ class IntLaurent2:
         return IntLaurent2({(tt + t, mm + m): cc * c for (tt, mm), cc in self.d.items()})
 
     def eval_t_minus1(self):
-        """Substitute t = -1; returns an M-exponent dict."""
-        r = {}
-        for (te, me), c in self.d.items():
-            v = r.get(me, 0) + (c if te % 2 == 0 else -c)
-            if v:
-                r[me] = v
-            else:
-                del r[me]
-        return r
+        """Substitute t = -1; returns an :class:`IntLaurent1` whose variable
+        stands for ``M``."""
+        return IntLaurent1([(me, c if te % 2 == 0 else -c) for (te, me), c in self.d.items()])
 
     def text(self):
         items = sorted(self.d.items(), key=lambda kv: (kv[0][1], -kv[0][0]))
@@ -564,6 +546,10 @@ class IntLaurent2:
 def poly_mul(a, b):
     """Exact product; both operands must be the same polynomial type."""
     if isinstance(a, IntLaurent1) and isinstance(b, IntLaurent1):
+        if b.c.size == 1:
+            a, b = b, a
+        if a.c.size == 1:  # a monomial factor: a shift, scaled unless it is 1
+            return b.mul_tpow(a.off, int(a.c[0]))
         # iterate the factor with fewer terms: one vector add per term
         if np.count_nonzero(a.c) > np.count_nonzero(b.c):
             a, b = b, a
@@ -676,7 +662,7 @@ class RationalTM:
             dd = {(t - dt, m - dm): c for (t, m), c in dd.items()}
             nd = {(t - dt, m - dm): c for (t, m), c in nd.items()}
         # strip common integer content
-        g = gcd(_content(nd), _content(dd))
+        g = gcd(_content(nd.values()), _content(dd.values()))
         if g > 1:
             nd = {k: c // g for k, c in nd.items()}
             dd = {k: c // g for k, c in dd.items()}
@@ -781,13 +767,6 @@ class RationalTM:
 # ---------------------------------------------------------------------------
 # fraction in M alone (fully reduced, canonical)
 # ---------------------------------------------------------------------------
-
-
-def _dense(d, lo, hi):
-    out = [0] * (hi - lo + 1)
-    for e, c in d.items():
-        out[e - lo] = c
-    return out
 
 
 def _deg(u):
@@ -953,57 +932,64 @@ def _value_quotient(pu, nu, g, pg, w):
 class RationalM:
     """Reduced fraction of integer Laurent polynomials in ``M``.
 
-    Fully canonical: common polynomial factors are removed (heuristic gcd
-    with cofactors, :func:`_gcd_dense`), the denominator is monomial- and
-    sign-normalized (minimum exponent 0; lowest-exponent coefficient
-    positive), and the shared integer content is 1.  Equality is
-    structural.
+    Numerator and denominator are :class:`IntLaurent1` values; their
+    variable is named ``M`` only in :meth:`text`.  Fully canonical: common
+    polynomial factors are removed (heuristic gcd with cofactors,
+    :func:`_gcd_dense`), the denominator is monomial- and sign-normalized
+    (minimum exponent 0; lowest-exponent coefficient positive), and the
+    shared integer content is 1.  Equality is structural.
+
+    The gcd runs on the common stride ``g`` of the two sides.  Why that is
+    sound: ``M^off`` is a unit, so once it is stripped both sides are
+    polynomials in ``x = M^g``.  Division with remainder of polynomials in
+    ``x`` leaves quotient and remainder in ``Q[x]``, so Euclid's algorithm
+    on them never leaves ``Q[x]``, and their gcd in ``Z[M]`` is their gcd
+    in ``Z[x]`` with ``M^g`` put back.  The form above is canonical, so the
+    result is the fraction a gcd on stride 1 gives.
 
     >>> RationalM({1: 1, 0: 1}, {2: 1, 1: 1}).text()
     'M^-1'
+    >>> RationalM({6: 1, 0: -1}, {3: 1, 0: -1}).text()
+    '1 + M^3'
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """From :class:`IntLaurent1` values or ``{exponent: coefficient}``
+        dicts (or pairs, whose repeated exponents add up)."""
         if den is None:
-            den = {0: 1}
-        num = {e: c for e, c in num.items() if c}
-        den = {e: c for e, c in den.items() if c}
+            den = _M_ONE
+        num, den = (f if isinstance(f, IntLaurent1) else IntLaurent1(f) for f in (num, den))
         if not den:
             raise DivByZero("zero denominator")
         if not num:
-            self.num = {}
-            self.den = {0: 1}
+            self.num, self.den = num, _M_ONE
             return
         # unit-normalize the denominator
-        d0 = min(den)
-        if d0:
-            den = {e - d0: c for e, c in den.items()}
-            num = {e - d0: c for e, c in num.items()}
-        if den != {0: 1}:
-            n0 = min(num)
-            g, nu, de = _gcd_dense(_dense(num, n0, max(num)), _dense(den, 0, max(den)))
+        if den.off:
+            num, den = num.mul_tpow(-den.off), den.mul_tpow(-den.off)
+        if den.c.size > 1:
+            step = gcd(num.step, den.step)
+            g, nu, de = _gcd_dense(_spread(num, step), _spread(den, step))
             if len(g) > 1:
-                num = {e + n0: c for e, c in enumerate(nu) if c}
-                den = {e: c for e, c in enumerate(de) if c}
-        cg = gcd(_content(num), _content(den))
+                num = IntLaurent1.from_array(num.off, step, np.array(nu, dtype=object))
+                den = IntLaurent1.from_array(0, step, np.array(de, dtype=object))
+        cg = _content(den.c.tolist() + num.c.tolist())
         if cg > 1:
-            num = {e: c // cg for e, c in num.items()}
-            den = {e: c // cg for e, c in den.items()}
-        if den[min(den)] < 0:
-            num = {e: -c for e, c in num.items()}
-            den = {e: -c for e, c in den.items()}
-        self.num = num
-        self.den = den
+            num = IntLaurent1.from_array(num.off, num.step, num.c // cg)
+            den = IntLaurent1.from_array(0, den.step, den.c // cg)
+        if den.c[0] < 0:
+            num, den = -num, -den
+        self.num, self.den = num, den
 
     @classmethod
     def from_int(cls, c):
-        return cls({0: c} if c else {})
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, c=1, e=0):
-        return cls({e: c} if c else {})
+        return cls({e: c})
 
     def is_zero(self):
         return not self.num
@@ -1017,47 +1003,43 @@ class RationalM:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return RationalM({e: -c for e, c in self.num.items()}, self.den)
+        return RationalM(-self.num, self.den)
 
     def __add__(self, other):
         if self.den == other.den:
-            return RationalM(_merge(self.num, other.num, 1), self.den)
-        return RationalM(
-            _merge(_mul1(self.num, other.den), _mul1(other.num, self.den), 1),
-            _mul1(self.den, other.den),
-        )
+            return RationalM(self.num + other.num, self.den)
+        return RationalM(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RationalM({e: c * other for e, c in self.num.items()} if other else {}, self.den)
-        return RationalM(_mul1(self.num, other.num), _mul1(self.den, other.den))
+            return RationalM(self.num * other, self.den)
+        return RationalM(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not other.num:
             raise DivByZero("dividing by zero")
-        return RationalM(_mul1(self.num, other.den), _mul1(self.den, other.num))
+        return RationalM(self.num * other.den, self.den * other.num)
 
     def text(self):
-        nt = _terms_text(
-            [(c, _pow_text("M", e)) for e, c in sorted(self.num.items())]
-        )
-        if self.den == {0: 1}:
+        nt = _terms_text([(c, _pow_text("M", e)) for e, c in self.num.items()])
+        if self.den == _M_ONE:
             return nt
-        dt = _terms_text(
-            [(c, _pow_text("M", e)) for e, c in sorted(self.den.items())]
-        )
+        dt = _terms_text([(c, _pow_text("M", e)) for e, c in self.den.items()])
         return f"({nt}) / ({dt})"
 
     def __repr__(self):
         return f"RationalM({self.text()})"
+
+
+_M_ONE = IntLaurent1.one()
 
 
 def _div_dense(u, v):

@@ -18,6 +18,7 @@ exactly, color by color.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import gcd
 
@@ -133,13 +134,36 @@ def _cabling_sum(a, b, inner, n):
     return shifted_sum((base + ab * m * m + 2 * a * m, 1, inner(m * b + 1)) for m in range(-(n - 1), n, 2))
 
 
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo(cache, limit, key):
+    """The ``{color: value}`` dict of ``key`` in ``cache``, a FIFO memo that
+    keeps the values of at most ``limit`` keys.  Grid threads share the
+    caches; the lock keeps the bound."""
+    with _MEMO_LOCK:
+        values = cache.get(key)
+        if values is None:
+            if len(cache) >= limit:
+                del cache[next(iter(cache))]
+            values = cache[key] = {}
+        return values
+
+
+# Torus values are memoized per companion (p, q).  A cable over a companion
+# reads colours up to about s * nmax, and those values dominate a run's
+# memory; grid files list the tuples of one companion together.  Three
+# companions cover the tuples that eight grid threads hold at a companion
+# boundary: with two, the threads evicted values they still needed.
 _TORUS_CACHE = {}
+_TORUS_CACHE_LIMIT = 3
 
 
 def torus_jones(p, q, n):
     """Colored Jones value of the (p, q) torus knot at color n.
 
-    Computed by the cabling formula over the unknot; memoized per (p, q).
+    Computed by the cabling formula over the unknot; memoized per (p, q)
+    for the last ``_TORUS_CACHE_LIMIT`` companions.
 
     >>> torus_jones(3, 2, 2).text()
     't^-2 + t^-6 + t^-10 - t^-18'
@@ -149,7 +173,7 @@ def torus_jones(p, q, n):
         return IntLaurent1()
     if n < 0:
         return -torus_jones(p, q, -n)
-    cache = _TORUS_CACHE.setdefault((p, q), {})
+    cache = _memo(_TORUS_CACHE, _TORUS_CACHE_LIMIT, (p, q))
     v = cache.get(n)
     if v is not None:
         return v
@@ -197,14 +221,7 @@ def cabled_jones(params, n):
         return IntLaurent1()
     if n < 0:
         return -cabled_jones(params, -n)
-    cache = _CABLE_CACHE.get(params)
-    if cache is None:
-        if len(_CABLE_CACHE) >= _CABLE_CACHE_LIMIT:
-            try:
-                _CABLE_CACHE.pop(next(iter(_CABLE_CACHE)))
-            except (KeyError, StopIteration):
-                pass
-        cache = _CABLE_CACHE.setdefault(params, {})
+    cache = _memo(_CABLE_CACHE, _CABLE_CACHE_LIMIT, params)
     v = cache.get(n)
     if v is not None:
         return v

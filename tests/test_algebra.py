@@ -418,8 +418,9 @@ def test_rational_m_matches_sympy_cancel(operands, k):
 
 # --- the dense one-variable kernels against the dict kernels and sympy --------
 #
-# reference_merge, reference_mul1 and reference_div1 are copies of the dict
-# kernels that IntLaurent1 used before it became array-backed.
+# reference_merge, reference_mul1 and reference_div1 are test-local copies of
+# the dict kernels that IntLaurent1, and later RationalM, used before they
+# became array-backed; the package no longer has a one-variable dict kernel.
 
 
 def reference_merge(a, b, sign=1):

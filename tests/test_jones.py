@@ -1,5 +1,8 @@
 """Colored Jones values: frozen examples, dual oracles, recurrence checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import ajcable.jones as jones
@@ -87,6 +90,32 @@ def test_torus_dual_oracle_direct_vs_step():
     for p, q in GRID_PQ:
         for n in range(1, 21):
             assert torus_jones(p, q, n) == torus_jones_via_step(p, q, n), (p, q, n)
+
+
+def test_torus_cache_bound_holds_under_threads():
+    """Threads cycling through more companions than the torus cache keeps
+    get the step-recurrence values, and the cache stays in bound."""
+    expected = {(p, q, n): torus_jones_via_step(p, q, n) for p, q in GRID_PQ for n in (2, 3)}
+    sizes = []
+
+    def work(i):
+        for k in range(40):
+            p, q = GRID_PQ[(i + k) % len(GRID_PQ)]
+            n = 2 + k % 2
+            assert torus_jones(p, q, n) == expected[p, q, n]
+            sizes.append(len(jones._TORUS_CACHE))
+
+    jones.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(work, i) for i in range(40)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        jones.clear_caches()
+    assert len(sizes) == 1600 and max(sizes) <= jones._TORUS_CACHE_LIMIT < len(GRID_PQ)
 
 
 # --- cable values --------------------------------------------------------------
