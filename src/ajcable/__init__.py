@@ -88,12 +88,9 @@ from .minimality import (
     search_bounded_annihilator,
 )
 from .qtorus import (
-    DenominatorVanishes,
-    DiscreteSequence,
     SkewOperator,
     apply_operator,
     check_annihilation,
-    clear_denominators,
     skew_multiply,
 )
 
@@ -105,8 +102,6 @@ __all__ = [
     "BadParams",
     "CablingParams",
     "DegreePrediction",
-    "DenominatorVanishes",
-    "DiscreteSequence",
     "DivByZero",
     "IDENTITY_IDS",
     "IntLaurent1",
@@ -137,7 +132,6 @@ __all__ = [
     "case_tag",
     "check_annihilation",
     "clear_caches",
-    "clear_denominators",
     "compare_aj",
     "default_grid",
     "default_search_bounds",

@@ -549,7 +549,7 @@ def default_grid():
     return grid
 
 
-def verify_tuple(params, nmax=12, with_identities=False):
+def verify_tuple(params, nmax=12):
     """Build, check annihilation, compare at t = -1; one report per tuple.
 
     Colors ``1..nmax`` are checked; ``nmax < 1`` raises :class:`ValueError`.
@@ -572,15 +572,14 @@ def verify_tuple(params, nmax=12, with_identities=False):
         "determinant_ok": det["pass"],
         "theorem_applies": params.theorem_applies,
     }
-    if with_identities:
-        reports = identity_suite(params, 1, nmax)
-        record["identities_pass"] = all(rep["pass"] for rep in reports)
-        record["identities"] = reports
+    reports = identity_suite(params, 1, nmax)
+    record["identities_pass"] = all(rep["pass"] for rep in reports)
+    record["identities"] = reports
     record["pass"] = bool(
         record["annihilates"]
         and record["aj_match"]
         and record["determinant_ok"]
         and record["L_degree"] == case_l_degree(bundle.case_tag)
-        and record.get("identities_pass", True)
+        and record["identities_pass"]
     )
     return record

@@ -751,10 +751,6 @@ class RationalTM:
             raise DivByZero("inverting zero")
         return RationalTM(self.den, self.num)
 
-    def realize(self, n):
-        """Numerator and denominator at color n, as one-variable polynomials."""
-        return substitute_M(self.num, n), substitute_M(self.den, n)
-
     def text(self):
         if self.is_poly():
             return self.num.text()

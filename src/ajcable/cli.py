@@ -148,7 +148,7 @@ def _verify_pipeline(params, nmax):
     """The five check stages for one tuple: displayed-identity suite,
     annihilation, comparison at t = -1, determinant closed forms, and
     degree predictions."""
-    record = verify_tuple(params, nmax=nmax, with_identities=True)
+    record = verify_tuple(params, nmax=nmax)
     rows = audit_degrees(params, 2, max(2, min(nmax, 12)))
     record["degrees_ok"] = all(row["match"] for row in rows)
     record["degree_mismatches"] = [row for row in rows if not row["match"]]

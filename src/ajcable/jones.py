@@ -33,7 +33,6 @@ from .algebra import (
     shifted_sum,
     substitute_M,
 )
-from .qtorus import DiscreteSequence
 
 QINT_DEN = IntLaurent1({2: 1, -2: -1})  # t^2 - t^-2
 
@@ -64,7 +63,8 @@ def unknot_jones(n):
 
 
 def unknot_sequence():
-    return DiscreteSequence(unknot_jones, name="unknot")
+    """The unknot's values as a function of the color."""
+    return unknot_jones
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,8 @@ def torus_jones_via_step(p, q, n):
 
 
 def torus_sequence(p, q):
-    return DiscreteSequence(lambda n: torus_jones(p, q, n), name=f"torus({p},{q})")
+    """The (p, q) torus knot's values as a function of the color."""
+    return lambda n: torus_jones(p, q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,8 @@ def cabled_jones(params, n):
 
 
 def cable_sequence(params):
-    return DiscreteSequence(lambda n: cabled_jones(params, n), name=f"cable{params.as_dict()}")
+    """The cable's values as a function of the color."""
+    return lambda n: cabled_jones(params, n)
 
 
 def clear_caches():

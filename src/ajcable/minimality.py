@@ -56,7 +56,8 @@ PRIMES = (2147483647, 2147483629)  # both prime, products stay int64-safe
 
 
 class SystemTooSmall(ValueError):
-    """Fewer than twice as many equations as unknowns: refuse to search."""
+    """Fewer than twice as many equations as unknowns, counted by the upper
+    bound of ``_equation_count``: refuse to search."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def _columns(bounds, centers):
 
 
 # ---------------------------------------------------------------------------
-# the exact system's row count (used for the feasibility guard)
+# an upper bound on the exact system's row count (the feasibility guard)
 # ---------------------------------------------------------------------------
 
 
@@ -203,7 +204,17 @@ def _merge_intervals(intervals):
 
 
 def _equation_count(values, bounds, centers):
-    """Number of (color, t-exponent) rows in the exact linear system."""
+    """An upper bound on the number of (color, t-exponent) rows of the
+    exact linear system.
+
+    At color n the rows of L-power i are the exponents of ``values(n + i)``
+    plus the box's realized exponents ``a + 2nb``.  This counts the value
+    exponents plus the whole interval ``[lo, hi]`` the box spans.  Once
+    ``2n > 2*t_span + 1`` the box's M-slices leave gaps in that interval,
+    and the count can exceed the rows: with the default bounds, 179594
+    against 179592 rows for (5,3,-1,3) and 163539 against 163536 for
+    (-3,2,1,5).
+    """
     total = 0
     for n in range(bounds.n_lo, bounds.n_hi + 1):
         intervals = []
@@ -616,9 +627,10 @@ def search_bounded_annihilator(params, bounds=None):
     sequence of ``params`` (a :class:`CablingParams`, a ``(p, q)`` pair,
     or ``None`` for the unknot).
 
-    Raises :class:`SystemTooSmall` unless the exact system has at least
-    twice as many equations as unknowns.  See the module docstring for
-    the three possible verdicts.
+    Raises :class:`SystemTooSmall` unless ``equations``, an upper bound on
+    the exact system's row count (``_equation_count``), is at least twice
+    the number of unknowns.  See the module docstring for the three
+    possible verdicts.
     """
     if bounds is None:
         bounds = default_search_bounds(params)

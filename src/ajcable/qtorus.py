@@ -16,51 +16,7 @@ An operator is stored with all ``M``-coefficients moved to the left of the
 
 from __future__ import annotations
 
-from .algebra import (
-    IntLaurent1,
-    IntLaurent2,
-    NotDivisible,
-    RationalTM,
-    poly_exact_div,
-    poly_mul,
-    realized_terms,
-    shift_M,
-    shifted_sum,
-)
-
-
-class DenominatorVanishes(ArithmeticError):
-    """An operator coefficient's denominator realizes to zero at some color."""
-
-    def __init__(self, n, message=None):
-        self.n = n
-        super().__init__(message or f"coefficient denominator vanishes at n = {n}")
-
-
-class DiscreteSequence:
-    """Memoized sequence of one-variable Laurent polynomials.
-
-    Wraps a plain evaluation function.  The memo is an ordinary dict:
-    CPython dict writes are atomic, so concurrent workers at worst
-    recompute a value, never observe a torn one.
-    """
-
-    __slots__ = ("_fn", "_memo", "name")
-
-    def __init__(self, fn, name=""):
-        self._fn = fn
-        self._memo = {}
-        self.name = name
-
-    def __call__(self, n):
-        v = self._memo.get(n)
-        if v is None:
-            v = self._fn(n)
-            self._memo[n] = v
-        return v
-
-    def __repr__(self):
-        return f"DiscreteSequence({self.name or self._fn!r})"
+from .algebra import IntLaurent2, RationalTM, realized_terms, shift_M, shifted_sum
 
 
 def _coerce_coeff(c):
@@ -175,82 +131,50 @@ def skew_multiply(P, Q):
 
 
 def apply_operator(P, f, n):
-    """Apply an operator to a sequence at one color: ``(P f)(n)``.
+    """Apply a polynomial-coefficient operator to a sequence at one color:
+    ``(P f)(n)``.
 
-    Coefficients are realized at ``M = t^(2n)``; the result must be a
-    Laurent polynomial (always true for polynomial coefficients).  Raises
-    :class:`DenominatorVanishes` if a realized denominator is zero and
-    :class:`NotDivisible` if the rational sum fails to be polynomial.
+    Each coefficient is realized at ``M = t^(2n)`` and its products with
+    the shifted values ``f(n + i)`` go through one :func:`shifted_sum`.  A
+    coefficient that is not a polynomial raises :class:`TypeError`; the
+    chains of :meth:`AnnihilatorBundle.cleared_chain` are denominator-free.
     """
-    if P.has_polynomial_coeffs():
-        return shifted_sum(term for i, c in P.coeffs.items() for term in realized_terms(c.num, n, f(n + i)))
-    num_parts = []  # (realized numerator * f(n+i), realized denominator)
+    terms = []
     for i, c in P.coeffs.items():
-        cn, cd = c.realize(n)
-        if not cd:
-            raise DenominatorVanishes(n)
-        num_parts.append((poly_mul(cn, f(n + i)), cd))
-    common = IntLaurent1.one()
-    for _, d in num_parts:
-        common = poly_mul(common, d)
-    total = IntLaurent1()
-    for g, d in num_parts:
-        total = total + poly_mul(g, poly_exact_div(common, d))
-    return poly_exact_div(total, common)
-
-
-def clear_denominators(P):
-    """Left multiplier that makes every coefficient polynomial.
-
-    Returns ``(Pc, c)`` with ``Pc = c * P`` where ``c(t, M)`` is the
-    product of the distinct coefficient denominators.  When all
-    denominators already equal one, ``c = 1`` and ``Pc`` equals ``P``.
-    """
-    seen = {}
-    for i, coeff in P.coeffs.items():
-        key = frozenset(coeff.den.d.items())
-        seen.setdefault(key, coeff.den)
-    c = IntLaurent2.one()
-    for den in seen.values():
-        c = poly_mul(c, den)
-    c_frac = RationalTM.from_poly(c)
-    out = {}
-    for i, coeff in P.coeffs.items():
-        v = c_frac * coeff
-        if not v.is_poly():
-            # distinct-denominator products always clear; guard anyway
-            raise NotDivisible(f"clearing failed at L^{i}")
-        out[i] = v
-    return SkewOperator(out), c
-
-
-def _sequence_applied(P, f):
-    """The sequence ``n -> (P f)(n)`` for a polynomial-coefficient operator."""
-    return DiscreteSequence(lambda n: apply_operator(P, f, n), name="applied")
+        if not c.is_poly():
+            raise TypeError(f"operator coefficient of L^{i} is not a polynomial")
+        terms += realized_terms(c.num, n, f(n + i))
+    return shifted_sum(terms)
 
 
 def check_annihilation(P, f, n_lo, n_hi):
-    """Exact annihilation check of an operator (or factored chain) on ``f``.
+    """Exact annihilation check of a chain of operators on ``f``.
 
-    ``P`` may be one :class:`SkewOperator` (denominators are cleared
-    first; the cleared operator is applied) or a list of operators
-    representing an already-cleared composition, applied right to left.
-    Every color in ``[n_lo, n_hi]`` is tested exactly; the report records
-    the first failure if any.  An empty window raises :class:`ValueError`:
-    checking no color must not read as a pass.
+    ``P`` is a list of polynomial-coefficient operators standing for their
+    composition, applied right to left; a lone :class:`SkewOperator` is a
+    chain of one.  An operator with L-exponents ``lo..hi`` evaluated at
+    colors ``[a, b]`` reads its input at ``[a + lo, b + hi]``, so the
+    values of ``f``, then of each partial product, are computed once each
+    over the colors the operators to their left read.  Every color in
+    ``[n_lo, n_hi]`` is then tested exactly; the report records the first
+    failure if any.  An empty window or chain raises :class:`ValueError`:
+    checking nothing must not read as a pass.
     """
     if n_hi < n_lo:
         raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
-    if isinstance(P, SkewOperator):
-        cleared, _ = clear_denominators(P)
-        chain = [cleared]
-    else:
-        chain = list(P)
-        if not chain:
-            raise ValueError("empty operator chain")
-    seq = f
-    for op in reversed(chain):
-        seq = _sequence_applied(op, seq)
+    chain = [P] if isinstance(P, SkewOperator) else list(P)
+    if not chain:
+        raise ValueError("empty operator chain")
+    # windows[k]: the colors chain[k] is evaluated at; windows[-1]: those of f
+    windows = [(n_lo, n_hi)]
+    for op in chain:
+        lo, hi = windows[-1]
+        windows.append((lo + min(op.coeffs, default=0), hi + max(op.coeffs, default=0)))
+    lo, hi = windows[-1]
+    values = {k: f(k) for k in range(lo, hi + 1)}
+    for k in range(len(chain) - 1, 0, -1):
+        lo, hi = windows[k]
+        values = {n: apply_operator(chain[k], values.__getitem__, n) for n in range(lo, hi + 1)}
     report = {
         "n_lo": n_lo,
         "n_hi": n_hi,
@@ -259,7 +183,7 @@ def check_annihilation(P, f, n_lo, n_hi):
         "residue": None,
     }
     for n in range(n_lo, n_hi + 1):
-        residue = seq(n)
+        residue = apply_operator(chain[0], values.__getitem__, n)
         if residue:
             report["pass"] = False
             report["first_failure_n"] = n

@@ -416,7 +416,7 @@ def test_golden_verify_tuple_digests():
     expected = json.loads(GOLDEN_VERIFY.read_text())["verify_tuple"]
     assert sorted(expected) == sorted(CASE_EXEMPLARS)
     for tag, params in CASE_EXEMPLARS.items():
-        record = verify_tuple(params, 12, with_identities=True)
+        record = verify_tuple(params, 12)
         assert record["pass"], tag
         digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
         assert digest == expected[tag], tag

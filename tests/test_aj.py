@@ -346,7 +346,7 @@ def test_minus1_shape_matches_classical_polynomial_monically():
 # --- per-tuple pipeline and the stock grid --------------------------------------
 
 def test_verify_tuple_record():
-    record = verify_tuple(CablingParams(3, 2, 13, 2), nmax=6, with_identities=True)
+    record = verify_tuple(CablingParams(3, 2, 13, 2), nmax=6)
     for key in (
         "params",
         "case_tag",

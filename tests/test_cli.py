@@ -189,7 +189,7 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
         "identities": [],
         "pass": False,
     }
-    monkeypatch.setattr(cli, "verify_tuple", lambda params, nmax, with_identities: dict(failing))
+    monkeypatch.setattr(cli, "verify_tuple", lambda params, nmax: dict(failing))
     rc = main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "4"])
     assert rc == 2
     assert capsys.readouterr().out.strip().endswith("FAIL")

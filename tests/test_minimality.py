@@ -136,6 +136,57 @@ def test_system_too_small():
         )
 
 
+def _exact_row_count(params, bounds):
+    """Rows of the exact system: per color n, the distinct exponents
+    a + 2nb + e over every column (i, a, b) and exponent e of the value at
+    color n + i."""
+    seq = minimality._sequence_for(params)
+    centers = minimality._box_centers(params, bounds.l_degree)
+    total = 0
+    for n in range(bounds.n_lo, bounds.n_hi + 1):
+        exps = []
+        for i, (tc, mc) in enumerate(centers):
+            box = np.array([a + 2 * n * b
+                            for b in range(mc - bounds.m_span, mc + bounds.m_span + 1)
+                            for a in range(tc - bounds.t_span, tc + bounds.t_span + 1)])
+            exps.append(np.add.outer(box, seq(n + i).nonzero()[0]).ravel())
+        total += np.unique(np.concatenate(exps)).size
+    return total
+
+
+UNKNOT_BOXES = [
+    default_search_bounds(None),
+    default_search_bounds(None, l_degree=1),
+    SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10),
+]
+
+
+@pytest.mark.parametrize("bounds", UNKNOT_BOXES)
+def test_exact_row_count_matches_the_exact_matrix(bounds):
+    centers = minimality._box_centers(None, bounds.l_degree)
+    cols = minimality._columns(bounds, centers)
+    matrix = minimality._exact_matrix(None, bounds, centers, cols, PRIMES[0])
+    assert _exact_row_count(None, bounds) == matrix.shape[0]
+
+
+@pytest.mark.parametrize("params, bounds, excess", [
+    (CablingParams(5, 3, -1, 3), None, 2),
+    (CablingParams(-3, 2, 1, 5), None, 3),
+    (CablingParams(3, 2, -1, 2), None, 0),
+    (CablingParams(3, 2, 13, 2), None, 0),
+    ((3, 2), None, 0),
+] + [(None, b, 0) for b in UNKNOT_BOXES])
+def test_equation_count_bounds_the_exact_rows(params, bounds, excess):
+    """``equations`` counts each box as a whole exponent interval: it is
+    never below the exact row count, and exceeds it where the box's
+    M-slices leave gaps (2n > 2*t_span + 1 with m_span > 0)."""
+    if bounds is None:
+        bounds = default_search_bounds(params)
+    centers = minimality._box_centers(params, bounds.l_degree)
+    count = minimality._equation_count(minimality._sequence_for(params), bounds, centers)
+    assert count - _exact_row_count(params, bounds) == excess
+
+
 # --- evaluation points ------------------------------------------------------------
 
 # A square root of -1 modulo the second prime: tau^2 - tau^-2 vanishes there.

@@ -1,17 +1,10 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajcable.algebra import IntLaurent1, IntLaurent2, NotDivisible, RationalTM
-from ajcable.jones import CablingParams, cable_step_coefficients, unknot_sequence
-from ajcable.qtorus import (
-    DiscreteSequence,
-    SkewOperator,
-    apply_operator,
-    check_annihilation,
-    clear_denominators,
-    skew_multiply,
-)
+from ajcable.algebra import IntLaurent1, IntLaurent2, RationalTM, substitute_M
+from ajcable.jones import unknot_sequence
+from ajcable.qtorus import SkewOperator, apply_operator, check_annihilation, skew_multiply
 
 L = SkewOperator.l_power(1)
 M_OP = SkewOperator({0: IntLaurent2({(0, 1): 1})})
@@ -71,51 +64,6 @@ def test_quantum_integer_recurrence_annihilates():
         assert not apply_operator(op, ju, n)
 
 
-# --- denominator clearing --------------------------------------------------
-
-def test_clear_denominators_binomial():
-    # (1/(M-1)) L + 1: the multiplier is the canonical associate 1 - M of
-    # the lone denominator, and every cleared coefficient is polynomial.
-    m_minus_1 = IntLaurent2({(0, 1): 1, (0, 0): -1})
-    p = SkewOperator({1: RationalTM(IntLaurent2({(0, 0): 1}), m_minus_1),
-                      0: IntLaurent2({(0, 0): 1})})
-    pc, c = clear_denominators(p)
-    assert c == IntLaurent2({(0, 0): 1, (0, 1): -1})
-    assert pc == SkewOperator({1: IntLaurent2({(0, 0): -1}),
-                               0: IntLaurent2({(0, 0): 1, (0, 1): -1})})
-    assert skew_multiply(SkewOperator({0: c}), p) == pc
-
-
-def test_clear_denominators_polynomial_is_identity():
-    p = quantum_integer_op()
-    pc, c = clear_denominators(p)
-    assert pc == p
-    assert c == IntLaurent2.one()
-
-
-def test_clear_denominators_cable_step_factor():
-    # a^-1 (L^2 - gamma) for (3,2,13,2).  The stored denominator of a^-1 is
-    # the canonical associate 1 - t^4 M^2 of a = -t^-78 M^-39 (1 - t^4 M^2),
-    # so that associate is the multiplier; the cleared operator keeps the
-    # matching unit monomials on each coefficient.
-    params = CablingParams(3, 2, 13, 2)
-    coeffs = cable_step_coefficients(params)
-    a = coeffs["torus"]
-    gamma = coeffs["step"]
-    assert a == IntLaurent2({(-74, -37): 1, (-78, -39): -1})
-    assert gamma == IntLaurent2({(-104, -52): 1})
-    a_inv = RationalTM(IntLaurent2({(0, 0): 1}), a)
-    p = SkewOperator({2: a_inv, 0: a_inv * RationalTM.from_poly(-gamma)})
-    pc, c = clear_denominators(p)
-    assert c == IntLaurent2({(0, 0): 1, (4, 2): -1})
-    assert pc == SkewOperator({2: IntLaurent2({(78, 39): -1}),
-                               0: IntLaurent2({(-26, -13): 1})})
-    assert skew_multiply(SkewOperator({0: c}), p) == pc
-    # c is a unit multiple of a itself: their ratio is a single monomial.
-    ratio = RationalTM(c, a)
-    assert len(ratio.num.d) == 1 and ratio.den == IntLaurent2.one()
-
-
 # --- annihilation reports ---------------------------------------------------
 
 def test_check_annihilation_pass():
@@ -136,11 +84,34 @@ def test_check_annihilation_rejects_empty_window():
         check_annihilation(quantum_integer_op(), unknot_sequence(), 1, 0)
 
 
+def test_check_annihilation_reads_below_the_window():
+    # L^-1 (1 - (t^2 + t^-2) L + L^2) reads colours n - 1 .. n + 1; at n = 1
+    # that is colour 0, where the odd extension puts 0
+    shifted = skew_multiply(SkewOperator.l_power(-1), quantum_integer_op())
+    assert min(shifted.coeffs) == -1
+    assert check_annihilation(shifted, unknot_sequence(), 1, 12)["pass"]
+    assert check_annihilation([SkewOperator.l_power(-1), quantum_integer_op()],
+                              unknot_sequence(), 1, 12)["pass"]
+
+
+def test_rational_coefficients_are_refused():
+    half = SkewOperator({1: RationalTM(IntLaurent2.one(), IntLaurent2({(0, 1): 1, (0, 0): -1})),
+                         0: IntLaurent2.one()})
+    assert not half.has_polynomial_coeffs()
+    with pytest.raises(TypeError, match="L\\^1 is not a polynomial"):
+        apply_operator(half, unknot_sequence(), 2)
+    with pytest.raises(TypeError, match="L\\^1 is not a polynomial"):
+        check_annihilation(half, unknot_sequence(), 1, 4)
+    with pytest.raises(TypeError, match="L\\^1 is not a polynomial"):
+        check_annihilation([quantum_integer_op(), half], unknot_sequence(), 1, 4)
+
+
 # --- randomized operator properties -----------------------------------------
 
 coeffs = st.integers(min_value=-5, max_value=5)
 exps = st.integers(min_value=-3, max_value=3)
 ldeg = st.integers(min_value=0, max_value=2)
+lshift = st.integers(min_value=-2, max_value=1)
 
 
 @st.composite
@@ -155,6 +126,12 @@ def operators(draw):
     if not terms:
         terms[0] = IntLaurent2({(0, 0): 1})
     return SkewOperator(terms)
+
+
+@st.composite
+def shifted_operators(draw):
+    """Operators whose L-exponents start anywhere in -2..1."""
+    return skew_multiply(SkewOperator.l_power(draw(lshift)), draw(operators()))
 
 
 @given(operators(), operators(), operators())
@@ -175,8 +152,6 @@ def test_action_respects_composition(a, b, n):
         inner[k] = apply_operator(b, ju, k)
     staged = IntLaurent1({})
     for i, coeff in a.coeffs.items():
-        from ajcable.algebra import substitute_M
-
         num = substitute_M(coeff.num, n)
         den = substitute_M(coeff.den, n)
         assert den == IntLaurent1({0: 1})  # polynomial-coefficient operators only
@@ -184,26 +159,12 @@ def test_action_respects_composition(a, b, n):
     assert composed == staged
 
 
-@given(operators())
-@settings(max_examples=30, deadline=None)
-def test_clear_denominators_is_left_multiplication(p):
-    pc, c = clear_denominators(p)
-    assert skew_multiply(SkewOperator({0: c}), p) == pc
-
-
-@given(operators(), st.integers(min_value=1, max_value=5))
-@settings(max_examples=40, deadline=None)
-def test_rational_coefficients_take_the_division_path(p, n):
-    """Dividing every coefficient by 1 + t^2 and multiplying the sequence by
-    it leaves the action unchanged; the fractions run through the long
-    division instead of the shifted sum."""
-    den = IntLaurent2({(2, 0): 1, (0, 0): 1})
-    divided = SkewOperator({i: c * RationalTM(IntLaurent2.one(), den) for i, c in p.coeffs.items()})
-    # a p whose coefficients are all multiples of 1 + t^2 (e.g. t - t^-3)
-    # stays polynomial and would not take the division path
-    assume(p.is_zero() or not divided.has_polynomial_coeffs())
+@given(shifted_operators(), shifted_operators(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_chain_check_matches_the_product(a, b, lo, width):
+    """The staged chain check of ``[a, b]`` reports exactly what the check
+    of the product ``a b`` reports, residue text included."""
     ju = unknot_sequence()
-    scaled = DiscreteSequence(lambda k: IntLaurent1({2: 1, 0: 1}) * ju(k))
-    assert apply_operator(divided, scaled, n) == apply_operator(p, ju, n)
-    with pytest.raises(NotDivisible):
-        apply_operator(SkewOperator({0: RationalTM(IntLaurent2.one(), den)}), ju, n)
+    hi = lo + width
+    assert check_annihilation([a, b], ju, lo, hi) == check_annihilation(skew_multiply(a, b), ju, lo, hi)
