@@ -158,16 +158,33 @@ def test_criterion_4_closed_forms():
     )
 
 
-def test_criterion_5_degrees():
-    failures = []
-    for p, q in GRID_PQ:
-        failures += [row for row in audit_degrees((p, q), 2, 20) if not row["match"]]
+GOLDEN_DEGREES = Path(__file__).resolve().parent / "data" / "golden_degrees.json"
+
+
+def degree_audits():
+    """The ``audit_degrees`` rows of every torus companion (n in [2, 20]) and
+    every stock tuple (n in [2, 12]), keyed as in
+    ``tests/data/golden_degrees.json``."""
+    audits = {f"{p},{q}": audit_degrees((p, q), 2, 20) for p, q in GRID_PQ}
     for params in GRID:
-        failures += [row for row in audit_degrees(params, 2, 12) if not row["match"]]
+        audits[_golden_key(params)] = audit_degrees(params, 2, 12)
+    return audits
+
+
+def test_criterion_5_degrees():
+    audits = degree_audits()
+    failures = [row for rows in audits.values() for row in rows if not row["match"]]
     assert not failures, failures[:5]
+
+    # every row (which sides are predicted, and their values) is pinned
+    expected = json.loads(GOLDEN_DEGREES.read_text())
+    assert sorted(expected) == sorted(audits)
+    mismatches = [key for key, rows in audits.items() if report_digest(rows) != expected[key]]
+    assert not mismatches, mismatches
     print(
         f"\nPASS criterion 5: predicted degrees integer-exact, torus n in [2,20], "
-        f"cables n in [2,12], all {len(GRID)} tuples both chiralities"
+        f"cables n in [2,12], all {len(GRID)} tuples both chiralities; "
+        f"{len(audits)} audits match their golden digests"
     )
 
 
