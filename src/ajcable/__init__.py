@@ -63,7 +63,6 @@ from .jones import (
     CablingParams,
     IDENTITY_IDS,
     OddMCoefficient,
-    SymbolicSequence,
     applicable_identities,
     cable_sequence,
     cable_step_coefficients,
@@ -73,7 +72,6 @@ from .jones import (
     identity_suite,
     quantum_integer,
     symbolic_delta,
-    symbolic_sum,
     torus_jones,
     torus_jones_via_step,
     torus_sequence,
@@ -114,7 +112,6 @@ __all__ = [
     "RationalTM",
     "SearchBounds",
     "SkewOperator",
-    "SymbolicSequence",
     "SystemTooSmall",
     "ZeroPolynomial",
     "applicable_identities",
@@ -154,7 +151,6 @@ __all__ = [
     "skew_multiply",
     "substitute_M",
     "symbolic_delta",
-    "symbolic_sum",
     "torus_jones",
     "torus_jones_via_step",
     "torus_sequence",

@@ -266,7 +266,7 @@ def _ingredients(params):
     one = IntLaurent2.one()
 
     def dnum(b_const):
-        return symbolic_delta(p, q, s, b_const).num
+        return symbolic_delta(p, q, s, b_const)
 
     if tag == "S_EQ_2":
         scale = one

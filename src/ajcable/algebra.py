@@ -277,16 +277,8 @@ class IntLaurent1:
         return out
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
-
-    @classmethod
-    def t_power(cls, e, c=1):
-        return cls({e: c} if c else {})
 
     def max_abs(self):
         """Largest coefficient magnitude, as a Python int (0 for zero)."""
@@ -476,10 +468,6 @@ class IntLaurent2:
                 else:
                     d.pop(k, None)
             self.d = d
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -689,10 +677,6 @@ class RationalTM:
     def one(cls):
         return cls(IntLaurent2.one())
 
-    @classmethod
-    def zero(cls):
-        return cls(IntLaurent2.zero())
-
     def is_zero(self):
         return not self.num
 
@@ -773,11 +757,7 @@ def _deg(u):
 
 
 def _prim(u):
-    g = 0
-    for c in u:
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = _content(u)
     if g > 1:
         u = [c // g for c in u]
     d = _deg(u)

@@ -38,12 +38,19 @@ def _even_indicator(k):
     return 1 if k % 2 else 0
 
 
+def _mirror(pred):
+    """The prediction for the mirror knot, whose value is J(t^-1): each side
+    is the other side negated."""
+    flip = lambda e: None if e is None else -e  # noqa: E731
+    return DegreePrediction(n=pred.n, lowest=flip(pred.highest), highest=flip(pred.lowest))
+
+
 def predicted_torus_degrees(p, q, n):
     """Extreme t-exponents of the torus value at color n >= 1.
 
     Positive knots (p > q) get a quadratic lowest exponent and a linear
-    highest one; negative knots (p < -q) mirror that.  The remaining
-    range |p| <= q has no closed form here.
+    highest one; a negative knot (p < -q) is the mirror of (-p, q).  The
+    remaining range |p| <= q has no closed form here.
 
     >>> predicted_torus_degrees(3, 2, 2)
     DegreePrediction(n=2, lowest=-18, highest=-2)
@@ -53,24 +60,22 @@ def predicted_torus_degrees(p, q, n):
     _check_torus(p, q)
     if n < 1:
         raise BadParams("color must be at least 1")
+    if p < 0:
+        return _mirror(predicted_torus_degrees(-p, q, n))
     pq = p * q
     bump = _even_indicator(n - 1)  # 1 for even colors
-    if p > q:
-        lowest = -pq * n * n + pq + bump * (p - 2) * (q - 2)
-        highest = 2 * (p + q - pq) * n + 2 * (pq - p - q)
-        return DegreePrediction(n=n, lowest=lowest, highest=highest)
-    if p < -q:
-        lowest = 2 * (p - q - pq) * n + 2 * (pq - p + q)
-        highest = -pq * n * n + pq + bump * (p + 2) * (q - 2)
-        return DegreePrediction(n=n, lowest=lowest, highest=highest)
-    raise BadParams(f"no degree formula for torus parameters ({p}, {q})")
+    lowest = -pq * n * n + pq + bump * (p - 2) * (q - 2)
+    highest = 2 * (p + q - pq) * n + 2 * (pq - p - q)
+    return DegreePrediction(n=n, lowest=lowest, highest=highest)
 
 
 def predicted_cable_degrees(params, n):
     """Extreme t-exponents of the cable value at color n >= 1.
 
-    Which sides are available depends on where r sits relative to 0 and
-    p*q*s; sides without a formula come back as ``None``.
+    Over a positive torus knot (p > q), which sides are available depends
+    on where r sits relative to 0 and p*q*s; sides without a formula come
+    back as ``None``.  Over a negative one (p < -q) the cable is the mirror
+    of the (-r, s)-cable over (-p, q).
 
     >>> predicted_cable_degrees(CablingParams(3, 2, 13, 2), 2)
     DegreePrediction(n=2, lowest=-78, highest=None)
@@ -80,6 +85,8 @@ def predicted_cable_degrees(params, n):
     if n < 1:
         raise BadParams("color must be at least 1")
     p, q, r, s = params.p, params.q, params.r, params.s
+    if p < 0:
+        return _mirror(predicted_cable_degrees(CablingParams(-p, q, -r, s), n))
     pq = p * q
     rs = r * s
     pqs = pq * s
@@ -87,48 +94,25 @@ def predicted_cable_degrees(params, n):
     bump_ns = _even_indicator((n - 1) * s)
     lowest = None
     highest = None
-    if p > q:
-        if r < pqs:
-            lowest = (
-                -pqs * s * n * n
-                + (2 * pqs * s - 2 * pqs + 2 * r - 2 * rs) * n
-                + 2 * rs
-                - 2 * r
-                + 2 * pqs
-                - pqs * s
-                + bump_ns * (p - 2) * (q - 2)
-            )
-        elif r > pqs:
-            lowest = (
-                -rs * n * n
-                + rs
-                + bump_n * (s - 2) * (r - pqs)
-                + bump_ns * (p - 2) * (q - 2)
-            )
-        if r < 0:
-            highest = -rs * n * n + rs + bump_n * (s - 2) * (r - 2 * pq + 2 * p + 2 * q)
-    elif p < -q:
-        if r > pqs:
-            highest = (
-                -pqs * s * n * n
-                + (2 * pqs * s - 2 * pqs + 2 * r - 2 * rs) * n
-                + 2 * rs
-                - 2 * r
-                + 2 * pqs
-                - pqs * s
-                + bump_ns * (p + 2) * (q - 2)
-            )
-        elif r < pqs:
-            highest = (
-                -rs * n * n
-                + rs
-                + bump_n * (s - 2) * (r - pqs)
-                + bump_ns * (p + 2) * (q - 2)
-            )
-        if r > 0:
-            lowest = -rs * n * n + rs + bump_n * (s - 2) * (r - 2 * pq + 2 * p - 2 * q)
-    else:
-        raise BadParams(f"no degree formula for torus parameters ({p}, {q})")
+    if r < pqs:
+        lowest = (
+            -pqs * s * n * n
+            + (2 * pqs * s - 2 * pqs + 2 * r - 2 * rs) * n
+            + 2 * rs
+            - 2 * r
+            + 2 * pqs
+            - pqs * s
+            + bump_ns * (p - 2) * (q - 2)
+        )
+    elif r > pqs:
+        lowest = (
+            -rs * n * n
+            + rs
+            + bump_n * (s - 2) * (r - pqs)
+            + bump_ns * (p - 2) * (q - 2)
+        )
+    if r < 0:
+        highest = -rs * n * n + rs + bump_n * (s - 2) * (r - 2 * pq + 2 * p + 2 * q)
     return DegreePrediction(n=n, lowest=lowest, highest=highest)
 
 

@@ -271,21 +271,6 @@ def delta_term(p, q, j):
     return div_qint_den(num)
 
 
-@dataclass(frozen=True)
-class SymbolicSequence:
-    """A color-symbolic value: polynomial in (t, M) with M = t^(2n).
-
-    ``num`` is a numerator form: realizing at a color substitutes M and
-    then divides exactly by ``t^2 - t^-2`` (the stored form keeps the
-    coefficients integral).
-    """
-
-    num: IntLaurent2
-
-    def realize(self, n):
-        return div_qint_den(substitute_M(self.num, n))
-
-
 def _affine_monomial(slope, const, coeff=1):
     """Monomial whose realized t-exponent is ``slope*n + const``.
 
@@ -297,9 +282,10 @@ def _affine_monomial(slope, const, coeff=1):
 
 
 def symbolic_delta(p, q, a, b):
-    """Numerator form of the step inhomogeneity at index ``j = a*n + b``.
+    """Numerator form of the step inhomogeneity at index ``j = a*n + b``:
+    realized at color n, divided by ``t^2 - t^-2``, it is ``delta_term``.
 
-    >>> symbolic_delta(3, 2, 2, 1).num.text()
+    >>> symbolic_delta(3, 2, 2, 1).text()
     't^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10'
     """
     _check_torus(p, q)
@@ -314,7 +300,7 @@ def symbolic_delta(p, q, a, b):
         (-2 * w * a, -2 * w * b1 - 2, -1),
     ):
         acc = acc + _affine_monomial(slope, const, coeff)
-    return SymbolicSequence(acc)
+    return acc
 
 
 def _two_step_peel(p, q, m, a, b):
@@ -326,7 +312,7 @@ def _two_step_peel(p, q, m, a, b):
     total = IntLaurent2()
     for j in range(1, m + 1):
         pref = _affine_monomial((2 - 4 * j) * pq * a, (2 - 4 * j) * pq * b + 4 * pq * j * (j - 1) + 2 * pq)
-        total = total + poly_mul(pref, symbolic_delta(p, q, a, b - 2 * j).num)
+        total = total + poly_mul(pref, symbolic_delta(p, q, a, b - 2 * j))
     return _affine_monomial(-4 * pq * m * a, 4 * pq * m * (m - b)), total
 
 
@@ -352,6 +338,8 @@ PEEL_STEP = {"S": 2, "U": 1, "V": 1}
 def peel(kind, p, q, s):
     """The peel J(s(n+1+k)-1) = c*J(s(n+1)-1) + total/(t^2 - t^-2), k = PEEL_STEP[kind].
 
+    Kind "S" peels s two-steps (the full sum), "U" s single steps (the
+    alternating sum, q = 2) and "V" s/2 two-steps (the half sum, s even).
     Returns ``(c, total)`` in M-form; the torus coefficient c is beta for
     "S", -eta for "U" and nu for "V".
 
@@ -371,17 +359,6 @@ def peel(kind, p, q, s):
     if kind == "U":
         return _single_step_peel(p, k * s, s, (k + 1) * s - 1)
     return _two_step_peel(p, q, k * s // 2, s, (k + 1) * s - 1)
-
-
-def symbolic_sum(kind, p, q, s):
-    """Peel sums in numerator form: kind "S" (full, s two-steps), "U"
-    (alternating single steps, q = 2), or "V" (s/2 two-steps, s even).
-
-    Realized at color n these equal, respectively, the inhomogeneous parts
-    of peeling the torus-index from s(n+3)-1, s(n+2)-1 (q = 2) and
-    s(n+2)-1 (s even) down to s(n+1)-1.
-    """
-    return SymbolicSequence(peel(kind, p, q, s)[1])
 
 
 def cable_step_coefficients(params):
@@ -513,11 +490,10 @@ def _cable_step(p, q, cp, m, J):
 
 def _peel_check(J, index, drop, c, total):
     """n -> J(index(n)) - c(n)*J(index(n) - drop) - total(n)/(t^2 - t^-2)."""
-    total_over_den = SymbolicSequence(total)
 
     def residue(n):
         k = index(n)
-        return shifted_sum([(0, 1, J(k)), (0, -1, total_over_den.realize(n))]
+        return shifted_sum([(0, 1, J(k)), (0, -1, div_qint_den(substitute_M(total, n)))]
                            + realized_terms(c, n, J(k - drop), -1))
 
     return residue

@@ -22,6 +22,12 @@ Verdicts are certificates, never guesses:
 * ``inconclusive`` -- every system tried was rank-deficient mod p and no
   lift verified.
 
+The evaluation matrix has one row per random point tau in F_p and color
+n: the equation ``(D J)(n) = 0`` at t = tau.  Its value residues come
+from the cabling formula of :mod:`.jones` read mod p, the unknot's
+quantum integers cabled by (p, q) and then by (r, s): the same formula
+that gives the exact values.
+
 The evaluation matrix is tried at each prime in turn.  When both are
 rank-deficient and nothing lifts, a small enough box gets one more try:
 the exact system itself (one row per color and t-exponent, its integer
@@ -45,7 +51,6 @@ from .jones import (
     BadParams,
     CablingParams,
     cable_sequence,
-    torus_jones,
     torus_sequence,
     unknot_sequence,
 )
@@ -234,6 +239,9 @@ def _equation_count(values, bounds, centers):
 # Everything below works on int64 residues in [0, p) with p < 2^31, so the
 # product of two residues is below 2^62 and a sum of two such products
 # below 2^63: every product is reduced mod p before it is added to another.
+# A color of the cabling sum (``_cabling_sum_mod``) adds at most n_max
+# residues below 2^31 before its reduction, less than 2^63 for any
+# n_max below 2^32.
 # The entries of the exact system (``_exact_matrix``) are summed as Python
 # ints and reduced mod p before they are stored.
 #
@@ -290,76 +298,56 @@ def _pow_table(bases, exps, prime):
     return out
 
 
-def _inv_den(taus, prime):
-    """(tau^2 - tau^-2)^-1 per tau, as a column; nonzero by the guard in
-    :func:`_draw_taus`."""
-    powers = _pow_table(taus, [2, -2], prime)
-    den = (powers[:, 0] - powers[:, 1]) % prime
-    return _pow_table(den, [prime - 2], prime)
+def _unknot_evals_mod(n_max, taus, prime):
+    """The quantum integers [n] at colors 0..n_max (n_max >= 1), one row per
+    tau.  Their denominator tau^2 - tau^-2 is the numerator at color 1; it
+    is nonzero by the guard in :func:`_draw_taus`.
 
-
-def _torus_evals_mod(p, q, c_max, taus, prime):
-    """J at colors 0..c_max for the (p, q) torus knot, one row per tau.
-
-    Computed by the two-step recurrence seeded at colors 1 and 2; the
-    powers of tau of every step come from one power table.
+    tau^(-2n) is taken as (tau^-1)^(2n): the exponents 2n need a few
+    squarings, where -2n reduced mod p - 1 is near 2^31 and needs 31.
     """
-    vals = np.zeros((len(taus), c_max + 1), dtype=np.int64)
-    vals[:, 1] = 1
-    exps, coeffs = torus_jones(p, q, 2).nonzero()
-    vals[:, 2] = (_pow_table(taus, exps, prime) * coeffs).sum(axis=1) % prime
-    # step c (colors c, c + 1 -> c + 2) uses j = c + 1 = 2 .. c_max - 1
-    j = np.arange(2, c_max, dtype=np.int64)
-    u, w, pq = p + q, q - p, p * q
-    step, inhom, d1, d2, d3, d4 = np.split(
-        _pow_table(taus, np.concatenate((
-            -4 * pq * j, -2 * pq * j,
-            2 * u * j + 2, -2 * u * j + 2, 2 * w * j - 2, -2 * w * j - 2,
-        )), prime),
-        6,
-        axis=1,
-    )
-    delta = (d1 + d2 - d3 - d4) % prime * _inv_den(taus, prime) % prime
-    inhom = inhom * delta % prime
-    for k, c in enumerate(range(1, c_max - 1)):
-        vals[:, c + 2] = (step[:, k] * vals[:, c] % prime + inhom[:, k]) % prime
-    return vals
+    inverses = _pow_table(taus, [prime - 2], prime)[:, 0]
+    powers = _pow_table(np.concatenate((taus, inverses)), np.arange(0, 2 * n_max + 1, 2), prime)
+    num = (powers[: len(taus)] - powers[len(taus) :]) % prime
+    return num * _pow_table(num[:, 1], [prime - 2], prime) % prime
 
 
-def _cable_evals_mod(params, n_max, taus, prime):
-    """Cable values at colors 0..n_max, one row per tau, via the double
-    sum over k = -(n-1), -(n-3), .., n-1 for every color n at once."""
-    p, q, r, s = params.p, params.q, params.r, params.s
-    rs = r * s
-    torus = _torus_evals_mod(p, q, max(s * (n_max - 1) + 1, 2), taus, prime)
+def _cabling_sum_mod(a, b, inner, n_max, taus, prime):
+    """The cabling formula of :func:`.jones._cabling_sum` over F_prime at
+    colors 0..n_max, one row per tau; ``inner`` holds the inner knot's
+    residues at colors 0..(n_max - 1) * b + 1.
+
+    The summand ``tau^(ab m^2 + 2am) inner(mb + 1)`` does not depend on the
+    color, so it is computed once per m in -(n_max-1)..n_max-1, and color n
+    gathers its n summands m = -(n-1), -(n-3), .., n-1.
+    """
+    ab = a * b
+    m = np.arange(-(n_max - 1), n_max, dtype=np.int64)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
-    k = np.concatenate([np.arange(-(n - 1), n, 2, dtype=np.int64) for n in range(1, n_max + 1)])
-    c = k * s + 1
-    jt = torus[:, np.abs(c)] * np.where(c < 0, -1, 1) % prime
-    terms = _pow_table(taus, rs * k * k + 2 * r * k, prime) * jt % prime
-    # color n contributes n terms, so its block starts at n(n-1)/2
-    acc = np.add.reduceat(terms, ns * (ns - 1) // 2, axis=1) % prime
+    powers = _pow_table(taus, np.concatenate((ab * m * m + 2 * a * m, -ab * (ns * ns - 1))), prime)
+    c = m * b + 1  # negative colors carry the odd extension
+    summand = powers[:, : m.size] * (inner[:, np.abs(c)] * np.where(c < 0, -1, 1) % prime) % prime
+    # color n's summands sit at m + n_max - 1 = n_max - n, .., n_max + n - 2;
+    # gathered, its block starts at n(n-1)/2
+    gather = np.concatenate([np.arange(n_max - n, n_max + n - 1, 2) for n in range(1, n_max + 1)])
+    acc = np.add.reduceat(summand[:, gather], ns * (ns - 1) // 2, axis=1) % prime
     out = np.zeros((len(taus), n_max + 1), dtype=np.int64)
-    out[:, 1:] = _pow_table(taus, -rs * (ns * ns - 1), prime) * acc % prime
+    out[:, 1:] = powers[:, m.size :] * acc % prime
     return out
 
 
-def _unknot_evals_mod(n_max, taus, prime):
-    n = np.arange(n_max + 1, dtype=np.int64)
-    powers = _pow_table(taus, np.concatenate((2 * n, -2 * n)), prime)
-    num = (powers[:, : n.size] - powers[:, n.size :]) % prime
-    return num * _inv_den(taus, prime) % prime
-
-
 def _value_evals(params, n_max, taus, prime):
-    """Residues of the values at colors 0..n_max (at least 0..2), one row
-    per tau."""
+    """Residues of the values at colors 0..n_max (n_max >= 1), one row per
+    tau: as in :mod:`.jones`, the unknot's quantum integers cabled by
+    (p, q) for a torus pair, and then by (r, s) for a cable."""
     if params is None:
         return _unknot_evals_mod(n_max, taus, prime)
     if isinstance(params, CablingParams):
-        return _cable_evals_mod(params, n_max, taus, prime)
+        torus = _value_evals((params.p, params.q), (n_max - 1) * params.s + 1, taus, prime)
+        return _cabling_sum_mod(params.r, params.s, torus, n_max, taus, prime)
     p, q = params
-    return _torus_evals_mod(p, q, max(n_max, 2), taus, prime)
+    unknot = _unknot_evals_mod((n_max - 1) * q + 1, taus, prime)
+    return _cabling_sum_mod(p, q, unknot, n_max, taus, prime)
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,6 @@ class SkewOperator:
                 self.coeffs[i] = c
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def identity(cls):
         return cls({0: RationalTM.one()})
 

@@ -38,8 +38,8 @@ from ajcable.jones import (
     CablingParams,
     cable_sequence,
     cable_step_coefficients,
+    peel,
     symbolic_delta,
-    symbolic_sum,
 )
 from ajcable.qtorus import SkewOperator, check_annihilation, skew_multiply
 
@@ -220,14 +220,14 @@ def determinant_definitional(params):
     gamma, a, mu1 = step["step"], step["torus"], step["delta"]
 
     def dnum(b_const):
-        return symbolic_delta(p, q, s, b_const).num
+        return symbolic_delta(p, q, s, b_const)
 
     if tag == "S_ODD_QGT2":
         beta = IntLaurent2.monomial(1, -8 * pq * s * s + 4 * pqs, -2 * pq * s * s)
         a4 = shift_M(a, 2)
         gamma4 = shift_M(gamma, 2)
         mu3 = shift_M(mu1, 2)
-        s_num = symbolic_sum("S", p, q, s).num
+        s_num = peel("S", p, q, s)[1]
         a22 = a
         a24 = poly_mul(a4, beta) + poly_mul(gamma4, a)
         b02 = poly_mul(mu1, dnum(s - 1))
@@ -241,7 +241,7 @@ def determinant_definitional(params):
         eta = IntLaurent2.monomial(1, 4 * p * s - 6 * p * s * s, -2 * p * s * s)
         a2 = shift_M(a, 1)
         mu2p = shift_M(mu1, 1)
-        u_num = symbolic_sum("U", p, q, s).num
+        u_num = peel("U", p, q, s)[1]
         alpha2 = a
         alpha3 = -poly_mul(eta, a2)
         beta2 = poly_mul(mu1, dnum(s - 1))
@@ -251,7 +251,7 @@ def determinant_definitional(params):
         nu = IntLaurent2.monomial(1, -3 * pq * s * s + 2 * pqs, -pq * s * s)
         a2 = shift_M(a, 1)
         mu2 = shift_M(mu1, 1)
-        v_num = symbolic_sum("V", p, q, s).num
+        v_num = peel("V", p, q, s)[1]
         c3 = poly_mul(a2, nu)
         c2 = a
         e2 = poly_mul(mu1, dnum(s - 1))

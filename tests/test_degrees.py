@@ -68,6 +68,8 @@ def test_cable_audits():
     assert_all_match(audit_degrees(CablingParams(-5, 3, -7, 3), 2, 10))
     assert_all_match(audit_degrees(CablingParams(3, 2, -1, 2), 2, 12))
     assert_all_match(audit_degrees(CablingParams(-5, 3, 1, 2), 2, 10))
+    # p < -q and r < pqs: the mirror of (3, 2, 13, 2)
+    assert_all_match(audit_degrees(CablingParams(-3, 2, -13, 2), 2, 12))
 
 
 def test_audit_rows_shape():

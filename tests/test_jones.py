@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import ajcable.jones as jones
-from ajcable.algebra import IntLaurent1, IntLaurent2, poly_exact_div, poly_mul
+from ajcable.algebra import IntLaurent1, IntLaurent2, div_qint_den, poly_exact_div, poly_mul, substitute_M
 from ajcable.jones import (
     QINT_DEN,
     BadParams,
@@ -16,7 +16,6 @@ from ajcable.jones import (
     peel,
     quantum_integer,
     symbolic_delta,
-    symbolic_sum,
     torus_jones,
     torus_jones_via_step,
     unknot_jones,
@@ -178,13 +177,13 @@ def test_delta_term_symmetry_and_center():
 
 
 def test_symbolic_delta_frozen_and_realize():
-    sym = symbolic_delta(3, 2, 2, 1)
-    assert sym.num.text() == "t^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10"
+    num = symbolic_delta(3, 2, 2, 1)
+    assert num.text() == "t^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10"
     for p, q in GRID_PQ:
         for a, b in ((1, 0), (2, 1), (3, -1), (2, 5)):
-            sym = symbolic_delta(p, q, a, b)
+            num = symbolic_delta(p, q, a, b)
             for n in range(0, 11):
-                assert sym.realize(n) == delta_term(p, q, a * n + b), (p, q, a, b, n)
+                assert div_qint_den(substitute_M(num, n)) == delta_term(p, q, a * n + b), (p, q, a, b, n)
 
 
 # --- peel sums: symbolic realization vs direct summation oracles ----------------
@@ -217,36 +216,34 @@ def direct_half_peel_sum(p, q, s, n):
 
 def test_symbolic_full_peel_sum_matches_direct():
     for p, q, s in ((3, 2, 3), (5, 3, 2), (-5, 3, 4), (7, 3, 5)):
-        sym = symbolic_sum("S", p, q, s)
+        num = peel("S", p, q, s)[1]
         for n in range(0, 11):
-            assert sym.realize(n) == direct_full_peel_sum(p, q, s, n), (p, q, s, n)
+            assert div_qint_den(substitute_M(num, n)) == direct_full_peel_sum(p, q, s, n), (p, q, s, n)
 
 
 def test_symbolic_alternating_peel_sum_matches_direct():
     for p, s in ((3, 3), (5, 5), (-3, 2), (5, 4)):
-        sym = symbolic_sum("U", p, 2, s)
+        num = peel("U", p, 2, s)[1]
         for n in range(0, 11):
-            assert sym.realize(n) == direct_alternating_peel_sum(p, s, n), (p, s, n)
+            assert div_qint_den(substitute_M(num, n)) == direct_alternating_peel_sum(p, s, n), (p, s, n)
 
 
 def test_symbolic_half_peel_sum_matches_direct():
     for p, q, s in ((3, 2, 2), (5, 3, 4), (-5, 3, 2), (7, 3, 6)):
-        sym = symbolic_sum("V", p, q, s)
+        num = peel("V", p, q, s)[1]
         for n in range(0, 11):
-            assert sym.realize(n) == direct_half_peel_sum(p, q, s, n), (p, q, s, n)
+            assert div_qint_den(substitute_M(num, n)) == direct_half_peel_sum(p, q, s, n), (p, q, s, n)
 
 
 def test_symbolic_sum_guards():
     with pytest.raises(BadParams):
-        symbolic_sum("U", 5, 3, 2)  # alternating form needs q = 2
+        peel("U", 5, 3, 2)  # alternating form needs q = 2
     with pytest.raises(BadParams):
-        symbolic_sum("V", 3, 2, 3)  # half form needs even s
+        peel("V", 3, 2, 3)  # half form needs even s
     with pytest.raises(BadParams):
-        symbolic_sum("S", 3, 2, 1)
+        peel("S", 3, 2, 1)
     with pytest.raises(BadParams):
-        symbolic_sum("X", 3, 2, 2)
-    with pytest.raises(BadParams):
-        peel("V", 3, 2, 3)
+        peel("X", 3, 2, 2)
 
 
 def test_peel_coefficients_are_beta_eta_nu():

@@ -217,8 +217,9 @@ def test_draw_taus_rejects_fourth_roots_of_unity():
     prime = PRIMES[1]
     assert pow(BAD_TAU, 4, prime) == 1
     assert (pow(BAD_TAU, 2, prime) - pow(BAD_TAU, -2, prime)) % prime == 0
-    # the hazard: the quantum-integer denominator has no inverse there
-    assert minimality._inv_den([BAD_TAU], prime)[0, 0] == 0
+    # the hazard: the quantum-integer denominator has no inverse there, so
+    # the unknot's value [1] = 1 would come out as 0
+    assert minimality._unknot_evals_mod(1, [BAD_TAU], prime)[0, 1] == 0
     # count + 8 = 9 first draws: the bad point, duplicates, then refills
     script = [BAD_TAU, 5, 5, 5, 5, 5, 5, 5, 5, BAD_TAU, 5, 9]
     assert minimality._draw_taus(_ScriptedRng(script), 1, prime) == [5]
@@ -242,6 +243,8 @@ def _residue(poly, tau, prime):
 
 
 EVAL_TAUS = {prime: [2, 1234567, prime - 2] for prime in PRIMES}
+# the stock window of (-5, 3, 1, 5): its torus colors reach 5 * 15 + 1 = 76
+EVAL_N_MAX = {CablingParams(-5, 3, 1, 5): 16}
 
 
 @pytest.mark.parametrize("params", [
@@ -252,6 +255,8 @@ EVAL_TAUS = {prime: [2, 1234567, prime - 2] for prime in PRIMES}
     CablingParams(5, 3, 76, 5),
     (3, 2),
     (-5, 3),
+    CablingParams(-5, 3, 1, 5),
+    (7, 4),
     None,
 ])
 def test_value_evals_match_exact_values(params):
@@ -261,7 +266,7 @@ def test_value_evals_match_exact_values(params):
         seq = cable_sequence(params)
     else:
         seq = torus_sequence(*params)
-    n_max = 7
+    n_max = EVAL_N_MAX.get(params, 7)
     for prime, taus in EVAL_TAUS.items():
         evals = minimality._value_evals(params, n_max, taus, prime)
         assert evals.dtype == np.int64
