@@ -14,9 +14,12 @@ Verdicts are certificates, never guesses:
   be scaled primitive-integer, and would reduce to a nonzero mod-p kernel
   vector; full rank rules that out.  The rank comes from forward
   elimination alone, blocked over F_p: panels of columns are eliminated
-  pivot by pivot and the rest of the matrix is updated by one exact int64
-  matrix product per panel.  The kernel is computed only when it is
-  nonzero.
+  pivot by pivot and the rest of the matrix is updated by one matrix
+  product per panel.  That product is the only place floats appear: a
+  float64 BLAS product of 16-bit limbs, used as an exact integer
+  accumulator whose sums stay below 2^53 (see the note above
+  ``_draw_taus``).  A first elimination of the leading rows alone often
+  settles full rank; the kernel is computed only when it is nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
 * ``inconclusive`` -- every system tried was rank-deficient mod p and no
@@ -246,14 +249,17 @@ def _equation_count(values, bounds, centers):
 # ints and reduced mod p before they are stored.
 #
 # The one exception is the matrix product of the blocked elimination
-# (``_sub_product``), a sum of k <= _PANEL <= 2^16 products F[i, j] U[j, l]
-# of residues.  F is split into 16-bit limbs, F = hi * 2^16 + lo with
-# lo <= 2^16 - 1 and hi <= 2^15 - 1, so every limb product is below 2^47.
-# Then hi @ U is below 2^16 * 2^46 = 2^62, and with p - 1 <= 2^31 - 2
-#   lo @ U + (hi @ U mod p) * 2^16
-#     <= 2^16 (2^16 - 1)(2^31 - 2) + (2^31 - 2) 2^16 = 2^63 - 2^33,
-# so F @ U is exact in int64 before its reduction, and so is T - F @ U
-# for T in [0, p).
+# (``_sub_product``), a sum of k <= _PANEL products F[i, j] U[j, l] of
+# residues.  It runs on float64 BLAS as exact integer arithmetic, not as an
+# approximation with a tolerance.  F is split into 16-bit limbs,
+# F = hi * 2^16 + lo with hi, lo <= 2^16 - 1, and each limb product
+# hi @ U, lo @ U is a sum of k non-negative integer terms below
+# (2^16 - 1)(p - 1).  With p < 2^31 and k <= 64 every partial sum is a
+# non-negative integer below 2^53, which float64 holds exactly, so the
+# product is exact in any summation order, with or without FMA.  Back in
+# int64, hi @ U is reduced mod p and
+#   lo @ U + (hi @ U mod p) * 2^16 < 2^53 + 2^47,
+# so T - F @ U is exact in int64 before its reduction, for T in [0, p).
 
 
 def _draw_taus(rng, count, prime):
@@ -394,29 +400,36 @@ def _reduce(x, prime, scratch=None):
     x -= q
 
 
-# Columns per panel of the blocked elimination.  The limb-split product is
-# exact only for _PANEL <= 2^16 (see the int64 note above; checked in the
-# tests).
+# Columns per panel of the blocked elimination.  The float64 limb products
+# are exact only while k * (2^16 - 1) * (p - 1) < 2^53 (see the note above
+# ``_draw_taus``).
 _PANEL = 48
-# Rows per block of the product: its two buffers hold 2 * _ROWS rows, not
-# two copies of the trailing matrix.
+assert _PANEL * (2**16 - 1) * (max(PRIMES) - 1) < 2**53
+# Rows per block of the product: its buffers hold _ROWS rows, not copies
+# of the trailing matrix.
 _ROWS = 64
 
 
 def _sub_product(T, F, U, prime):
-    """``T = (T - F @ U) mod prime`` in place for residue arrays, exact in
-    int64 by the limb split (see the int64 note above ``_draw_taus``).
+    """``T = (T - F @ U) mod prime`` in place for residue arrays ``T``
+    and ``F`` (int64) and ``U`` (float64), exact by the limb split (see the
+    note above ``_draw_taus``).
 
-    Runs over blocks of ``_ROWS`` rows of ``T``; two buffers of one block
-    hold both partial products and every quotient."""
-    S, H = np.empty((2, min(_ROWS, T.shape[0]), T.shape[1]), dtype=np.int64)
+    Runs over blocks of ``_ROWS`` rows of ``T``; one float64 product
+    buffer and two int64 buffers of one block hold both limb products and
+    every quotient."""
+    shape = (min(_ROWS, T.shape[0]), T.shape[1])
+    P = np.empty(shape)
+    S, H = np.empty((2, *shape), dtype=np.int64)
     for r0 in range(0, T.shape[0], _ROWS):
         t, f = T[r0 : r0 + _ROWS], F[r0 : r0 + _ROWS]
-        s, h = S[: t.shape[0]], H[: t.shape[0]]
-        np.matmul(f >> 16, U, out=s)
+        prod, s, h = P[: t.shape[0]], S[: t.shape[0]], H[: t.shape[0]]
+        np.matmul((f >> 16).astype(np.float64), U, out=prod)
+        np.copyto(s, prod, casting="unsafe")
         _reduce(s, prime, h)
         s <<= 16
-        np.matmul(f & 0xFFFF, U, out=h)
+        np.matmul((f & 0xFFFF).astype(np.float64), U, out=prod)
+        np.copyto(h, prod, casting="unsafe")
         s += h
         t -= s
         _reduce(t, prime, s)
@@ -434,9 +447,10 @@ def _echelon_mod(A, prime):
     columns is eliminated pivot by pivot, each step updating only the
     panel's columns and keeping the multipliers in place of the zeros it
     makes (rows are swapped whole, multipliers with them).  The pivot rows'
-    trailing parts are then brought up to date by a triangular solve, and
-    every row below them by one product ``T -= F @ U`` (``_sub_product``),
-    after which the multipliers are cleared.  Over a field the echelon form
+    trailing parts ``U`` are then brought up to date by a triangular solve,
+    and every row below them by one product ``T -= F @ U``
+    (``_sub_product``, on a float64 copy of ``U``), after which the
+    multipliers are cleared.  Over a field the echelon form
     reached with a given row order is unique, and pivots are chosen on
     up-to-date columns, so ``A`` and the pivots are exactly what the
     per-pivot loop would leave.
@@ -469,15 +483,18 @@ def _echelon_mod(A, prime):
             row += 1
         panel = pivots[len(pivots) - len(inverses) :]
         if panel and c1 < cols:
-            # pivot rows: U[i] = (U[i] - F[i, :i] @ U[:i]) / pivot_i
+            # pivot rows: U[i] = (U[i] - F[i, :i] @ U[:i]) / pivot_i, each
+            # solved row converted to float64 once, for the products
+            Uf = np.empty((len(panel), cols - c1))
             for i, inv in enumerate(inverses):
                 u = A[top + i : top + i + 1, c1:]
                 if i:
-                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], A[top : top + i, c1:], prime)
+                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], Uf[:i], prime)
                 u *= inv
                 _reduce(u, prime)
+                Uf[i] = u[0]
             if row < rows:
-                _sub_product(A[row:, c1:], A[row:, panel], A[top:row, c1:], prime)
+                _sub_product(A[row:, c1:], A[row:, panel], Uf, prime)
         for i, col in enumerate(panel):
             A[top + i + 1 :, col] = 0
     return pivots
@@ -530,6 +547,12 @@ def _candidate_operator(vec, cols):
 def _certify(matrix, prime, cols, seq, bounds):
     """``(nullity, operator or None)`` for one residue system over F_prime.
 
+    When the matrix has more than ``len(cols) + 8`` rows, a copy of its
+    first ``len(cols) + 8`` rows is eliminated first: full column rank of
+    those rows is full column rank of the whole matrix, and the answer is
+    ``(0, None)``.  Otherwise the whole matrix is eliminated, so pivots,
+    nullity and kernel are those of the whole system.
+
     The nullity comes from forward elimination alone.  Only when it is
     above 0 is the kernel back-substituted; each of its first 24 basis
     vectors is scaled by the first k in 1..64 that brings every entry's
@@ -537,6 +560,9 @@ def _certify(matrix, prime, cols, seq, bounds):
     annihilates ``seq`` exactly over the color window.  The free column
     of a basis vector holds k, nonzero mod p, so no lift is zero.
     """
+    head = len(cols) + 8
+    if matrix.shape[0] > head and len(_echelon_mod(matrix[:head].copy(), prime)) == len(cols):
+        return 0, None
     pivots = _echelon_mod(matrix, prime)
     nullity = len(cols) - len(pivots)
     if nullity:

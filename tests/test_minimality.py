@@ -485,9 +485,29 @@ def test_blocked_elimination_at_the_limb_extremes(prime):
 
 
 def test_panel_width_keeps_the_limb_split_exact():
-    # the bound in the int64 note of ajcable.minimality
-    assert 1 <= minimality._PANEL <= 1 << 16
+    # the bound in the float64 note of ajcable.minimality: every limb
+    # product sums at most _PANEL terms below (2^16 - 1)(p - 1), below 2^53
+    assert minimality._PANEL >= 1
+    assert minimality._PANEL * (2**16 - 1) * (max(PRIMES) - 1) < 2**53
     assert all(p < 1 << 31 for p in PRIMES)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("rows", [1, 2 * minimality._ROWS + 3])
+def test_sub_product_is_exact_at_the_worst_case(prime, rows):
+    # 64 terms, each at the largest limb (0x7FFEFFFF has lo = 2^16 - 1)
+    # or the largest residue, times U = p - 1: the sums reach
+    # 64 (2^16 - 1)(p - 1), just below 2^53
+    k, width = 64, 37
+    gen = np.random.default_rng(rows + prime % 97)
+    F = gen.choice(np.array([0x7FFEFFFF, prime - 1]), size=(rows, k))
+    F[0] = 0x7FFEFFFF
+    F[-1] = prime - 1
+    U = np.full((k, width), prime - 1, dtype=np.int64)
+    T = gen.integers(0, prime, size=(rows, width), dtype=np.int64)
+    expected = ((T.astype(object) - F.astype(object) @ U.astype(object)) % prime).tolist()
+    minimality._sub_product(T, F, U.astype(np.float64), prime)
+    assert T.tolist() == expected
 
 
 # --- the exact system against sympy, and through the shared certificate -----------------
@@ -549,3 +569,102 @@ def test_exact_matrix_certifies_the_unknot_second_order_operator():
     assert nullity > 0
     assert op is not None
     assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
+
+
+# --- the head-first rank certificate ------------------------------------------------
+
+
+def _record_eliminations(monkeypatch):
+    """Spy on ``_echelon_mod`` and ``_certify``: a copy of every matrix
+    eliminated, and per certificate the eliminations it made, its matrix
+    (copied before elimination) and its answer."""
+    eliminated, certified = [], []
+    echelon, certify = minimality._echelon_mod, minimality._certify
+
+    def echelon_spy(A, prime):
+        eliminated.append(A.copy())
+        return echelon(A, prime)
+
+    def certify_spy(matrix, prime, cols, seq, bounds):
+        start, before = len(eliminated), matrix.copy()
+        result = certify(matrix, prime, cols, seq, bounds)
+        certified.append((eliminated[start:], before, prime, cols, result))
+        return result
+
+    monkeypatch.setattr(minimality, "_echelon_mod", echelon_spy)
+    monkeypatch.setattr(minimality, "_certify", certify_spy)
+    return certified
+
+
+def _direct_certificate(A, prime, cols, seq, bounds):
+    """(nullity, operator text or None) from eliminating all of ``A``: the
+    k-scan lift of ``_certify`` over the kernel of the whole matrix."""
+    E = A.copy()
+    pivots = minimality._echelon_mod(E, prime)
+    nullity = len(cols) - len(pivots)
+    for v in minimality._nullspace_mod(E, pivots, prime)[:24] if nullity else []:
+        for k in range(1, 65):
+            lifted = minimality._symmetric_lift(v, prime, k)
+            if max(abs(x) for x in lifted) <= 1 << 25:
+                op = minimality._candidate_operator(lifted, cols)
+                if check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
+                    return nullity, op.text()
+                break
+    return nullity, None
+
+
+def test_full_rank_is_certified_from_the_head_rows(monkeypatch):
+    certified = _record_eliminations(monkeypatch)
+    report = search_bounded_annihilator(CablingParams(5, 3, -1, 3))
+    assert (report["rows"], report["unknowns"], report["nullity"]) == (636, 525, 0)
+    [(eliminated, matrix, _, _, result)] = certified
+    # one elimination, of the first unknowns + 8 rows only
+    assert [E.shape for E in eliminated] == [(533, 525)]
+    assert np.array_equal(eliminated[0], matrix[:533])
+    assert result == (0, None)
+
+
+@pytest.mark.parametrize("bounds", UNKNOT_BOXES)
+def test_unknot_controls_fall_back_to_the_whole_matrix(bounds, monkeypatch):
+    certified = _record_eliminations(monkeypatch)
+    search_bounded_annihilator(None, bounds)
+    monkeypatch.undo()
+    eliminated, matrix, prime, cols, (nullity, op) = certified[0]  # the first prime
+    head = len(cols) + 8
+    assert matrix.shape[0] > head
+    assert [E.shape for E in eliminated] == [(head, len(cols)), matrix.shape]
+    assert np.array_equal(eliminated[0], matrix[:head])
+    assert np.array_equal(eliminated[1], matrix)
+    text = op.text() if op is not None else None
+    assert (nullity, text) == _direct_certificate(matrix, prime, cols, unknot_sequence(), bounds)
+
+
+def test_m_free_exact_stage_is_eliminated_once(monkeypatch):
+    certified = _record_eliminations(monkeypatch)
+    bounds = default_search_bounds(None, l_degree=1)
+    assert search_bounded_annihilator(None, bounds)["nullity"] == 0
+    # both primes' evaluation systems fall back; the exact system's first
+    # 18 + 8 rows already have full rank
+    assert [[E.shape for E in e] for e, *_ in certified] == [
+        [(26, 18), (70, 18)], [(26, 18), (70, 18)], [(26, 18)],
+    ]
+    assert certified[-1][1].shape == (310, 18)
+
+
+@pytest.mark.parametrize("extra", [0, 8])
+def test_no_head_step_without_more_rows_than_unknowns_plus_8(extra, monkeypatch):
+    # the first 18 + extra rows of the M-free control's first system, rank
+    # deficient: eliminated once, whole
+    bounds = default_search_bounds(None, l_degree=1)
+    certified = _record_eliminations(monkeypatch)
+    search_bounded_annihilator(None, bounds)
+    _, matrix, prime, cols, _ = certified[0]
+    matrix = matrix[: len(cols) + extra]
+    del certified[:]
+    nullity, op = minimality._certify(matrix.copy(), prime, cols, unknot_sequence(), bounds)
+    monkeypatch.undo()
+    [(eliminated, _, _, _, _)] = certified
+    assert [E.shape for E in eliminated] == [matrix.shape]
+    text = op.text() if op is not None else None
+    assert nullity > 0
+    assert (nullity, text) == _direct_certificate(matrix, prime, cols, unknot_sequence(), bounds)
