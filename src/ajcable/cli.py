@@ -9,6 +9,7 @@ timestamp inside the ``meta`` block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,6 +54,7 @@ def _int_at_least(lo):
     return parse
 
 
+@functools.cache  # built on the first main() call, then reused
 def _build_parser():
     parser = _Parser(prog="ajcable", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -14,12 +14,14 @@ Verdicts are certificates, never guesses:
   be scaled primitive-integer, and would reduce to a nonzero mod-p kernel
   vector; full rank rules that out.  The rank comes from forward
   elimination alone, blocked over F_p: panels of columns are eliminated
-  pivot by pivot and the rest of the matrix is updated by one matrix
-  product per panel.  That product is the only place floats appear: a
-  float64 BLAS product of 16-bit limbs, used as an exact integer
-  accumulator whose sums stay below 2^53 (see the note above
-  ``_draw_taus``).  A first elimination of the leading rows alone often
-  settles full rank; the kernel is computed only when it is nonzero.
+  pivot by pivot, the panel's pivot rows are solved by one product with
+  a small solve matrix, and the rest of the matrix is updated by one
+  more product.  These products, and the few that build the solve
+  matrix, are the only place floats appear: float64 BLAS products of
+  16-bit limbs, used as an exact integer accumulator whose sums stay
+  below 2^53 (see the note above ``_draw_taus``).  A first elimination
+  of the leading rows alone often settles full rank; the kernel is
+  computed only when it is nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
 * ``inconclusive`` -- every system tried was rank-deficient mod p and no
@@ -250,7 +252,10 @@ def _equation_count(values, bounds, centers):
 #
 # The one exception is the matrix product of the blocked elimination
 # (``_sub_product``), a sum of k <= _PANEL products F[i, j] U[j, l] of
-# residues.  It runs on float64 BLAS as exact integer arithmetic, not as an
+# residues.  It serves the k x k products that build a panel's solve
+# matrix and the product that applies it to the pivot rows
+# (``_solve_pivot_rows``), and the trailing update of the rows below.
+# It runs on float64 BLAS as exact integer arithmetic, not as an
 # approximation with a tolerance.  F is split into 16-bit limbs,
 # F = hi * 2^16 + lo with hi, lo <= 2^16 - 1, and each limb product
 # hi @ U, lo @ U is a sum of k non-negative integer terms below
@@ -269,11 +274,9 @@ def _draw_taus(rng, count, prime):
 
     Points with tau^4 = 1 (mod p) are rejected.  The values are evaluated
     through quantum integers (t^(2n) - t^(-2n)) / (t^2 - t^-2), whose
-    denominator vanishes exactly there; its modular inverse would silently
-    come out as pow(0, p - 2, p) = 0 and every row built at that point
-    would be wrong.  A wrong row is not a consequence of the exact system,
-    so the full-rank certificate would not be sound.  Such points exist
-    for p = 1 (mod 4) (the square roots of -1), e.g. for 2147483629.
+    denominator vanishes exactly there and has no modular inverse, so no
+    row can be built at that point.  Such points exist for p = 1 (mod 4)
+    (the square roots of -1), e.g. for 2147483629.
     """
 
     def ok(t):
@@ -291,12 +294,19 @@ def _draw_taus(rng, count, prime):
 def _pow_table(bases, exps, prime):
     """``bases[j] ** exps[k] mod prime`` as a (len(bases), len(exps)) array.
 
-    Array square-and-multiply; exponents of any sign are reduced mod
-    ``prime - 1`` (Fermat), so every base must be a unit.
+    Array square-and-multiply over ``|exps[k]|``, from the inverse bases
+    where an exponent is negative, so the rounds grow with the largest
+    ``|exps[k]|``.  A base without an inverse mod ``prime`` raises
+    ``ValueError`` when some exponent is negative.
     """
-    base = np.asarray(bases, dtype=np.int64).reshape(-1, 1)
-    e = np.asarray(exps, dtype=np.int64) % (prime - 1)
-    out = np.ones((base.shape[0], e.shape[0]), dtype=np.int64)
+    bases = np.asarray(bases, dtype=np.int64).reshape(-1, 1)
+    e = np.asarray(exps, dtype=np.int64)
+    base = bases
+    if (e < 0).any():
+        inverses = np.array([[pow(b, -1, prime)] for b in bases[:, 0].tolist()], dtype=np.int64)
+        base = np.where(e < 0, inverses, bases)
+    e = np.abs(e)
+    out = np.ones((bases.shape[0], e.shape[0]), dtype=np.int64)
     while e.any():
         out = np.where(e & 1, out * base % prime, out)
         base = base * base % prime
@@ -305,17 +315,15 @@ def _pow_table(bases, exps, prime):
 
 
 def _unknot_evals_mod(n_max, taus, prime):
-    """The quantum integers [n] at colors 0..n_max (n_max >= 1), one row per
-    tau.  Their denominator tau^2 - tau^-2 is the numerator at color 1; it
-    is nonzero by the guard in :func:`_draw_taus`.
-
-    tau^(-2n) is taken as (tau^-1)^(2n): the exponents 2n need a few
-    squarings, where -2n reduced mod p - 1 is near 2^31 and needs 31.
+    """The quantum integers [n] = (tau^(2n) - tau^(-2n)) / (tau^2 - tau^-2)
+    at colors 0..n_max (n_max >= 1), one row per tau.  The denominator is
+    the numerator at color 1; it is nonzero by the guard in
+    :func:`_draw_taus`.
     """
-    inverses = _pow_table(taus, [prime - 2], prime)[:, 0]
-    powers = _pow_table(np.concatenate((taus, inverses)), np.arange(0, 2 * n_max + 1, 2), prime)
-    num = (powers[: len(taus)] - powers[len(taus) :]) % prime
-    return num * _pow_table(num[:, 1], [prime - 2], prime) % prime
+    e = np.arange(0, 2 * n_max + 1, 2)
+    powers = _pow_table(taus, np.concatenate((e, -e)), prime)
+    num = (powers[:, : e.size] - powers[:, e.size :]) % prime
+    return num * _pow_table(num[:, 1], [-1], prime) % prime
 
 
 def _cabling_sum_mod(a, b, inner, n_max, taus, prime):
@@ -400,10 +408,11 @@ def _reduce(x, prime, scratch=None):
     x -= q
 
 
-# Columns per panel of the blocked elimination.  The float64 limb products
-# are exact only while k * (2^16 - 1) * (p - 1) < 2^53 (see the note above
+# Columns per panel of the blocked elimination: of 16, 24, 32 and 48, 32
+# eliminated a 533 x 525 system fastest.  The float64 limb products are
+# exact only while k * (2^16 - 1) * (p - 1) < 2^53 (see the note above
 # ``_draw_taus``).
-_PANEL = 48
+_PANEL = 32
 assert _PANEL * (2**16 - 1) * (max(PRIMES) - 1) < 2**53
 # Rows per block of the product: its buffers hold _ROWS rows, not copies
 # of the trailing matrix.
@@ -435,6 +444,33 @@ def _sub_product(T, F, U, prime):
         _reduce(t, prime, s)
 
 
+def _solve_pivot_rows(U, F, inverses, prime):
+    """The triangular solve of a panel's k pivot rows, in place: in row
+    order, ``U[i] = (U[i] - F[i, :i] @ U[:i]) * inverses[i] mod prime``,
+    where ``F`` is the (k, k) block of the pivot rows' panel entries and
+    only its strictly lower part, the multipliers, is read.
+
+    With D = diag(inverses) and N = tril(F, -1) D, the rows before scaling
+    are V = (I + N)^-1 T for the incoming rows T, and U = D V.  N is
+    strictly lower triangular, so N^k = 0 and
+    (I + N)^-1 = (I - N)(I + N^2)(I + N^4)...(I + N^(2^(r-1))) for
+    2^r >= k.  Each factor is one stacked ``_sub_product``,
+    ``[X; 0] - [X; P] @ (-P) = [X (I + P); P^2]``, so the solve matrix
+    S = D (I + N)^-1 takes ceil(log2 k) products of k terms, and
+    ``U = T - (I - S) @ T`` one more.
+    """
+    k = len(inverses)
+    d = np.array(inverses, dtype=np.int64)
+    X = np.eye(k, dtype=np.int64)
+    P = -np.tril(F, -1) * d % prime
+    for _ in range((k - 1).bit_length()):
+        XP = np.concatenate((X, np.zeros_like(P)))
+        _sub_product(XP, np.concatenate((X, P)), (-P % prime).astype(np.float64), prime)
+        X, P = XP[:k], XP[k:]
+    M = (np.eye(k, dtype=np.int64) - X * d[:, None]) % prime
+    _sub_product(U, M, U.astype(np.float64), prime)
+
+
 def _echelon_mod(A, prime):
     """Forward elimination over F_prime, in place; returns the pivot
     columns, whose count is the rank.
@@ -448,12 +484,12 @@ def _echelon_mod(A, prime):
     panel's columns and keeping the multipliers in place of the zeros it
     makes (rows are swapped whole, multipliers with them).  The pivot rows'
     trailing parts ``U`` are then brought up to date by a triangular solve,
-    and every row below them by one product ``T -= F @ U``
-    (``_sub_product``, on a float64 copy of ``U``), after which the
-    multipliers are cleared.  Over a field the echelon form
-    reached with a given row order is unique, and pivots are chosen on
-    up-to-date columns, so ``A`` and the pivots are exactly what the
-    per-pivot loop would leave.
+    one product with the panel's solve matrix (``_solve_pivot_rows``), and
+    every row below them by one product ``T -= F @ U`` (``_sub_product``,
+    on a float64 copy of ``U``), after which the multipliers are cleared.
+    Over a field the echelon form reached with a given row order is
+    unique, and pivots are chosen on up-to-date columns, so ``A`` and the
+    pivots are exactly what the per-pivot loop would leave.
     """
     rows, cols = A.shape
     pivots = []
@@ -471,7 +507,7 @@ def _echelon_mod(A, prime):
             pr = row + int(nz[0])
             if pr != row:
                 A[[row, pr], c0:] = A[[pr, row], c0:]
-            inv = pow(int(A[row, col]), prime - 2, prime)
+            inv = pow(int(A[row, col]), -1, prime)
             head = A[row, col:c1]
             head *= inv
             _reduce(head, prime)
@@ -483,18 +519,10 @@ def _echelon_mod(A, prime):
             row += 1
         panel = pivots[len(pivots) - len(inverses) :]
         if panel and c1 < cols:
-            # pivot rows: U[i] = (U[i] - F[i, :i] @ U[:i]) / pivot_i, each
-            # solved row converted to float64 once, for the products
-            Uf = np.empty((len(panel), cols - c1))
-            for i, inv in enumerate(inverses):
-                u = A[top + i : top + i + 1, c1:]
-                if i:
-                    _sub_product(u, A[top + i : top + i + 1, panel[:i]], Uf[:i], prime)
-                u *= inv
-                _reduce(u, prime)
-                Uf[i] = u[0]
+            U = A[top:row, c1:]
+            _solve_pivot_rows(U, A[top:row, panel], inverses, prime)
             if row < rows:
-                _sub_product(A[row:, c1:], A[row:, panel], Uf, prime)
+                _sub_product(A[row:, c1:], A[row:, panel], U.astype(np.float64), prime)
         for i, col in enumerate(panel):
             A[top + i + 1 :, col] = 0
     return pivots

@@ -218,8 +218,9 @@ def test_draw_taus_rejects_fourth_roots_of_unity():
     assert pow(BAD_TAU, 4, prime) == 1
     assert (pow(BAD_TAU, 2, prime) - pow(BAD_TAU, -2, prime)) % prime == 0
     # the hazard: the quantum-integer denominator has no inverse there, so
-    # the unknot's value [1] = 1 would come out as 0
-    assert minimality._unknot_evals_mod(1, [BAD_TAU], prime)[0, 1] == 0
+    # the unknot's values cannot be evaluated at all
+    with pytest.raises(ValueError, match="not invertible"):
+        minimality._unknot_evals_mod(1, [BAD_TAU], prime)
     # count + 8 = 9 first draws: the bad point, duplicates, then refills
     script = [BAD_TAU, 5, 5, 5, 5, 5, 5, 5, 5, BAD_TAU, 5, 9]
     assert minimality._draw_taus(_ScriptedRng(script), 1, prime) == [5]
@@ -436,11 +437,12 @@ def _check_elimination(A, prime):
     return pivots
 
 
-@given(matrices(), st.integers(min_value=1, max_value=4))
+@given(matrices(), st.integers(min_value=1, max_value=12))
 @settings(max_examples=300, deadline=None)
 def test_echelon_and_back_substitution_match_rref(case, panel):
-    # panels of 1 to 4 columns put several panel boundaries, and so the
-    # triangular solve and the trailing product, inside a 12-column draw
+    # panels of 1 to 12 columns put panel boundaries, and so the triangular
+    # solve and the trailing product, inside a 12-column draw; a panel of 5
+    # to 8 pivots takes three doubling rounds of the solve matrix
     A, prime = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimality, "_PANEL", panel)
@@ -473,7 +475,7 @@ def test_blocked_elimination_edge_cases(name, prime, monkeypatch):
 
 @pytest.mark.parametrize("prime", PRIMES)
 def test_blocked_elimination_at_the_limb_extremes(prime):
-    # the stock panel width, so the trailing products sum 48 terms; most
+    # the stock panel width, so the trailing products sum _PANEL terms; most
     # entries, the first column's multipliers among them, are p - 1
     # (hi = 2^15 - 1, lo = 2^16 - 2) or 2^30 (lo = 0)
     gen = np.random.default_rng(9)
@@ -508,6 +510,43 @@ def test_sub_product_is_exact_at_the_worst_case(prime, rows):
     expected = ((T.astype(object) - F.astype(object) @ U.astype(object)) % prime).tolist()
     minimality._sub_product(T, F, U.astype(np.float64), prime)
     assert T.tolist() == expected
+
+
+def _solve_pivot_rows_reference(U, F, inverses, prime):
+    """The row-by-row triangular solve, in Python ints."""
+    U = U.astype(object)
+    for i, inv in enumerate(inverses):
+        U[i] = (U[i] - F[i, :i].astype(object) @ U[:i]) * inv % prime
+    return U.tolist()
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+@pytest.mark.parametrize("k", [1, 2, 3, 5, minimality._PANEL])
+def test_solve_pivot_rows_matches_the_row_by_row_solve(prime, k):
+    # multipliers, inverses and rows at the largest limb (0x7FFEFFFF has
+    # lo = 2^16 - 1) or the largest residue; the upper part of F, which the
+    # solve must not read, is random
+    gen = np.random.default_rng(k + prime % 97)
+    worst = np.array([0x7FFEFFFF, prime - 1])
+    F = np.triu(gen.integers(0, prime, size=(k, k)))
+    F += np.tril(gen.choice(worst, size=(k, k)), -1)
+    U = gen.choice(worst, size=(k, 37))
+    inverses = gen.choice(worst, size=k).tolist()
+    expected = _solve_pivot_rows_reference(U, F, inverses, prime)
+    minimality._solve_pivot_rows(U, F, inverses, prime)
+    assert U.tolist() == expected
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_pow_table_matches_builtin_pow(prime):
+    bases = [2, 3, 1234567, prime - 2, prime - 1]
+    exps = [0, 1, -1, 2, -2, 37, -37, prime - 2, -(prime - 2),
+            (1 << 20) + 3, -((1 << 21) + 5), (1 << 30) + 1, -(1 << 30)]
+    table = minimality._pow_table(bases, exps, prime)
+    assert table.tolist() == [[pow(b, e, prime) for e in exps] for b in bases]
+    assert minimality._pow_table(bases, [5, 0, 9], prime).tolist() == [
+        [pow(b, e, prime) for e in (5, 0, 9)] for b in bases
+    ]
 
 
 # --- the exact system against sympy, and through the shared certificate -----------------
