@@ -217,6 +217,12 @@ class AnnihilatorBundle:
     ``(cleared_rhs(t,M) L - cleared_rhs(t,t^2 M)) * cleared_body``, whose
     action on a sequence matches P up to the nonzero left multiplier
     ``cleared_rhs(t,t^2 M) * cleared_rhs(t,M)``.
+
+    ``scale`` is ``a_k a``, ``a_k = shift_M(a, k)``, for s > 2 and 1 for
+    s = 2; ``cleared_body`` is scale times the factors after
+    ``(L - 1) b^-1``.  For s > 2, ``L^k a^-1 = a_k^-1 L^k`` makes it the
+    product of two polynomial operators, ``(a L^k - a_k c) (L^2 - gamma)``;
+    for s = 2 those factors are polynomial already.
     """
 
     params: CablingParams
@@ -224,7 +230,6 @@ class AnnihilatorBundle:
     factors: list
     a: IntLaurent2
     b: RationalTM
-    scale: IntLaurent2
     cleared_rhs: IntLaurent2
     cleared_body: SkewOperator
 
@@ -253,10 +258,11 @@ def _multiply(ops):
     return out
 
 
-def _ingredients(params):
-    """The construction of one cable, short of any skew product.
+def build_annihilator(params):
+    """Construct the annihilating operator bundle for one cable.
 
-    Returns the bundle's fields except ``P`` and ``cleared_body``.
+    The only skew products are those of the polynomial ``cleared_body``
+    (see :class:`AnnihilatorBundle`); ``P`` stays unexpanded until read.
     """
     p, q, r, s = params.p, params.q, params.r, params.s
     pq = p * q
@@ -276,6 +282,7 @@ def _ingredients(params):
             SkewOperator({0: IntLaurent2.monomial(1, 0, r)}),
             SkewOperator({1: one, 0: IntLaurent2.monomial(1, -2 * r, -2 * r)}),
         ]
+        body = _multiply(tail)
     else:
         kind = PEEL_REGIMES[tag][0]
         k = PEEL_STEP[kind]
@@ -287,22 +294,21 @@ def _ingredients(params):
             + poly_mul(poly_mul(a, shift_M(mu, k)), dnum((k + 1) * s - 1))
             - poly_mul(poly_mul(a_k, poly_mul(c, mu)), dnum(s - 1))
         )
-        tail = [
-            SkewOperator({k: one, 0: -c}),
-            SkewOperator({0: RationalTM(one, a)}),
-            SkewOperator({2: one, 0: -step["step"]}),
-        ]
+        two_step = SkewOperator({2: one, 0: -step["step"]})
+        tail = [SkewOperator({k: one, 0: -c}), SkewOperator({0: RationalTM(one, a)}), two_step]
+        body = skew_multiply(SkewOperator({k: a, 0: -poly_mul(a_k, c)}), two_step)
     b = RationalTM(y, scale)
     if b.is_zero():
         raise BZero("inhomogeneous term is zero")
-    return {
-        "case_tag": tag,
-        "factors": [SkewOperator({1: one, 0: -one}), SkewOperator({0: b.inverse()})] + tail,
-        "a": a,
-        "b": b,
-        "scale": scale,
-        "cleared_rhs": y,
-    }
+    return AnnihilatorBundle(
+        params=params,
+        case_tag=tag,
+        factors=[SkewOperator({1: one, 0: -one}), SkewOperator({0: b.inverse()})] + tail,
+        a=a,
+        b=b,
+        cleared_rhs=y,
+        cleared_body=body,
+    )
 
 
 def build_ab(params):
@@ -313,18 +319,8 @@ def build_ab(params):
     construction does not consume ``a``, but it is still the well-defined
     coefficient of the two-step relation.
     """
-    c = _ingredients(params)
-    return c["a"], c["b"]
-
-
-def build_annihilator(params):
-    """Construct the annihilating operator bundle for one cable."""
-    c = _ingredients(params)
-    # the cleared body is scale times the factors after (L - 1) b^-1
-    body = _multiply([SkewOperator({0: c["scale"]})] + c["factors"][2:])
-    if not body.has_polynomial_coeffs():
-        raise ArithmeticError("cleared body failed to cancel to polynomial coefficients")
-    return AnnihilatorBundle(params=params, cleared_body=body, **c)
+    bundle = build_annihilator(params)
+    return bundle.a, bundle.b
 
 
 def evaluate_annihilator_at_minus1(bundle):
@@ -443,8 +439,7 @@ def determinant_check(params, bundle=None):
     """Compare b and the case determinant at t = -1 to their closed forms.
 
     ``bundle`` is the annihilator bundle of ``params`` when the caller
-    already holds it; by default the construction runs here, short of its
-    skew products.
+    already holds it; by default the construction runs here.
 
     The determinant of the paper's 2x2 elimination, at numerator level,
     is ``sign * cleared_rhs`` with the sign from ``PEEL_REGIMES``: its
@@ -456,10 +451,8 @@ def determinant_check(params, bundle=None):
     """
     tag = case_tag(params)
     if bundle is None:
-        c = _ingredients(params)
-        b, y = c["b"], c["cleared_rhs"]
-    else:
-        b, y = bundle.b, bundle.cleared_rhs
+        bundle = build_annihilator(params)
+    b, y = bundle.b, bundle.cleared_rhs
     b_limit = limit_t_minus1(b)
     report = {
         "params": params.as_dict(),

@@ -104,20 +104,11 @@ def _build_parser():
     add_format(sp)
 
     sp = sub.add_parser("grid", help="run the verify pipeline over a tuple file")
-    sp.add_argument("file", nargs="?", default=None)
-    sp.add_argument("--grid", dest="grid_file", default=None, metavar="FILE")
+    sp.add_argument("file")
     sp.add_argument("--nmax", type=_int_at_least(1), default=12)
     add_format(sp)
 
     return parser
-
-
-def _params_or_exit(args):
-    try:
-        return CablingParams(args.p, args.q, args.r, args.s)
-    except BadParams as exc:
-        print(f"ajcable: error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _warn_in_band(params):
@@ -191,17 +182,13 @@ def _cmd_jones(args):
         if args.r is not None or args.s is not None:
             print("ajcable: error: -r/-s are for cables", file=sys.stderr)
             return 1
-        try:
-            value = torus_jones(args.p, args.q, args.n)
-        except BadParams as exc:
-            print(f"ajcable: error: {exc}", file=sys.stderr)
-            return 1
+        value = torus_jones(args.p, args.q, args.n)
         params_dict = {"p": args.p, "q": args.q}
     else:
         if args.r is None or args.s is None:
             print("ajcable: error: cables need -r and -s", file=sys.stderr)
             return 1
-        params = _params_or_exit(args)
+        params = CablingParams(args.p, args.q, args.r, args.s)
         value = cabled_jones(params, args.n)
         params_dict = params.as_dict()
     record = {"kind": "jones", "knot": args.knot, "params": params_dict,
@@ -211,7 +198,7 @@ def _cmd_jones(args):
 
 
 def _cmd_apoly(args):
-    params = _params_or_exit(args)
+    params = CablingParams(args.p, args.q, args.r, args.s)
     factors = [f.text() for f in cabled_a_polynomial_factors(params)]
     expanded = cabled_a_polynomial(params).text()
     record = {"kind": "apoly", "params": params.as_dict(),
@@ -222,7 +209,7 @@ def _cmd_apoly(args):
 
 
 def _cmd_annihilator(args):
-    params = _params_or_exit(args)
+    params = CablingParams(args.p, args.q, args.r, args.s)
     _warn_in_band(params)
     bundle = build_annihilator(params)
     record = {
@@ -245,7 +232,7 @@ def _cmd_annihilator(args):
 
 
 def _cmd_verify(args):
-    params = _params_or_exit(args)
+    params = CablingParams(args.p, args.q, args.r, args.s)
     _warn_in_band(params)
     record = _verify_pipeline(params, args.nmax)
     _emit(args, "verify", [record], text_lines=_verify_text(record, args.nmax))
@@ -258,13 +245,9 @@ def _cmd_degrees(args):
               file=sys.stderr)
         return 1
     if args.r is None:
-        try:
-            rows = audit_degrees((args.p, args.q), 2, args.nmax)
-        except BadParams as exc:
-            print(f"ajcable: error: {exc}", file=sys.stderr)
-            return 1
+        rows = audit_degrees((args.p, args.q), 2, args.nmax)
     else:
-        rows = audit_degrees(_params_or_exit(args), 2, args.nmax)
+        rows = audit_degrees(CablingParams(args.p, args.q, args.r, args.s), 2, args.nmax)
     ok = all(row["match"] for row in rows)
     lines = [
         f"n={row['n']:<3} {row['side']:<8} predicted={row['predicted']:<8} "
@@ -277,7 +260,7 @@ def _cmd_degrees(args):
 
 
 def _cmd_minimality(args):
-    params = _params_or_exit(args)
+    params = CablingParams(args.p, args.q, args.r, args.s)
     _warn_in_band(params)
     try:
         bounds = default_search_bounds(params, l_degree=args.ldeg)
@@ -337,13 +320,8 @@ def _grid_threads():
 
 
 def _cmd_grid(args):
-    path = args.grid_file or args.file
-    if path is None or (args.grid_file and args.file):
-        print("ajcable: error: give the tuple file once (positional or --grid)",
-              file=sys.stderr)
-        return 1
     try:
-        grid = _read_grid_file(path)
+        grid = _read_grid_file(args.file)
         workers = _grid_threads() or min(8, len(grid))
     except (OSError, ValueError) as exc:
         print(f"ajcable: error: {exc}", file=sys.stderr)
@@ -367,7 +345,7 @@ def _cmd_grid(args):
     passed = sum(1 for record in records if record["pass"])
     lines.append(f"{passed}/{len(records)} tuples passed")
     _emit(args, "grid", records,
-          meta_extra={"source": path, "workers": workers, "tuples": len(records)},
+          meta_extra={"source": args.file, "workers": workers, "tuples": len(records)},
           text_lines=lines)
     return 2 if any(_exit_flag(record) for record in records) else 0
 

@@ -247,6 +247,15 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 
 
+def _delta_terms(p, q):
+    """The four numerator terms of the step inhomogeneity at index j, as
+    ``(slope, const, sign)``: the term ``sign * t^(slope*(j + 1) + const)``."""
+    _check_torus(p, q)
+    u = p + q
+    w = q - p
+    return ((2 * u, 2, 1), (-2 * u, 2, 1), (2 * w, -2, -1), (-2 * w, -2, -1))
+
+
 def delta_term(p, q, j):
     """The inhomogeneous term of the torus two-step recurrence at index j.
 
@@ -256,19 +265,8 @@ def delta_term(p, q, j):
     >>> delta_term(3, 2, 0).text()
     't^10 + t^6 + t^2 - t^-6'
     """
-    _check_torus(p, q)
-    u = p + q
-    w = q - p
     j1 = j + 1
-    num = IntLaurent1(
-        [
-            (2 * u * j1 + 2, 1),
-            (-2 * u * j1 + 2, 1),
-            (2 * w * j1 - 2, -1),
-            (-2 * w * j1 - 2, -1),
-        ]
-    )
-    return div_qint_den(num)
+    return div_qint_den(IntLaurent1([(slope * j1 + const, sign) for slope, const, sign in _delta_terms(p, q)]))
 
 
 def _affine_monomial(slope, const, coeff=1):
@@ -288,18 +286,10 @@ def symbolic_delta(p, q, a, b):
     >>> symbolic_delta(3, 2, 2, 1).text()
     't^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10'
     """
-    _check_torus(p, q)
-    u = p + q
-    w = q - p
     b1 = b + 1
     acc = IntLaurent2()
-    for slope, const, coeff in (
-        (2 * u * a, 2 * u * b1 + 2, 1),
-        (-2 * u * a, -2 * u * b1 + 2, 1),
-        (2 * w * a, 2 * w * b1 - 2, -1),
-        (-2 * w * a, -2 * w * b1 - 2, -1),
-    ):
-        acc = acc + _affine_monomial(slope, const, coeff)
+    for slope, const, sign in _delta_terms(p, q):
+        acc = acc + _affine_monomial(slope * a, slope * b1 + const, sign)
     return acc
 
 

@@ -59,9 +59,6 @@ class SkewOperator:
             raise ValueError("zero operator has no L-degree")
         return max(self.coeffs)
 
-    def has_polynomial_coeffs(self):
-        return all(c.is_poly() for c in self.coeffs.values())
-
     def __eq__(self, other):
         if not isinstance(other, SkewOperator):
             return NotImplemented

@@ -34,6 +34,7 @@ from ajcable.aj import (
     verify_tuple,
 )
 from ajcable.jones import (
+    PEEL_STEP,
     BadParams,
     CablingParams,
     cable_sequence,
@@ -379,8 +380,8 @@ def test_verify_tuple_builds_once(monkeypatch):
     """verify_tuple hands its bundle to determinant_check, so the
     construction runs once per tuple."""
     calls = []
-    real = aj._ingredients
-    monkeypatch.setattr(aj, "_ingredients", lambda params: calls.append(params) or real(params))
+    real = aj.build_annihilator
+    monkeypatch.setattr(aj, "build_annihilator", lambda params: calls.append(params) or real(params))
     assert verify_tuple(CablingParams(3, 2, 13, 2), nmax=3)["pass"]
     assert len(calls) == 1
 
@@ -388,20 +389,43 @@ def test_verify_tuple_builds_once(monkeypatch):
 @pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
 def test_verify_tuple_never_expands_P(monkeypatch, tag):
     """verify_tuple reads the L-degree from the factors and evaluates them
-    at t = -1 one by one: the only skew products are the cleared body's."""
-    built, products = [], []
+    at t = -1 one by one: the only skew products are the polynomial cleared
+    body's, one for s > 2 and two for s = 2."""
+    built, operands = [], []
     real_build, real_multiply = aj.build_annihilator, aj.skew_multiply
+
+    def multiply(p, q):
+        operands.extend((p, q))
+        return real_multiply(p, q)
+
     monkeypatch.setattr(aj, "build_annihilator", lambda params: built.append(real_build(params)) or built[-1])
-    monkeypatch.setattr(aj, "skew_multiply", lambda p, q: products.append(1) or real_multiply(p, q))
+    monkeypatch.setattr(aj, "skew_multiply", multiply)
     record = verify_tuple(REPRESENTATIVES[tag], nmax=3)
     assert record["pass"] and record["L_degree"] == case_l_degree(tag)
     (bundle,) = built
     assert "P" not in vars(bundle)
-    body_products = len(bundle.factors) - 2  # scale times the factors after (L - 1) b^-1
-    assert len(products) == body_products
+    body_products = 2 if tag == "S_EQ_2" else 1
+    assert len(operands) == 2 * body_products
+    assert all(c.is_poly() for op in operands for c in op.coeffs.values())
     # P is still there on first read, and its degree is the one reported
     assert bundle.P.l_degree() == record["L_degree"]
-    assert len(products) == body_products + len(bundle.factors) - 1
+    assert len(operands) == 2 * (body_products + len(bundle.factors) - 1)
+
+
+def test_cleared_body_is_the_cleared_rational_product():
+    """On every stock tuple the polynomial cleared body equals the factors
+    after ``(L - 1) b^-1`` multiplied out over rational functions, times
+    ``scale = a_k a`` (1 for s = 2)."""
+    for params in default_grid():
+        bundle = build_annihilator(params)
+        if bundle.case_tag == "S_EQ_2":
+            scale = IntLaurent2.one()
+        else:
+            k = PEEL_STEP[aj.PEEL_REGIMES[bundle.case_tag][0]]
+            scale = poly_mul(shift_M(bundle.a, k), bundle.a)
+        reference = aj._multiply([SkewOperator({0: scale})] + bundle.factors[2:])
+        assert bundle.cleared_body == reference, params
+        assert all(c.is_poly() for c in bundle.cleared_body.coeffs.values()), params
 
 
 def test_factor_with_a_pole_at_minus1_raises():

@@ -77,6 +77,23 @@ def test_jones_bad_torus_params(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["jones", "cable", "-n", "2"],
+    ["apoly"],
+    ["annihilator"],
+    ["verify"],
+    ["degrees"],
+    ["minimality"],
+])
+def test_bad_cable_params_exit_1(command, capsys):
+    """gcd(r, s) = 2: every cable subcommand reports it and returns 1."""
+    assert main(command + ["-p", "3", "-q", "2", "-r", "2", "-s", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ajcable: error: invalid cabling parameters (r=2, s=4): "
+                            "need s >= 2, gcd(r, s) = 1\n")
+
+
 # --- usage errors ------------------------------------------------------------
 
 def test_unknown_subcommand_exits_1():
@@ -266,7 +283,7 @@ def test_grid_json_meta(tmp_path, monkeypatch, capsys):
     path = tmp_path / "grid.txt"
     path.write_text(GRID_BODY)
     monkeypatch.setenv("AJCABLE_THREADS", "2")
-    rc = main(["grid", "--grid", str(path), "--nmax", "3", "--format", "json"])
+    rc = main(["grid", str(path), "--nmax", "3", "--format", "json"])
     assert rc == 0
     out = capsys.readouterr().out
     obj = json.loads(out)
@@ -312,10 +329,3 @@ def test_grid_empty_file(tmp_path, capsys):
     assert rc == 1
     assert "no parameter tuples" in capsys.readouterr().err
 
-
-def test_grid_double_source_rejected(tmp_path, capsys):
-    path = tmp_path / "grid.txt"
-    path.write_text(GRID_BODY)
-    rc = main(["grid", str(path), "--grid", str(path)])
-    assert rc == 1
-    assert "once" in capsys.readouterr().err
