@@ -220,6 +220,18 @@ def _dtype_for(bound):
 _NO_COEFFS = np.zeros(0, dtype=np.int64)
 
 
+def _scatter(exps, coeffs):
+    """``(off, step, c)`` for the terms ``coeffs[i] * t^exps[i]`` (non-empty
+    arrays): ``c``, of the dtype of ``coeffs``, sums the coefficients that
+    share an exponent on the progression of stride ``step`` from ``off``."""
+    off = int(exps.min())
+    step = int(np.gcd.reduce(exps - off))
+    idx = (exps - off) // (step or 1)
+    c = np.zeros(int(idx.max()) + 1, dtype=coeffs.dtype)
+    np.add.at(c, idx, coeffs)
+    return off, step, c
+
+
 class IntLaurent1:
     """Integer Laurent polynomial in ``t``, dense along a progression.
 
@@ -245,15 +257,10 @@ class IntLaurent1:
         if not pairs:
             self._set(0, 0, _NO_COEFFS)
             return
-        exps = np.array([e for e, _ in pairs], dtype=np.int64)
         coeffs = [c for _, c in pairs]
-        off = int(exps.min())
-        step = int(np.gcd.reduce(exps - off))
-        idx = (exps - off) // (step or 1)
         # a coefficient is a sum of some of the given ones
-        c = np.zeros(int(idx.max()) + 1, dtype=_dtype_for(sum(abs(x) for x in coeffs)))
-        np.add.at(c, idx, np.array(coeffs, dtype=c.dtype))
-        self._set(off, step, c)
+        self._set(*_scatter(np.array([e for e, _ in pairs], dtype=np.int64),
+                            np.array(coeffs, dtype=_dtype_for(sum(abs(x) for x in coeffs)))))
 
     def _set(self, off, step, c):
         if not (c.size and c[0] and c[-1]):
@@ -274,6 +281,15 @@ class IntLaurent1:
         ``c`` is int64 with every entry of magnitude below 2^63, or object."""
         out = cls.__new__(cls)
         out._set(off, step, c)
+        return out
+
+    @classmethod
+    def from_terms(cls, exps, coeffs):
+        """``sum_i coeffs[i] * t^exps[i]`` from two int64 arrays, with
+        repeated exponents adding up, in one scatter.  The sum of
+        ``|coeffs|`` must be below 2^63: it bounds every coefficient."""
+        out = cls.__new__(cls)
+        out._set(*_scatter(exps, coeffs) if exps.size else (0, 0, _NO_COEFFS))
         return out
 
     @classmethod

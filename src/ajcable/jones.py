@@ -4,7 +4,12 @@ Values are exact one-variable Laurent polynomials in ``t``.  Sequences are
 normalized so the unknot value at color ``n`` is the quantum integer
 ``[n]``, the value at color 0 is 0, and negative colors carry the odd
 extension ``f(-n) = -f(n)``.  Torus and cable values come from one
-cabling formula: the (p, q) torus knot is the (p, q)-cable of the unknot.
+cabling formula, applied twice: the (p, q) torus knot is the (p, q)-cable
+of the unknot.  The formula is evaluated on numerators, the values times
+``t^2 - t^-2``, which are sparse sums of +-1 monomials: a value is its
+numerator's terms scattered into one array and divided exactly by
+``t^2 - t^-2``.  ``torus_jones_via_step`` is an independent second route
+to the torus values.
 
 The module also builds the symbolic-in-color data that the recurrences
 are assembled from: the step inhomogeneity ``delta``, and three families
@@ -18,6 +23,7 @@ exactly, color by color.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from math import gcd
@@ -118,20 +124,68 @@ class CablingParams:
 # ---------------------------------------------------------------------------
 
 
-def _cabling_sum(a, b, inner, n):
-    """The cabling formula at color ``n >= 1``: the value of the (a, b)-cable
-    of a knot whose colored Jones values are ``inner``, i.e.
-    ``t^(-ab(n^2-1)) * sum t^(ab m^2 + 2am) inner(mb + 1)`` over
-    ``m = -(n-1), -(n-3), .., n-1``.
+# Numerators are ragged int64 arrays ``(owner, exps, coeffs)`` holding the
+# numerators ``(t^2 - t^-2) * J(k)`` at several colours k: term i is
+# ``coeffs[i] * t^exps[i]`` of the colour with index ``owner[i]``.  Every
+# coefficient is +-1, so a sum of some of them, which is what every
+# coefficient and partial sum of a value is, is bounded by the term count,
+# far below 2^63.  ``_cabling_numerator`` bounds every exponent below 2^62
+# in Python ints before computing it, so exponents and their differences
+# are exact in int64; a value reaching further could not be allocated.
+_EXPONENT_LIMIT = 1 << 62
+_PLUS_MINUS = np.array([1, -1], dtype=np.int64)
 
+
+def _qint_numerators(ks):
+    """The numerators ``t^(2k) - t^(-2k)`` of the quantum integers at the
+    colours ``ks``, the unknot's numerators."""
+    owner = np.arange(ks.size)
+    return (np.concatenate((owner, owner)), np.concatenate((2 * ks, -2 * ks)),
+            np.repeat(_PLUS_MINUS, ks.size))
+
+
+def _check_reach(reach, a, b, n):
+    if reach >= _EXPONENT_LIMIT:
+        raise BadParams(f"the ({a}, {b})-cabling sum at colour {n} has exponents beyond 2^62")
+
+
+def _cabling_numerator(a, b, inner, ns):
+    """The numerators of the (a, b)-cable of a knot at the colours ``ns``
+    (an int64 array, entries >= 1), where ``inner(ks)`` gives the knot's
+    numerators at the colours ``ks``.
+
+    The cabling formula (Morton, Math. Proc. Camb. Phil. Soc. 117, 1995)
+    ``J(n) = sum t^(ab(m^2 - n^2 + 1) + 2am) J_inner(mb + 1)`` over
+    ``m = 1-n, 3-n, .., n-1`` is linear in the inner values, so it holds for
+    the numerators too.  ``mb + 1`` is never 0 (b >= 2); a negative one
+    reads the inner numerator at ``|mb + 1|`` negated, the odd extension.
     The (p, q) torus knot is the (p, q)-cable of the unknot:
 
-    >>> _cabling_sum(3, 2, quantum_integer, 2).text()
+    >>> _, exps, coeffs = _cabling_numerator(3, 2, _qint_numerators, np.array([2]))
+    >>> div_qint_den(IntLaurent1.from_terms(exps, coeffs)).text()
     't^-2 + t^-6 + t^-10 - t^-18'
     """
-    ab = a * b
-    base = -ab * (n * n - 1)
-    return shifted_sum((base + ab * m * m + 2 * a * m, 1, inner(m * b + 1)) for m in range(-(n - 1), n, 2))
+    colour_of = np.repeat(np.arange(ns.size), ns)  # index in ns of each m's colour
+    first = np.cumsum(ns) - ns
+    n = ns[colour_of]
+    m = 2 * (np.arange(colour_of.size) - first[colour_of]) + 1 - n
+    n_max = int(ns.max())
+    # |ab(m^2 - n^2 + 1) + 2am| <= |ab| n^2 + 2|a| n, which bounds |mb + 1| too
+    reach = abs(a * b) * n_max ** 2 + 2 * abs(a) * n_max
+    _check_reach(reach, a, b, n_max)
+    k = m * b + 1
+    m_of, exps, coeffs = inner(np.abs(k))  # index in m of each term's m
+    _check_reach(reach + int(np.abs(exps).max()), a, b, n_max)
+    shift = a * b * (m * m - n * n + 1) + 2 * a * m
+    return colour_of[m_of], exps + shift[m_of], np.where((k < 0)[m_of], -coeffs, coeffs)
+
+
+def _cabling_value(a, b, inner, n):
+    """The value at colour ``n >= 1`` of the (a, b)-cable of the knot with
+    numerators ``inner``: its numerator, scattered into one array and
+    divided exactly by ``t^2 - t^-2`` (:class:`NotDivisible` otherwise)."""
+    _, exps, coeffs = _cabling_numerator(a, b, inner, np.array([n], dtype=np.int64))
+    return div_qint_den(IntLaurent1.from_terms(exps, coeffs))
 
 
 _MEMO_LOCK = threading.Lock()
@@ -150,8 +204,9 @@ def _memo(cache, limit, key):
         return values
 
 
-# Torus values are memoized per companion (p, q).  A cable over a companion
-# reads colours up to about s * nmax, and those values dominate a run's
+# Torus values are memoized per companion (p, q).  The identity suite of a
+# cable reads them at colours up to about s * nmax (cable values are built
+# from torus numerators and read none), and those values dominate a run's
 # memory; grid files list the tuples of one companion together.  Three
 # companions cover the tuples that eight grid threads hold at a companion
 # boundary: with two, the threads evicted values they still needed.
@@ -177,7 +232,7 @@ def torus_jones(p, q, n):
     v = cache.get(n)
     if v is not None:
         return v
-    v = cache[n] = _cabling_sum(p, q, quantum_integer, n)
+    v = cache[n] = _cabling_value(p, q, _qint_numerators, n)
     return v
 
 
@@ -226,8 +281,8 @@ def cabled_jones(params, n):
     v = cache.get(n)
     if v is not None:
         return v
-    p, q = params.p, params.q
-    v = cache[n] = _cabling_sum(params.r, params.s, lambda k: torus_jones(p, q, k), n)
+    torus = functools.partial(_cabling_numerator, params.p, params.q, _qint_numerators)
+    v = cache[n] = _cabling_value(params.r, params.s, torus, n)
     return v
 
 

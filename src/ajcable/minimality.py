@@ -327,9 +327,10 @@ def _unknot_evals_mod(n_max, taus, prime):
 
 
 def _cabling_sum_mod(a, b, inner, n_max, taus, prime):
-    """The cabling formula of :func:`.jones._cabling_sum` over F_prime at
-    colors 0..n_max, one row per tau; ``inner`` holds the inner knot's
-    residues at colors 0..(n_max - 1) * b + 1.
+    """The cabling formula of :func:`.jones._cabling_numerator`, on values
+    rather than numerators, over F_prime at colors 0..n_max, one row per
+    tau; ``inner`` holds the inner knot's residues at colors
+    0..(n_max - 1) * b + 1.
 
     The summand ``tau^(ab m^2 + 2am) inner(mb + 1)`` does not depend on the
     color, so it is computed once per m in -(n_max-1)..n_max-1, and color n
@@ -677,14 +678,14 @@ def search_bounded_annihilator(params, bounds=None):
     if bounds is None:
         bounds = default_search_bounds(params)
     centers = _box_centers(params, bounds.l_degree)
-    cols = _columns(bounds, centers)
-    unknowns = len(cols)
+    unknowns = bounds.box_size() * (bounds.l_degree + 1)
     seq = _sequence_for(params)
     equations = _equation_count(seq, bounds, centers)
     if equations < 2 * unknowns:
         raise SystemTooSmall(
             f"{equations} equations for {unknowns} unknowns (need at least twice as many)"
         )
+    cols = _columns(bounds, centers)
     report = {
         "params": _params_label(params),
         "L_degree_searched": bounds.l_degree,

@@ -128,6 +128,8 @@ def test_empty_colour_window_exits_1(argv, message, capsys):
     (["--tspan", "-3"], "box half-widths must be non-negative, got t_span=-3, m_span=2"),
     (["--mspan", "-1"], "box half-widths must be non-negative, got t_span=10, m_span=-1"),
     (["--ldeg", "0"], "L-degree must be at least 1, got 0"),
+    (["--ldeg", "1", "--tspan", "100000", "--mspan", "100000"],
+     "33618628 equations for 80000800002 unknowns (need at least twice as many)"),
 ])
 def test_minimality_bad_bounds_exit_1(flags, message, capsys):
     rc = main(["minimality", "-p", "3", "-q", "2", "-r", "13", "-s", "2"] + flags)

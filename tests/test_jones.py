@@ -1,12 +1,23 @@
 """Colored Jones values: frozen examples, dual oracles, recurrence checks."""
 
+import functools
 import sys
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import ajcable.jones as jones
-from ajcable.algebra import IntLaurent1, IntLaurent2, div_qint_den, poly_exact_div, poly_mul, substitute_M
+from ajcable.aj import default_grid
+from ajcable.algebra import (
+    IntLaurent1,
+    IntLaurent2,
+    NotDivisible,
+    div_qint_den,
+    poly_exact_div,
+    poly_mul,
+    substitute_M,
+)
 from ajcable.jones import (
     QINT_DEN,
     BadParams,
@@ -361,27 +372,79 @@ def reference_torus(p, q, n):
     return {e: c for e, c in acc.items() if c}
 
 
-def reference_cable(params, n):
-    p, q, r, s = params.p, params.q, params.r, params.s
-    rs = r * s
-    acc = {}
+def reference_cable(params, n, torus):
+    """The cabling formula over the torus dicts ``torus(k)``, accumulated
+    term by term in a dict."""
+    if n < 0:
+        return {e: -c for e, c in reference_cable(params, -n, torus).items()}
+    rs = params.r * params.s
+    acc = defaultdict(int)
     for m in range(-(n - 1), n, 2):
-        e0 = -rs * (n * n - 1) + rs * m * m + 2 * r * m
-        for e, c in reference_torus(p, q, m * s + 1).items():
-            acc[e + e0] = acc.get(e + e0, 0) + c
+        e0 = -rs * (n * n - 1) + rs * m * m + 2 * params.r * m
+        for e, c in torus(m * params.s + 1).items():
+            acc[e + e0] += c
     return {e: c for e, c in acc.items() if c}
 
 
-@pytest.mark.parametrize("params", [
-    CablingParams(3, 2, 13, 2),
-    CablingParams(-5, 3, -7, 3),
-    CablingParams(5, 3, 121, 4),
-    CablingParams(-3, 2, 1, 5),
-])
+def _one_tuple_per_cell():
+    """One tuple of each of the 24 stock (companion, s) cells: the least |r|
+    for even s and the largest for odd s, so that every companion has r on
+    both sides of the end pqs of its band."""
+    cells = {}
+    for c in default_grid():
+        cells.setdefault((c.p, c.q, c.s), []).append(c)
+    out = []
+    for (_p, _q, s), tuples in cells.items():
+        by_size = sorted(tuples, key=lambda c: abs(c.r))
+        out.append(by_size[-1] if s % 2 else by_size[0])
+    return out
+
+
+STOCK_CELLS = _one_tuple_per_cell()
+
+
+@pytest.mark.parametrize("params", STOCK_CELLS)
 def test_dense_values_match_dict_formula(params):
-    for n in range(0, 9):
-        assert torus_jones(params.p, params.q, n).d == reference_torus(params.p, params.q, n)
+    torus = functools.cache(functools.partial(reference_torus, params.p, params.q))
+    for n in range(-3, 15):
+        assert torus_jones(params.p, params.q, n).d == torus(n)
         value = cabled_jones(params, n)
-        assert value.d == reference_cable(params, n)
+        assert value.d == reference_cable(params, n, torus)
         if value.c.size > 1:
             assert value.step % 4 == 0  # values live on every fourth exponent
+
+
+@pytest.mark.parametrize("p, q", [(13, 6), (-9, 7)])
+def test_large_torus_values_match_dict_formula(p, q):
+    for n in range(-3, 41):
+        assert torus_jones(p, q, n).d == reference_torus(p, q, n)
+
+
+def test_corrupted_numerator_is_not_divisible(monkeypatch):
+    """Values are exact quotients by t^2 - t^-2: a numerator with one term
+    flipped must raise NotDivisible, for torus and cable values alike."""
+    qint = jones._qint_numerators
+
+    def corrupted(ks):
+        owner, exps, coeffs = qint(ks)
+        coeffs = coeffs.copy()
+        coeffs[-1] = -coeffs[-1]
+        return owner, exps, coeffs
+
+    jones.clear_caches()  # compute, not read memoized values
+    monkeypatch.setattr(jones, "_qint_numerators", corrupted)
+    with pytest.raises(NotDivisible):
+        torus_jones(3, 2, 5)
+    with pytest.raises(NotDivisible):
+        cabled_jones(CablingParams(3, 2, 13, 2), 4)
+
+
+@pytest.mark.parametrize("value", [
+    lambda: torus_jones(2**61 + 1, 2, 2),
+    lambda: cabled_jones(CablingParams(3, 2, 2**61, 3), 2),
+])
+def test_exponents_beyond_int64_are_refused(value):
+    """Exponents are int64: parameters that would overflow them raise
+    BadParams instead of wrapping around."""
+    with pytest.raises(BadParams, match="exponents beyond 2\\^62"):
+        value()

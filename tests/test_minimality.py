@@ -136,6 +136,18 @@ def test_system_too_small():
         )
 
 
+def test_system_too_small_before_listing_the_unknowns(monkeypatch):
+    """The guard needs only the unknown count: a box of 8e10 unknowns is
+    refused without building its column list."""
+    def no_columns(*_args):
+        raise AssertionError("columns built before the SystemTooSmall guard")
+
+    monkeypatch.setattr(minimality, "_columns", no_columns)
+    bounds = SearchBounds(l_degree=1, t_span=100000, m_span=100000)
+    with pytest.raises(SystemTooSmall, match="equations for 80000800002 unknowns"):
+        search_bounded_annihilator(CablingParams(3, 2, -1, 2), bounds)
+
+
 def _exact_row_count(params, bounds):
     """Rows of the exact system: per color n, the distinct exponents
     a + 2nb + e over every column (i, a, b) and exponent e of the value at
