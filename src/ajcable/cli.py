@@ -372,6 +372,10 @@ def main(argv=None):
     except BadParams as exc:
         print(f"ajcable: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the refused allocation
+        detail = f": {exc}" if str(exc) else ""
+        print(f"ajcable: error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

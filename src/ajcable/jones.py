@@ -18,7 +18,9 @@ quotient by ``t^2 - t^-2``, a two-variable polynomial in ``(t, M)`` with
 ``M`` standing for ``t^(2n)``.
 
 ``verify_identity`` checks every recurrence this package relies on,
-exactly, color by color.
+exactly, on the same numerators: the terms of all colors of a window are
+sorted once and summed, with no values formed except the residue of a
+failing color.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ from math import gcd
 import numpy as np
 
 from .algebra import (
+    _INT64_LIMIT,
     IntLaurent1,
     IntLaurent2,
+    NotDivisible,
+    _dtype_for,
     div_qint_den,
     poly_mul,
-    realized_terms,
-    shifted_sum,
-    substitute_M,
 )
 
 QINT_DEN = IntLaurent1({2: 1, -2: -1})  # t^2 - t^-2
@@ -180,6 +182,16 @@ def _cabling_numerator(a, b, inner, ns):
     return colour_of[m_of], exps + shift[m_of], np.where((k < 0)[m_of], -coeffs, coeffs)
 
 
+def _torus_numerators(p, q):
+    """The (p, q) torus knot's numerators: the (p, q)-cable of the unknot."""
+    return functools.partial(_cabling_numerator, p, q, _qint_numerators)
+
+
+def _cable_numerators(params):
+    """The cable's numerators: the (r, s)-cable of the torus numerators."""
+    return functools.partial(_cabling_numerator, params.r, params.s, _torus_numerators(params.p, params.q))
+
+
 def _cabling_value(a, b, inner, n):
     """The value at colour ``n >= 1`` of the (a, b)-cable of the knot with
     numerators ``inner``: its numerator, scattered into one array and
@@ -204,10 +216,10 @@ def _memo(cache, limit, key):
         return values
 
 
-# Torus values are memoized per companion (p, q).  The identity suite of a
-# cable reads them at colours up to about s * nmax (cable values are built
-# from torus numerators and read none), and those values dominate a run's
-# memory; grid files list the tuples of one companion together.  Three
+# Torus values are memoized per companion (p, q).  Their readers are the
+# degree audit of a torus knot (``audit_degrees``), the minimality search
+# on a torus knot (``torus_sequence``) and ``ajcable jones torus``; cable
+# values and the identity suite read torus numerators, never values.  Three
 # companions cover the tuples that eight grid threads hold at a companion
 # boundary: with two, the threads evicted values they still needed.
 _TORUS_CACHE = {}
@@ -281,8 +293,7 @@ def cabled_jones(params, n):
     v = cache.get(n)
     if v is not None:
         return v
-    torus = functools.partial(_cabling_numerator, params.p, params.q, _qint_numerators)
-    v = cache[n] = _cabling_value(params.r, params.s, torus, n)
+    v = cache[n] = _cabling_value(params.r, params.s, _torus_numerators(params.p, params.q), n)
     return v
 
 
@@ -459,6 +470,19 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     a plain ``(p, q)`` pair for the torus-only identities.  ``m`` is the
     peel depth for the iterated-peel identities.
 
+    All colors are checked at once, on numerators.  With
+    ``D = t^2 - t^-2``, D times the identity's left side minus its right
+    side is, at every color, a sum of sparse terms: the numerators ``D*J``
+    of the torus and cable values it reads, the four terms of ``D*delta``,
+    the numerators ``t^(2k) - t^(-2k)`` of the quantum integers and the
+    peel totals, each times its realized coefficient.  The terms of all
+    colors are sorted once by (color, exponent) and summed.  This is
+    sound: ``Z[t^+-1]`` is a domain and D is not zero, so a residue is
+    zero exactly when D times it is.  The residue reported for a failing
+    color is the exact quotient of its terms by D, i.e. the residue
+    itself.  Every torus and cable numerator read must be divisible by D,
+    as its value requires; :class:`NotDivisible` is raised otherwise.
+
     The report lists every failing color with the nonzero residue.  An
     empty color window raises :class:`ValueError`: checking no color must
     not read as a pass.
@@ -478,12 +502,15 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     if identity_id not in {i for i, _ in applicable_identities(params, max_peel=1)}:
         raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
 
-    residue = _IDENTITY_CHECKS[identity_id](p, q, cp, m, lambda k: torus_jones(p, q, k))
-    failures = []
-    for n in range(n_lo, n_hi + 1):
-        res = residue(n)
-        if res:
-            failures.append({"n": n, "residue": res.text()})
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    residues = {}
+    for parts in _IDENTITY_CHECKS[identity_id](p, q, cp, m, ns):
+        slot, exps, coeffs = _gather(parts)
+        for i in _nonzero_slots(slot, exps, coeffs, ns.size):
+            if i not in residues:  # a colour reports its first nonzero residue
+                mine = slot == i
+                residues[i] = div_qint_den(IntLaurent1.from_terms(exps[mine], coeffs[mine])).text()
+    failures = [{"n": n_lo + i, "residue": residues[i]} for i in sorted(residues)]
     report = {
         "id": identity_id,
         "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
@@ -497,89 +524,149 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     return report
 
 
-# Each check below takes (p, q, cp, m, J), does the color-independent work
-# once, and returns the residue as a function of the color n: one
-# shifted_sum of the identity's left side minus its right side.
+# Each check below takes (p, q, cp, m, ns), ``ns`` the int64 array of the
+# colors, and returns a list of term groups, each summing to D times one
+# residue of the identity at every color.  A group is a list of parts
+# ``(slot, exps, coeffs, k)``: the terms ``k * coeffs[i] * t^exps[i]`` at the
+# colors ``ns[slot[i]]``, with k a Python int and every coefficient +-1.
+# Exponents of parts and realized coefficients are bounded below 2^62, so
+# their sums are exact in int64.
 
 
-def _torus_step(p, q, cp, m, J):
+def _affine(const, slope, ns):
+    """The int64 array ``const + slope * ns`` (``ns`` ascending), bounded
+    below 2^62 in Python ints first."""
+    ends = (const, const + slope * int(ns[0]), const + slope * int(ns[-1]))
+    if max(map(abs, ends)) >= _EXPONENT_LIMIT:
+        raise BadParams(f"identity terms at colours {int(ns[0])}..{int(ns[-1])} have exponents beyond 2^62")
+    return const + slope * ns
+
+
+def _numerators(inner, ks):
+    """The numerators ``inner`` (see :func:`_cabling_numerator`) at the
+    signed colours ``ks``, as ``(slot, exps, coeffs)`` with slots indexing
+    ``ks``.  A negative colour reads the numerator at ``-k`` negated, the
+    odd extension; colour 0 has none.
+
+    Each numerator read must be divisible by ``t^2 - t^-2``: per colour, the
+    coefficients of each exponent class mod 4 sum to zero, the criterion of
+    :func:`div_qint_den`.  Otherwise :class:`NotDivisible` is raised."""
+    nz = np.flatnonzero(ks)
+    if not nz.size:
+        return nz, nz, nz
+    owner, exps, coeffs = inner(np.abs(ks[nz]))
+    sums = np.zeros(4 * nz.size, dtype=np.int64)  # +-1 terms: bounded by their count
+    np.add.at(sums, 4 * owner + (exps & 3), coeffs)
+    if sums.any():
+        raise NotDivisible("a numerator is not divisible by t^2 - t^-2")
+    slot = nz[owner]
+    return slot, exps, np.where(ks[slot] < 0, -coeffs, coeffs)
+
+
+def _unit(ns):
+    """The part 1 at every colour."""
+    slot = np.arange(ns.size)
+    return slot, np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)
+
+
+def _times(f, part, ns, k=1):
+    """The parts of ``k * f(t, t^(2n)) * part`` for an :class:`IntLaurent2` f."""
+    slot, exps, coeffs = part
+    return [(slot, exps + _affine(a, 2 * b, ns)[slot], coeffs, k * c) for (a, b), c in f.d.items()]
+
+
+def _gather(parts):
+    """The terms of ``parts`` as one ``(slot, exps, coeffs)`` triple.  Every
+    sum of coefficients is bounded by the sum of ``|k|`` over the terms:
+    the coefficients are int64 below 2^63, object arrays otherwise."""
+    dtype = _dtype_for(sum(abs(k) * coeffs.size for _, _, coeffs, k in parts))
+    return (np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+            np.concatenate([k * coeffs.astype(dtype) for _, _, coeffs, k in parts]))
+
+
+def _nonzero_slots(slot, exps, coeffs, size):
+    """The slots, ascending, whose terms do not sum to zero: the terms are
+    sorted once by the key ``(slot, exponent)`` and each run is summed."""
+    if not exps.size:
+        return []
+    lo = int(exps.min())
+    width = int(exps.max()) - lo + 1
+    if size * width >= _INT64_LIMIT:
+        raise BadParams("identity terms span too many exponents for int64 keys")
+    keys = slot * width + (exps - lo)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    sums = np.add.reduceat(coeffs[order], starts)
+    return np.unique(keys[starts[sums != 0]] // width).tolist()
+
+
+def _torus_step(p, q, cp, m, ns):
     pq = p * q
-    return lambda n: shifted_sum((
-        (0, 1, J(n + 2)),
-        (-4 * pq * (n + 1), -1, J(n)),
-        (-2 * pq * (n + 1), -1, delta_term(p, q, n)),
-    ))
+    torus = _torus_numerators(p, q)
+    return [[(*_numerators(torus, _affine(2, 1, ns)), 1)]
+            + _times(IntLaurent2.monomial(1, -4 * pq, -2 * pq), _numerators(torus, ns), ns, -1)
+            + _times(IntLaurent2.monomial(1, -2 * pq, -pq) * symbolic_delta(p, q, 1, 0), _unit(ns), ns, -1)]
 
 
-def _q2_step(p, q, cp, m, J):
-    return lambda n: shifted_sum((
-        (0, 1, J(n + 1)),
-        (-(4 * n + 2) * p, 1, J(n)),
-        (-2 * p * n, -1, quantum_integer(2 * n + 1)),
-    ))
+def _q2_step(p, q, cp, m, ns):
+    torus = _torus_numerators(p, q)
+    # the torus numerators at n + 1, read first, bound |pq| (n + 1)^2 below
+    # 2^62, so the exponents +-2(2n + 1) of [2n + 1] are far below it too
+    return [[(*_numerators(torus, _affine(1, 1, ns)), 1)]
+            + _times(IntLaurent2.monomial(1, -2 * p, -2 * p), _numerators(torus, ns), ns)
+            + _times(IntLaurent2.monomial(1, 0, -p), _qint_numerators(2 * ns + 1), ns, -1)]
 
 
-def _cable_step(p, q, cp, m, J):
+def _cable_step(p, q, cp, m, ns):
     coeffs = cable_step_coefficients(cp)
     s = cp.s
-
-    def residue(n):
-        idx = s * (n + 1) - 1
-        return shifted_sum([(0, 1, cabled_jones(cp, n + 2))]
-                           + realized_terms(coeffs["step"], n, cabled_jones(cp, n), -1)
-                           + realized_terms(coeffs["torus"], n, J(idx), -1)
-                           + realized_terms(coeffs["delta"], n, delta_term(p, q, idx), -1))
-
-    return residue
+    cable = _cable_numerators(cp)
+    return [[(*_numerators(cable, _affine(2, 1, ns)), 1)]
+            + _times(coeffs["step"], _numerators(cable, ns), ns, -1)
+            + _times(coeffs["torus"], _numerators(_torus_numerators(p, q), _affine(s - 1, s, ns)), ns, -1)
+            + _times(coeffs["delta"] * symbolic_delta(p, q, s, s - 1), _unit(ns), ns, -1)]
 
 
-def _peel_check(J, index, drop, c, total):
-    """n -> J(index(n)) - c(n)*J(index(n) - drop) - total(n)/(t^2 - t^-2)."""
-
-    def residue(n):
-        k = index(n)
-        return shifted_sum([(0, 1, J(k)), (0, -1, div_qint_den(substitute_M(total, n)))]
-                           + realized_terms(c, n, J(k - drop), -1))
-
-    return residue
+def _peel_check(p, q, ns, const, slope, drop, c, total):
+    """J(k) - c(n)*J(k - drop) - total(n)/(t^2 - t^-2) at k = const + slope*n."""
+    torus = _torus_numerators(p, q)
+    return [[(*_numerators(torus, _affine(const, slope, ns)), 1)]
+            + _times(c, _numerators(torus, _affine(const - drop, slope, ns)), ns, -1)
+            + _times(total, _unit(ns), ns, -1)]
 
 
-def _peel(p, q, cp, m, J):
-    return _peel_check(J, lambda n: n, 2 * m, *_two_step_peel(p, q, m, 1, 0))
+def _peel(p, q, cp, m, ns):
+    return _peel_check(p, q, ns, 0, 1, 2 * m, *_two_step_peel(p, q, m, 1, 0))
 
 
-def _q2_peel(p, q, cp, m, J):
-    return _peel_check(J, lambda n: n, m, *_single_step_peel(p, m, 1, 0))
+def _q2_peel(p, q, cp, m, ns):
+    return _peel_check(p, q, ns, 0, 1, m, *_single_step_peel(p, m, 1, 0))
 
 
 def _peel_sum(kind):
     """Check J(s(n+1+k)-1) = c(n)*J(s(n+1)-1) + sum(n) of one peel-sum kind."""
 
-    def check(p, q, cp, m, J):
+    def check(p, q, cp, m, ns):
         k, s = PEEL_STEP[kind], cp.s
-        return _peel_check(J, lambda n: s * (n + 1 + k) - 1, k * s, *peel(kind, p, q, s))
+        return _peel_check(p, q, ns, s * (1 + k) - 1, s, k * s, *peel(kind, p, q, s))
 
     return check
 
 
-def _s2_step(p, q, cp, m, J):
+def _s2_step(p, q, cp, m, ns):
     pq, r = p * q, cp.r
-
-    def residue(n):
-        res1 = shifted_sum((
-            (0, 1, cabled_jones(cp, n + 1)),
-            (-2 * r * n, -1, J(2 * n + 1)),
-            (-4 * r * n - 2 * r, 1, cabled_jones(cp, n)),
-        ))
-        if res1:
-            return res1
-        return shifted_sum((
-            (0, 1, J(2 * n + 3)),
-            (-8 * pq * (n + 1), -1, J(2 * n + 1)),
-            (-4 * pq * (n + 1), -1, delta_term(p, q, 2 * n + 1)),
-        ))
-
-    return residue
+    torus, cable = _torus_numerators(p, q), _cable_numerators(cp)
+    odd = _numerators(torus, _affine(1, 2, ns))  # J(2n + 1), read by both relations
+    return [
+        [(*_numerators(cable, _affine(1, 1, ns)), 1)]
+        + _times(IntLaurent2.monomial(1, 0, -r), odd, ns, -1)
+        + _times(IntLaurent2.monomial(1, -2 * r, -2 * r), _numerators(cable, ns), ns),
+        [(*_numerators(torus, _affine(3, 2, ns)), 1)]
+        + _times(IntLaurent2.monomial(1, -8 * pq, -4 * pq), odd, ns, -1)
+        + _times(IntLaurent2.monomial(1, -4 * pq, -2 * pq) * symbolic_delta(p, q, 2, 1), _unit(ns), ns, -1),
+    ]
 
 
 _IDENTITY_CHECKS = {

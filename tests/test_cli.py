@@ -94,6 +94,25 @@ def test_bad_cable_params_exit_1(command, capsys):
                             "need s >= 2, gcd(r, s) = 1\n")
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type int64"),
+     "ajcable: error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type int64\n"),
+    (MemoryError(), "ajcable: error: out of memory\n"),
+], ids=["numpy message", "no message"])
+def test_out_of_memory_exits_1(error, message, monkeypatch, capsys):
+    """A value too large to allocate is reported, not raised as a traceback.
+    The command is patched to raise: no test allocates that much."""
+    def allocate(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "jones", allocate)
+    assert main(["jones", "torus", "-p", "3", "-q", "2", "-n", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 # --- usage errors ------------------------------------------------------------
 
 def test_unknown_subcommand_exits_1():

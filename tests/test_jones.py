@@ -16,6 +16,8 @@ from ajcable.algebra import (
     div_qint_den,
     poly_exact_div,
     poly_mul,
+    realized_terms,
+    shifted_sum,
     substitute_M,
 )
 from ajcable.jones import (
@@ -442,9 +444,156 @@ def test_corrupted_numerator_is_not_divisible(monkeypatch):
 @pytest.mark.parametrize("value", [
     lambda: torus_jones(2**61 + 1, 2, 2),
     lambda: cabled_jones(CablingParams(3, 2, 2**61, 3), 2),
+    lambda: verify_identity("TORUS_STEP", (2**61 + 1, 2), 1, 3),
+    lambda: identity_suite(CablingParams(3, 2, 2**61, 3), 1, 2),
 ])
 def test_exponents_beyond_int64_are_refused(value):
     """Exponents are int64: parameters that would overflow them raise
     BadParams instead of wrapping around."""
     with pytest.raises(BadParams, match="exponents beyond 2\\^62"):
         value()
+
+
+# --- the identity suite against a per-colour reference on values ----------------
+
+def _reference_residue(identity_id, p, q, cp, m):
+    """One identity's residue as a function of the colour: its left side
+    minus its right side on values, one shifted_sum per colour."""
+    J = functools.partial(torus_jones, p, q)
+    pq = p * q
+    if identity_id == "TORUS_STEP":
+        return lambda n: shifted_sum(((0, 1, J(n + 2)), (-4 * pq * (n + 1), -1, J(n)),
+                                      (-2 * pq * (n + 1), -1, delta_term(p, q, n))))
+    if identity_id == "Q2_STEP":
+        return lambda n: shifted_sum(((0, 1, J(n + 1)), (-(4 * n + 2) * p, 1, J(n)),
+                                      (-2 * p * n, -1, quantum_integer(2 * n + 1))))
+    if identity_id == "CABLE_STEP":
+        coeffs = jones.cable_step_coefficients(cp)
+
+        def residue(n):
+            idx = cp.s * (n + 1) - 1
+            return shifted_sum([(0, 1, cabled_jones(cp, n + 2))]
+                               + realized_terms(coeffs["step"], n, cabled_jones(cp, n), -1)
+                               + realized_terms(coeffs["torus"], n, J(idx), -1)
+                               + realized_terms(coeffs["delta"], n, delta_term(p, q, idx), -1))
+
+        return residue
+    if identity_id == "S2_STEP":
+        r = cp.r
+
+        def residue(n):  # the second relation only where the first holds
+            first = shifted_sum(((0, 1, cabled_jones(cp, n + 1)), (-2 * r * n, -1, J(2 * n + 1)),
+                                 (-4 * r * n - 2 * r, 1, cabled_jones(cp, n))))
+            return first or shifted_sum(((0, 1, J(2 * n + 3)), (-8 * pq * (n + 1), -1, J(2 * n + 1)),
+                                         (-4 * pq * (n + 1), -1, delta_term(p, q, 2 * n + 1))))
+
+        return residue
+    # a peel: J(k) - c(n)*J(k - drop) - total(n)/(t^2 - t^-2) at the index k(n)
+    if identity_id == "PEEL":
+        index, drop, (c, total) = (lambda n: n), 2 * m, jones._two_step_peel(p, q, m, 1, 0)
+    elif identity_id == "Q2_PEEL":
+        index, drop, (c, total) = (lambda n: n), m, jones._single_step_peel(p, m, 1, 0)
+    else:
+        kind = {"PEEL_S": "S", "Q2_PEEL_S": "U", "HALF_PEEL": "V"}[identity_id]
+        k, s = jones.PEEL_STEP[kind], cp.s
+        index, drop, (c, total) = (lambda n: s * (n + 1 + k) - 1), k * s, jones.peel(kind, p, q, s)
+    return lambda n: shifted_sum([(0, 1, J(index(n))), (0, -1, div_qint_den(substitute_M(total, n)))]
+                                 + realized_terms(c, n, J(index(n) - drop), -1))
+
+
+def reference_report(identity_id, params, n_lo, n_hi, m=None):
+    """``verify_identity``'s report, from the value residues colour by colour."""
+    cp = params if isinstance(params, CablingParams) else None
+    p, q = (cp.p, cp.q) if cp is not None else params
+    residue = _reference_residue(identity_id, p, q, cp, m)
+    failures = [{"n": n, "residue": res.text()} for n in range(n_lo, n_hi + 1) if (res := residue(n))]
+    report = {"id": identity_id, "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
+              "n_lo": n_lo, "n_hi": n_hi, "pass": not failures, "failures": failures}
+    if m is not None:
+        report["m"] = m
+    return report
+
+
+def reference_suite(params, n_lo, n_hi):
+    return [reference_report(identity_id, params, n_lo, n_hi, m)
+            for identity_id, m in applicable_identities(params)]
+
+
+@pytest.mark.parametrize("params", STOCK_CELLS)
+def test_identity_suite_matches_value_reference(params):
+    """Negative colours read the odd extension of both sequences."""
+    for n_lo, n_hi in ((1, 12), (-4, 3)):
+        assert identity_suite(params, n_lo, n_hi) == reference_suite(params, n_lo, n_hi)
+
+
+@pytest.mark.parametrize("pq", GRID_PQ)
+def test_torus_identity_suite_matches_value_reference(pq):
+    assert identity_suite(pq, 0, 15) == reference_suite(pq, 0, 15)
+
+
+D_MULTIPLE = IntLaurent2({(4, 1): 1, (0, 1): -1})  # M(t^4 - 1) = t^2 M (t^2 - t^-2)
+
+
+def test_perturbed_cable_step_fails_like_the_reference(monkeypatch):
+    real = jones.cable_step_coefficients
+
+    def perturbed(params):
+        return {**real(params), "torus": real(params)["torus"] + D_MULTIPLE}
+
+    monkeypatch.setattr(jones, "cable_step_coefficients", perturbed)
+    for params in (CablingParams(3, 2, 13, 2), CablingParams(5, 3, 76, 5)):
+        report = verify_identity("CABLE_STEP", params, -4, 6)
+        assert report == reference_report("CABLE_STEP", params, -4, 6)
+        assert len(report["failures"]) == 11, params
+
+
+def test_perturbed_peel_total_fails_like_the_reference(monkeypatch):
+    real = jones._two_step_peel
+
+    def perturbed(*args):
+        c, total = real(*args)
+        return c, total + D_MULTIPLE
+
+    monkeypatch.setattr(jones, "_two_step_peel", perturbed)
+    for identity_id, params, m in (
+        ("PEEL", (3, 2), 2),
+        ("PEEL", (-5, 3), 3),
+        ("PEEL_S", CablingParams(5, 3, 76, 5), None),
+        ("HALF_PEEL", CablingParams(3, 2, 13, 2), None),
+    ):
+        report = verify_identity(identity_id, params, -4, 6, m)
+        assert report == reference_report(identity_id, params, -4, 6, m)
+        assert len(report["failures"]) == 11, identity_id
+
+
+def test_non_divisible_peel_total_is_not_divisible(monkeypatch):
+    """A total that is not a multiple of t^2 - t^-2 has no quotient to
+    report: the suite raises, as the value reference does."""
+    real = jones._two_step_peel
+
+    def perturbed(*args):
+        c, total = real(*args)
+        return c, total + IntLaurent2.monomial(1, 0, 1)
+
+    monkeypatch.setattr(jones, "_two_step_peel", perturbed)
+    for check in (verify_identity, reference_report):
+        with pytest.raises(NotDivisible):
+            check("PEEL", (3, 2), 1, 4, 1)
+
+
+def test_corrupted_numerator_fails_the_divisibility_guard(monkeypatch):
+    """The suite never divides a numerator it reads, so it checks that each
+    is divisible by t^2 - t^-2: one flipped term of the unknot's numerators
+    is refused by that guard, before any residue is formed."""
+    qint = jones._qint_numerators
+
+    def corrupted(ks):
+        owner, exps, coeffs = qint(ks)
+        coeffs = coeffs.copy()
+        coeffs[-1] = -coeffs[-1]
+        return owner, exps, coeffs
+
+    monkeypatch.setattr(jones, "_qint_numerators", corrupted)
+    for params in ((3, 2), CablingParams(3, 2, 13, 2)):
+        with pytest.raises(NotDivisible, match="a numerator is not divisible"):
+            identity_suite(params, 1, 12)
