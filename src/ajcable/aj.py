@@ -31,11 +31,14 @@ from math import gcd
 from .algebra import (
     IntLaurent1,
     IntLaurent2,
+    PoleAtMinusOne,
     RationalM,
     RationalTM,
+    div_qint_den,
     limit_t_minus1,
     poly_mul,
     shift_M,
+    substitute_M,
 )
 from .jones import (
     PEEL_STEP,
@@ -218,6 +221,13 @@ class AnnihilatorBundle:
     action on a sequence matches P up to the nonzero left multiplier
     ``cleared_rhs(t,t^2 M) * cleared_rhs(t,M)``.
 
+    The left factor ``A = y L - y_1`` (``y = cleared_rhs``, ``y_1 = y(t,
+    t^2 M)``) annihilates ``h(n) = y(t, t^(2n)) / D``, ``D = t^2 - t^-2``:
+    ``(A h)(n) = y(n) y(n+1) / D - y(n+1) y(n) / D = 0``.  The construction
+    makes the body carry the cable values to ``h`` (``cleared_body J = h``),
+    so :func:`verify_tuple` checks that relation and never applies ``A``
+    (see :func:`check_annihilation`'s ``through``).
+
     ``scale`` is ``a_k a``, ``a_k = shift_M(a, k)``, for s > 2 and 1 for
     s = 2; ``cleared_body`` is scale times the factors after
     ``(L - 1) b^-1``.  For s > 2, ``L^k a^-1 = a_k^-1 L^k`` makes it the
@@ -323,24 +333,48 @@ def build_ab(params):
     return bundle.a, bundle.b
 
 
-def evaluate_annihilator_at_minus1(bundle):
-    """Value of P at t = -1: the commutative product of the factors' values.
+_M_ZERO = IntLaurent1()
 
-    Why this is P(-1, M, L) (Garoufalidis 2004; Frohman, Gelca and Lofaro
-    2002): the rational functions of (t, M) regular at t = -1 form a ring,
-    and t -> -1 is a ring homomorphism from it onto Q(M).  The twist
-    M -> t^2 M maps that ring to itself and becomes the identity at
-    t = -1.  So on operators with such coefficients, evaluating at t = -1 is
-    a ring homomorphism onto the commutative Q(M)[L]:
-    ``f L^a * g L^b = f g(t, t^(2a) M) L^(a+b)`` goes to
-    ``f(-1) g(-1) L^(a+b)``.  Each factor's coefficients are evaluated with
-    :func:`limit_t_minus1`, which raises :class:`PoleAtMinusOne` if one is
-    not regular there.
+
+def _cleared_at_minus1(bundle):
+    """``(coeffs, y1)`` with ``P(-1, M, L) = sum_i coeffs[i] L^i / y1``:
+    polynomials in M (:class:`IntLaurent1`), ``coeffs`` those of
+    ``(L - 1) body(-1)`` without zeros and ``y1 = y(-1)``, ``y = cleared_rhs``.
+
+    Why (Garoufalidis 2004; Frohman, Gelca and Lofaro 2002): the rational
+    functions of (t, M) regular at t = -1 form a ring, and t -> -1 is a
+    ring homomorphism from it onto Q(M).  The twist M -> t^2 M maps that
+    ring to itself and becomes the identity at t = -1.  So on operators
+    with such coefficients, evaluating at t = -1 is a ring homomorphism
+    onto the commutative Q(M)[L]: ``f L^a * g L^b = f g(t, t^(2a) M)
+    L^(a+b)`` goes to ``f(-1) g(-1) L^(a+b)``.  In the cleared form
+    ``P = (y y_1)^-1 (y L - y_1) body`` every factor but the first is
+    polynomial, and ``y_1(-1) = y(-1)``, so
+    ``P(-1) = (L - 1) body(-1) / y(-1)`` whenever ``y(-1) != 0``.
+
+    ``y(-1) = 0`` exactly when ``b(-1) = 0``: ``b = y / (a_k a)`` (``a_k a
+    = 1`` for s = 2), and ``a(-1) = M^(r-rs-2pqs) - M^(-r-rs)`` never
+    vanishes, as ``r != pqs``.  Then ``b^-1`` has a pole at t = -1 and
+    :class:`PoleAtMinusOne` is raised.
     """
-    out = LPolynomialOverM({0: RationalM.from_int(1)})
-    for op in bundle.factors:
-        out = out * LPolynomialOverM({i: limit_t_minus1(c) for i, c in op.coeffs.items()})
-    return out
+    y1 = bundle.cleared_rhs.eval_t_minus1()
+    if not y1:
+        raise PoleAtMinusOne("cleared_rhs vanishes at t = -1: b^-1 has a pole there")
+    coeffs = {}
+    for i, c in bundle.cleared_body.coeffs.items():
+        v = c.num.eval_t_minus1()
+        coeffs[i + 1] = coeffs.get(i + 1, _M_ZERO) + v
+        coeffs[i] = coeffs.get(i, _M_ZERO) - v
+    return {i: v for i, v in coeffs.items() if v}, y1
+
+
+
+def evaluate_annihilator_at_minus1(bundle):
+    """Value of P at t = -1, from the cleared form (:func:`_cleared_at_minus1`):
+    each coefficient of ``(L - 1) body(-1)`` divided by ``y(-1)``.  Raises
+    :class:`PoleAtMinusOne` when ``y(-1) = 0``."""
+    coeffs, y1 = _cleared_at_minus1(bundle)
+    return LPolynomialOverM({i: RationalM(v, y1) for i, v in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +382,22 @@ def evaluate_annihilator_at_minus1(bundle):
 # ---------------------------------------------------------------------------
 
 
-def _mm(e, c=1):
-    return RationalM({e: c})
-
-
 def _binom(e1, c1, e2, c2):
-    return RationalM([(e1, c1), (e2, c2)])
+    """``c1 M^e1 + c2 M^e2``."""
+    return IntLaurent1([(e1, c1), (e2, c2)])
+
+
+def _fraction(num, den=(), c=1, e=0):
+    """``c M^e prod(num) / prod(den)`` as one reduced ``RationalM``: the
+    products are exact polynomial products, so one gcd reduces the whole
+    fraction."""
+    top = IntLaurent1({e: c})
+    for f in num:
+        top = poly_mul(top, f)
+    bottom = IntLaurent1.one()
+    for f in den:
+        bottom = poly_mul(bottom, f)
+    return RationalM(top, bottom)
 
 
 def b_minus1_closed_form(params):
@@ -364,38 +408,35 @@ def b_minus1_closed_form(params):
     pqs = pq * s
     tag = case_tag(params)
     if tag == "S_ODD_QGT2":
-        num = (
-            _binom(pqs - r - rs, -1, r - rs + pqs, 1)
-            * _binom(0, 1, -2 * pq * s * s, -1)
-            * _binom(p * s, 1, -p * s, -1)
-            * _binom(q * s, 1, -q * s, -1)
+        return _fraction(
+            [
+                _binom(pqs - r - rs, -1, r - rs + pqs, 1),
+                _binom(0, 1, -2 * pq * s * s, -1),
+                _binom(p * s, 1, -p * s, -1),
+                _binom(q * s, 1, -q * s, -1),
+            ],
+            [_binom(2 * pqs, 1, 0, -1), _binom(r - rs - 2 * pqs, 1, -r - rs, -1)],
         )
-        den = _binom(2 * pqs, 1, 0, -1) * _binom(r - rs - 2 * pqs, 1, -r - rs, -1)
-        return num / den
     if tag == "S_ODD_Q2":
-        num = (
-            _binom(2 * s, 1, -2 * s, -1)
-            * _binom(0, 1, -2 * p * s * s, 1)
-            * _mm(-rs - p * s)
-            * _binom(r, 1, -r, -1)
+        return _fraction(
+            [_binom(2 * s, 1, -2 * s, -1), _binom(0, 1, -2 * p * s * s, 1), _binom(r, 1, -r, -1)],
+            [_binom(0, 1, -2 * p * s, 1), _binom(r - rs - 4 * p * s, 1, -r - rs, -1)],
+            e=-rs - p * s,
         )
-        den = _binom(0, 1, -2 * p * s, 1) * _binom(r - rs - 4 * p * s, 1, -r - rs, -1)
-        return num / den
     if tag == "S_EVEN_GT2":
-        num = (
-            _binom(0, 1, -pq * s * s, -1)
-            * _mm(-rs - pqs)
-            * _binom(r, 1, -r, -1)
-            * _binom(p * s, 1, -p * s, -1)
-            * _binom(q * s, 1, -q * s, -1)
+        return _fraction(
+            [
+                _binom(0, 1, -pq * s * s, -1),
+                _binom(r, 1, -r, -1),
+                _binom(p * s, 1, -p * s, -1),
+                _binom(q * s, 1, -q * s, -1),
+            ],
+            [_binom(0, 1, -2 * pqs, -1), _binom(r - rs - 2 * pqs, 1, -r - rs, -1)],
+            e=-rs - pqs,
         )
-        den = _binom(0, 1, -2 * pqs, -1) * _binom(r - rs - 2 * pqs, 1, -r - rs, -1)
-        return num / den
     # S_EQ_2
     u, w = p + q, q - p
-    return _mm(-2 * pq) * RationalM(
-        {2 * u: 1, -2 * u: 1, 2 * w: -1, -2 * w: -1}
-    )
+    return _fraction([IntLaurent1({2 * u: 1, -2 * u: 1, 2 * w: -1, -2 * w: -1})], e=-2 * pq)
 
 
 def determinant_closed_form(params):
@@ -406,31 +447,37 @@ def determinant_closed_form(params):
     pqs = pq * s
     tag = case_tag(params)
     if tag == "S_ODD_QGT2":
-        return (
-            _binom(r - 2 * pqs, 1, -r, -1)
-            / _binom(2 * pqs, 1, 0, -1)
-            * _binom(p * s, 1, -p * s, -1)
-            * _binom(q * s, 1, -q * s, -1)
-            * _binom(-2 * pq * s * s, 1, 0, -1)
-            * _binom(-r - 2 * rs + pqs, 1, r - 2 * rs + pqs, -1)
+        return _fraction(
+            [
+                _binom(r - 2 * pqs, 1, -r, -1),
+                _binom(p * s, 1, -p * s, -1),
+                _binom(q * s, 1, -q * s, -1),
+                _binom(-2 * pq * s * s, 1, 0, -1),
+                _binom(-r - 2 * rs + pqs, 1, r - 2 * rs + pqs, -1),
+            ],
+            [_binom(2 * pqs, 1, 0, -1)],
         )
     if tag == "S_ODD_Q2":
-        return (
-            RationalM({0: -1})
-            / _binom(p * s, 1, -p * s, 1)
-            * _binom(r - rs - 4 * p * s, 1, -r - rs, -1)
-            * _binom(-2 * p * s * s, 1, 0, 1)
-            * _binom(2 * s, 1, -2 * s, -1)
-            * _binom(r - rs, 1, -r - rs, -1)
+        return _fraction(
+            [
+                _binom(r - rs - 4 * p * s, 1, -r - rs, -1),
+                _binom(-2 * p * s * s, 1, 0, 1),
+                _binom(2 * s, 1, -2 * s, -1),
+                _binom(r - rs, 1, -r - rs, -1),
+            ],
+            [_binom(p * s, 1, -p * s, 1)],
+            c=-1,
         )
     if tag == "S_EVEN_GT2":
-        return (
-            _binom(r - rs - 2 * pqs, 1, -r - rs, -1)
-            / _binom(0, 1, -2 * pqs, -1)
-            * _binom(-pq * s * s, 1, 0, -1)
-            * _binom(r - rs - pqs, 1, -r - rs - pqs, -1)
-            * _binom(p * s, 1, -p * s, -1)
-            * _binom(q * s, 1, -q * s, -1)
+        return _fraction(
+            [
+                _binom(r - rs - 2 * pqs, 1, -r - rs, -1),
+                _binom(-pq * s * s, 1, 0, -1),
+                _binom(r - rs - pqs, 1, -r - rs - pqs, -1),
+                _binom(p * s, 1, -p * s, -1),
+                _binom(q * s, 1, -q * s, -1),
+            ],
+            [_binom(0, 1, -2 * pqs, -1)],
         )
     raise BadParams("no determinant closed form in the s = 2 regime")
 
@@ -485,22 +532,28 @@ def compare_aj(params, bundle=None):
     Both sides are L-polynomials over rational functions of M; the check
     is equal L-degree, matching zero patterns, and ``lhs = c * rhs``
     coefficient by coefficient, where ``c`` is the ratio of the leading
-    coefficients.  ``RationalM`` is fully reduced, so its ``==`` is equality
-    of fractions.  The ratio ``c`` is recorded.
+    coefficients.  ``P(-1) = sum_i N_i L^i / y1`` (:func:`_cleared_at_minus1`)
+    and ``rhs_i = R_i / S_i``, so with ``d`` the common L-degree,
+    ``lhs_i = c rhs_i`` is ``N_i R_d S_i == N_d R_i S_d``: exact products
+    of polynomials in M, which is a domain, with no fraction reduced.  The
+    ratio ``c = N_d S_d / (y1 R_d)`` is reduced once, for its text, which
+    is that of the reduced fraction, as ``RationalM`` is canonical.
     """
     if bundle is None:
         bundle = build_annihilator(params)
-    lhs = evaluate_annihilator_at_minus1(bundle)
-    rhs = cabled_a_polynomial(params)
-    support_equal = lhs.support() == rhs.support()
-    degree_equal = bool(lhs.coeffs) and bool(rhs.coeffs) and lhs.l_degree() == rhs.l_degree()
+    lhs, y1 = _cleared_at_minus1(bundle)
+    rhs = cabled_a_polynomial(params).coeffs
+    support_equal = sorted(lhs) == sorted(rhs)
+    degree_equal = bool(lhs) and bool(rhs) and max(lhs) == max(rhs)
     projective, ratio = support_equal, None
     if support_equal and degree_equal:
-        d = lhs.l_degree()
-        c = lhs.coeffs[d] / rhs.coeffs[d]
-        projective = all(lhs.coeffs[i] == c * rhs.coeffs[i] for i in lhs.support())
+        d = max(lhs)
+        n_d, r_d = lhs[d], rhs[d]
+        projective = all(
+            lhs[i] * r_d.num * rhs[i].den == n_d * rhs[i].num * r_d.den for i in lhs
+        )
         if projective:
-            ratio = c.text()
+            ratio = RationalM(n_d * r_d.den, y1 * r_d.num).text()
     report = {
         "params": params.as_dict(),
         "case_tag": bundle.case_tag,
@@ -546,12 +599,22 @@ def verify_tuple(params, nmax=12):
     """Build, check annihilation, compare at t = -1; one report per tuple.
 
     Colors ``1..nmax`` are checked; ``nmax < 1`` raises :class:`ValueError`.
+    Annihilation is checked through the construction's relation: the cleared
+    body applied to the cable values equals ``h(n) = y(t, t^(2n)) / D``
+    (``y = cleared_rhs``, ``D = t^2 - t^-2``) at every colour the left factor
+    ``y L - y(t, t^2 M)`` reads, ``1..nmax + 1``.  That factor annihilates
+    ``h`` (see :class:`AnnihilatorBundle`), so the cleared chain, and hence
+    ``P``, annihilates the values at ``1..nmax``.  A failure is one of the
+    relation; ``annihilates`` is then false.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be at least 1, got {nmax}")
     bundle = build_annihilator(params)
     seq = cable_sequence(params)
-    ann = check_annihilation(bundle.cleared_chain(), seq, 1, nmax)
+    y = bundle.cleared_rhs
+    # the relation cleared_body J = y/D, through which the chain annihilates
+    ann = check_annihilation(bundle.cleared_chain(), seq, 1, nmax,
+                             through=lambda n: div_qint_den(substitute_M(y, n)))
     det = determinant_check(params, bundle)
     aj = compare_aj(params, bundle)
     record = {

@@ -435,10 +435,13 @@ def div_qint_den(f):
     dtype = _dtype_for(f.c.size * f.max_abs())
     a = np.zeros(rows * k, dtype=dtype)
     a[:j * (f.c.size - 1) + 1:j] = f.c
-    sums = np.cumsum(a.reshape(rows, k), axis=0)
+    sums = a.reshape(rows, k)
+    np.cumsum(sums, axis=0, out=sums)
     if sums[-1].any():
         raise NotDivisible("quotient by t^2 - t^-2 is not a Laurent polynomial")
-    return IntLaurent1.from_array(f.off + 2, step, -sums[:-1].ravel())
+    q = a[:-k]
+    np.negative(q, out=q)
+    return IntLaurent1.from_array(f.off + 2, step, q)
 
 
 def _div_dense1(a, b):

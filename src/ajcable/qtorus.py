@@ -16,7 +16,7 @@ An operator is stored with all ``M``-coefficients moved to the left of the
 
 from __future__ import annotations
 
-from .algebra import IntLaurent2, RationalTM, realized_terms, shift_M, shifted_sum
+from .algebra import IntLaurent2, NotDivisible, RationalTM, realized_terms, shift_M, shifted_sum
 
 
 def _coerce_coeff(c):
@@ -140,7 +140,7 @@ def apply_operator(P, f, n):
     return shifted_sum(terms)
 
 
-def check_annihilation(P, f, n_lo, n_hi):
+def check_annihilation(P, f, n_lo, n_hi, through=None):
     """Exact annihilation check of a chain of operators on ``f``.
 
     ``P`` is a list of polynomial-coefficient operators standing for their
@@ -152,6 +152,18 @@ def check_annihilation(P, f, n_lo, n_hi):
     ``[n_lo, n_hi]`` is then tested exactly; the report records the first
     failure if any.  An empty window or chain raises :class:`ValueError`:
     checking nothing must not read as a pass.
+
+    ``through`` is a sequence ``h`` that the leftmost operator ``A`` is
+    known to annihilate.  Then the rest of the chain, ``B``, is checked
+    to give ``(B f)(n) == h(n)`` at every color ``A`` reads at
+    ``[n_lo, n_hi]``, and ``A`` is never applied: ``(A B f)(n)`` reads
+    ``B f`` only at those colors, where it equals ``h``, so it is
+    ``(A h)(n) = 0``.  A pass therefore proves the annihilation; a failure
+    is one of the relation ``B f = h``, so the report's ``relation`` names
+    it with its window, and ``first_failure_n`` and ``residue`` are the
+    relation's (``B f - h``), not the chain's.  ``h(n)`` may raise
+    :class:`NotDivisible` when it is an exact quotient that does not
+    exist; no value of ``B f`` equals it, so the relation fails there.
     """
     if n_hi < n_lo:
         raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
@@ -175,11 +187,24 @@ def check_annihilation(P, f, n_lo, n_hi):
         "first_failure_n": None,
         "residue": None,
     }
-    for n in range(n_lo, n_hi + 1):
-        residue = apply_operator(chain[0], values.__getitem__, n)
+
+    def fail(n, text):
+        report.update({"pass": False, "first_failure_n": n, "residue": text})
+        return report
+
+    if through is None:
+        for n in range(n_lo, n_hi + 1):
+            residue = apply_operator(chain[0], values.__getitem__, n)
+            if residue:
+                return fail(n, residue.text())
+        return report
+    lo, hi = windows[1]
+    report["relation"] = f"chain[1:] f = through at colors [{lo}, {hi}]"
+    for n in range(lo, hi + 1):
+        try:
+            residue = values[n] - through(n)
+        except NotDivisible as exc:
+            return fail(n, f"through({n}) is not a Laurent polynomial: {exc}")
         if residue:
-            report["pass"] = False
-            report["first_failure_n"] = n
-            report["residue"] = residue.text()
-            break
+            return fail(n, residue.text())
     return report

@@ -11,9 +11,11 @@ from ajcable.algebra import (
     PoleAtMinusOne,
     RationalM,
     RationalTM,
+    div_qint_den,
     limit_t_minus1,
     poly_mul,
     shift_M,
+    substitute_M,
 )
 from ajcable.aj import (
     LPolynomialOverM,
@@ -42,7 +44,7 @@ from ajcable.jones import (
     peel,
     symbolic_delta,
 )
-from ajcable.qtorus import SkewOperator, check_annihilation, skew_multiply
+from ajcable.qtorus import SkewOperator, apply_operator, check_annihilation, skew_multiply
 
 # one representative tuple per construction regime
 REPRESENTATIVES = {
@@ -186,6 +188,66 @@ def test_negative_p_annihilation():
         bundle = build_annihilator(params)
         report = check_annihilation(bundle.cleared_chain(), cable_sequence(params), 1, 8)
         assert report["pass"], (params, report)
+
+
+def _relation_rhs(bundle):
+    """h(n) = cleared_rhs(t, t^(2n)) / (t^2 - t^-2), the sequence the left
+    factor of the cleared chain annihilates."""
+    return lambda n: div_qint_den(substitute_M(bundle.cleared_rhs, n))
+
+
+@pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
+def test_left_factor_annihilates_the_relation_rhs(tag):
+    """The lemma behind the relation check: (y L - y(t, t^2 M)) h = 0."""
+    bundle = build_annihilator(REPRESENTATIVES[tag])
+    left, h = bundle.cleared_chain()[0], _relation_rhs(bundle)
+    for n in range(1, 13):
+        assert not apply_operator(left, h, n), (tag, n)
+
+
+@pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
+def test_relation_check_agrees_with_the_chain(tag):
+    """The cleared body carries the cable values to h on the colours the
+    left factor reads, and the relation's verdict is the whole chain's."""
+    params = REPRESENTATIVES[tag]
+    bundle = build_annihilator(params)
+    chain, seq = bundle.cleared_chain(), cable_sequence(params)
+    report = check_annihilation(chain, seq, 1, 12, _relation_rhs(bundle))
+    assert report["pass"], report
+    assert report["relation"] == "chain[1:] f = through at colors [1, 13]"
+    assert check_annihilation(chain, seq, 1, 12)["pass"]
+
+
+def _bump(poly, t_shift=0, c=1):
+    """``poly`` with its first term moved by t^t_shift and scaled by c + 1."""
+    (te, me), coeff = next(iter(poly.d.items()))
+    return poly - IntLaurent2({(te, me): coeff}) + IntLaurent2({(te + t_shift, me): coeff * (c + 1)})
+
+
+def _perturbed_body(body):
+    i = min(body.coeffs)
+    coeffs = {j: c.num for j, c in body.coeffs.items()}
+    coeffs[i] = _bump(coeffs[i])
+    return SkewOperator(coeffs)
+
+
+@pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        # h(n) is then not divisible by t^2 - t^-2 at any colour
+        lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs)),
+        # a term times t^4: h(n) stays a Laurent polynomial but moves
+        lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs, t_shift=4, c=0)),
+        lambda b: dataclasses.replace(b, cleared_body=_perturbed_body(b.cleared_body)),
+    ],
+    ids=["rhs-coefficient", "rhs-exponent", "body-coefficient"],
+)
+def test_perturbed_cleared_form_fails_annihilation(monkeypatch, tag, perturb):
+    real = aj.build_annihilator
+    monkeypatch.setattr(aj, "build_annihilator", lambda params: perturb(real(params)))
+    record = verify_tuple(REPRESENTATIVES[tag], nmax=4)
+    assert record["annihilates"] is False and record["pass"] is False
 
 
 # --- determinant checks -----------------------------------------------------
@@ -428,15 +490,19 @@ def test_cleared_body_is_the_cleared_rational_product():
         assert all(c.is_poly() for c in bundle.cleared_body.coeffs.values()), params
 
 
-def test_factor_with_a_pole_at_minus1_raises():
-    """A scalar factor with a genuine pole at t = -1 makes the evaluation
-    raise; it never returns a value."""
-    bundle = build_annihilator(REPRESENTATIVES["S_EQ_2"])
+def test_cleared_rhs_vanishing_at_minus1_raises():
+    """A bundle whose cleared_rhs vanishes at t = -1 (so b^-1 has a pole
+    there) makes the evaluation and the comparison raise; they never return
+    a value."""
+    params = REPRESENTATIVES["S_EQ_2"]
+    bundle = build_annihilator(params)
     t_plus_1 = IntLaurent2({(1, 0): 1, (0, 0): 1})
-    pole = SkewOperator({0: RationalTM(IntLaurent2.one(), t_plus_1)})
-    bad = dataclasses.replace(bundle, factors=[bundle.factors[0], pole] + bundle.factors[2:])
+    bad = dataclasses.replace(bundle, cleared_rhs=poly_mul(bundle.cleared_rhs, t_plus_1))
+    assert not bad.cleared_rhs.eval_t_minus1()
     with pytest.raises(PoleAtMinusOne):
         evaluate_annihilator_at_minus1(bad)
+    with pytest.raises(PoleAtMinusOne):
+        compare_aj(params, bad)
 
 
 def test_default_grid_shape():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajcable.algebra import IntLaurent1, IntLaurent2, RationalTM, substitute_M
+from ajcable.algebra import IntLaurent1, IntLaurent2, NotDivisible, RationalTM, substitute_M
 from ajcable.jones import unknot_sequence
 from ajcable.qtorus import SkewOperator, apply_operator, check_annihilation, skew_multiply
 
@@ -92,6 +92,53 @@ def test_check_annihilation_reads_below_the_window():
     assert check_annihilation(shifted, unknot_sequence(), 1, 12)["pass"]
     assert check_annihilation([SkewOperator.l_power(-1), quantum_integer_op()],
                               unknot_sequence(), 1, 12)["pass"]
+
+
+# --- checks through a relation ------------------------------------------------
+# [quantum_integer_op(), L] annihilates [n] because L carries [n] to [n + 1],
+# which the left factor annihilates; that left factor reads colours n .. n + 2.
+
+def _next_quantum_integer(n):
+    return unknot_sequence()(n + 1)
+
+
+def test_check_through_relation_passes():
+    report = check_annihilation([quantum_integer_op(), L], unknot_sequence(), 1, 5,
+                                through=_next_quantum_integer)
+    assert report["pass"] and report["first_failure_n"] is None
+    assert report["relation"] == "chain[1:] f = through at colors [1, 7]"
+    # a chain of one: f itself is compared with ``through``
+    assert check_annihilation(quantum_integer_op(), unknot_sequence(), 1, 5,
+                              through=unknot_sequence())["pass"]
+
+
+def test_check_through_relation_reads_exactly_the_left_window():
+    """A ``through`` that is wrong only at the top colour the left factor
+    reads (n_hi + 2) fails there; one wrong only just above it passes."""
+    bump = IntLaurent1({0: 1})
+
+    def wrong_at(k):
+        return lambda n: _next_quantum_integer(n) + (bump if n == k else IntLaurent1())
+
+    ju = unknot_sequence()
+    report = check_annihilation([quantum_integer_op(), L], ju, 1, 5, through=wrong_at(7))
+    assert not report["pass"]
+    assert report["first_failure_n"] == 7
+    assert report["residue"] == "-1"
+    assert report["relation"] == "chain[1:] f = through at colors [1, 7]"
+    assert check_annihilation([quantum_integer_op(), L], ju, 1, 5, through=wrong_at(8))["pass"]
+    assert not check_annihilation([quantum_integer_op(), L], ju, 1, 5, through=wrong_at(1))["pass"]
+
+
+def test_check_through_a_missing_quotient_fails():
+    def through(n):
+        if n == 3:
+            raise NotDivisible("no quotient")
+        return _next_quantum_integer(n)
+
+    report = check_annihilation([quantum_integer_op(), L], unknot_sequence(), 1, 5, through=through)
+    assert not report["pass"] and report["first_failure_n"] == 3
+    assert report["residue"] == "through(3) is not a Laurent polynomial: no quotient"
 
 
 def test_rational_coefficients_are_refused():
