@@ -387,28 +387,37 @@ def _binom(e1, c1, e2, c2):
     return IntLaurent1([(e1, c1), (e2, c2)])
 
 
-def _fraction(num, den=(), c=1, e=0):
-    """``c M^e prod(num) / prod(den)`` as one reduced ``RationalM``: the
-    products are exact polynomial products, so one gcd reduces the whole
-    fraction."""
+def _products(num, den=(), c=1, e=0):
+    """``c M^e prod(num) / prod(den)`` as its numerator and denominator
+    products, unreduced: exact polynomial products, so one gcd reduces the
+    whole fraction, and a reduced value is compared with it by
+    cross-multiplication (:func:`_matches`)."""
     top = IntLaurent1({e: c})
     for f in num:
         top = poly_mul(top, f)
     bottom = IntLaurent1.one()
     for f in den:
         bottom = poly_mul(bottom, f)
-    return RationalM(top, bottom)
+    return top, bottom
 
 
-def b_minus1_closed_form(params):
-    """Displayed closed form of b at t = -1 for each regime."""
+def _matches(value, products):
+    """``value == top / bottom`` for a ``RationalM`` value: ``num * bottom ==
+    den * top``, exact products in the domain Z[M^±1] with nonzero
+    denominators, so no gcd is needed."""
+    top, bottom = products
+    return value.num * bottom == value.den * top
+
+
+def _b_minus1_products(params):
+    """The closed form of b at t = -1 for each regime, as unreduced products."""
     p, q, r, s = params.p, params.q, params.r, params.s
     pq = p * q
     rs = r * s
     pqs = pq * s
     tag = case_tag(params)
     if tag == "S_ODD_QGT2":
-        return _fraction(
+        return _products(
             [
                 _binom(pqs - r - rs, -1, r - rs + pqs, 1),
                 _binom(0, 1, -2 * pq * s * s, -1),
@@ -418,13 +427,13 @@ def b_minus1_closed_form(params):
             [_binom(2 * pqs, 1, 0, -1), _binom(r - rs - 2 * pqs, 1, -r - rs, -1)],
         )
     if tag == "S_ODD_Q2":
-        return _fraction(
+        return _products(
             [_binom(2 * s, 1, -2 * s, -1), _binom(0, 1, -2 * p * s * s, 1), _binom(r, 1, -r, -1)],
             [_binom(0, 1, -2 * p * s, 1), _binom(r - rs - 4 * p * s, 1, -r - rs, -1)],
             e=-rs - p * s,
         )
     if tag == "S_EVEN_GT2":
-        return _fraction(
+        return _products(
             [
                 _binom(0, 1, -pq * s * s, -1),
                 _binom(r, 1, -r, -1),
@@ -436,18 +445,19 @@ def b_minus1_closed_form(params):
         )
     # S_EQ_2
     u, w = p + q, q - p
-    return _fraction([IntLaurent1({2 * u: 1, -2 * u: 1, 2 * w: -1, -2 * w: -1})], e=-2 * pq)
+    return _products([IntLaurent1({2 * u: 1, -2 * u: 1, 2 * w: -1, -2 * w: -1})], e=-2 * pq)
 
 
-def determinant_closed_form(params):
-    """Displayed closed form of the case determinant (regimes with s > 2)."""
+def _determinant_products(params):
+    """The closed form of the case determinant (regimes with s > 2), as
+    unreduced products."""
     p, q, r, s = params.p, params.q, params.r, params.s
     pq = p * q
     rs = r * s
     pqs = pq * s
     tag = case_tag(params)
     if tag == "S_ODD_QGT2":
-        return _fraction(
+        return _products(
             [
                 _binom(r - 2 * pqs, 1, -r, -1),
                 _binom(p * s, 1, -p * s, -1),
@@ -458,7 +468,7 @@ def determinant_closed_form(params):
             [_binom(2 * pqs, 1, 0, -1)],
         )
     if tag == "S_ODD_Q2":
-        return _fraction(
+        return _products(
             [
                 _binom(r - rs - 4 * p * s, 1, -r - rs, -1),
                 _binom(-2 * p * s * s, 1, 0, 1),
@@ -469,7 +479,7 @@ def determinant_closed_form(params):
             c=-1,
         )
     if tag == "S_EVEN_GT2":
-        return _fraction(
+        return _products(
             [
                 _binom(r - rs - 2 * pqs, 1, -r - rs, -1),
                 _binom(-pq * s * s, 1, 0, -1),
@@ -480,6 +490,16 @@ def determinant_closed_form(params):
             [_binom(0, 1, -2 * pqs, -1)],
         )
     raise BadParams("no determinant closed form in the s = 2 regime")
+
+
+def b_minus1_closed_form(params):
+    """Displayed closed form of b at t = -1 for each regime."""
+    return RationalM(*_b_minus1_products(params))
+
+
+def determinant_closed_form(params):
+    """Displayed closed form of the case determinant (regimes with s > 2)."""
+    return RationalM(*_determinant_products(params))
 
 
 def determinant_check(params, bundle=None):
@@ -495,6 +515,10 @@ def determinant_check(params, bundle=None):
 
     For s = 2 there is no determinant; the check degrades to the
     nonvanishing of b at t = -1 (which the closed-form route verifies).
+
+    Only b(-1) and the determinant are reduced, for their texts; each is
+    compared with its closed form's unreduced products by
+    cross-multiplication (:func:`_matches`).
     """
     tag = case_tag(params)
     if bundle is None:
@@ -505,7 +529,7 @@ def determinant_check(params, bundle=None):
         "params": params.as_dict(),
         "case_tag": tag,
         "b_at_minus1": b_limit.text(),
-        "b_matches_closed_form": b_limit == b_minus1_closed_form(params),
+        "b_matches_closed_form": _matches(b_limit, _b_minus1_products(params)),
         "b_nonzero": not b_limit.is_zero(),
         "determinant_applicable": tag != "S_EQ_2",
         "determinant_matches": None,
@@ -513,7 +537,7 @@ def determinant_check(params, bundle=None):
     }
     if report["determinant_applicable"]:
         det_value = limit_t_minus1(RationalTM.from_poly(y * PEEL_REGIMES[tag][1]))
-        report["determinant_matches"] = det_value == determinant_closed_form(params)
+        report["determinant_matches"] = _matches(det_value, _determinant_products(params))
         report["determinant_nonzero"] = not det_value.is_zero()
         report["determinant"] = det_value.text()
     verdicts = ("b_matches_closed_form", "b_nonzero", "determinant_matches", "determinant_nonzero")

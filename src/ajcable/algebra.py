@@ -36,6 +36,7 @@ Everything is exact integer arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 import numpy as np
@@ -89,11 +90,6 @@ def _mul2(a, b):
     return r
 
 
-def _lex_key(k):
-    # monomial order used for bivariate division: M-exponent first, then t
-    return (k[1], k[0])
-
-
 def _eval_at_2_3(d):
     """Integer value of a polynomial dict (non-negative exponents) at (t, M) = (2, 3)."""
     pow3 = {}
@@ -107,17 +103,44 @@ def _eval_at_2_3(d):
 
 
 def _div2(num, den):
-    """Exact quotient of two-variable Laurent dicts; raises NotDivisible."""
+    """Exact quotient of two-variable Laurent dicts; raises NotDivisible.
+
+    After the unit monomials are stripped, two certificates reject most
+    impossible divisions before the long division; both only ever reject.
+    The long division decides the rest, as it does every quotient returned.
+
+    * Degree certificate.  A quotient q, if one exists, is an honest
+      polynomial in Z[t, M] (see the evaluation certificate), and in the
+      domain Z[t, M] the highest and lowest exponents in each variable add
+      under multiplication.  So span_t(a) = span_t(q) + span_t(b) for
+      a = q*b, and likewise for M: a dividend with a smaller t- or M-span
+      than the divisor has no quotient.  This costs no big-integer
+      arithmetic.
+    * Evaluation certificate at (t, M) = (2, 3), stated in the code below.
+
+    The long division reduces in the monomial order "M-exponent first, then
+    t".  The remainder is a dict; a min-heap holds its keys as (-M, -t), so
+    each step finds the leading term in O(log n) instead of scanning the
+    remainder.  A key is pushed when it enters the remainder, so a key that
+    cancels and is created again is pushed twice; a popped key no longer in
+    the dict is skipped.  The order is compatible with multiplication, so
+    every update of a step lands strictly below the leading term it
+    eliminates: a key processed as the leading term never comes back.  The
+    steps are those of the lex long division that takes the maximum of the
+    remainder at each step, so every quotient and every rejection is the
+    same (an exact quotient is unique in any case).
+    """
     if not den:
         raise DivByZero("division by zero polynomial")
     if not num:
         return {}
+    nts, nms = zip(*num)
+    dts, dms = zip(*den)
+    nt, nm, dt, dm = min(nts), min(nms), min(dts), min(dms)
+    if max(nts) - nt < max(dts) - dt or max(nms) - nm < max(dms) - dm:
+        raise NotDivisible("quotient is not an integer Laurent polynomial")
     # strip unit monomials so both operands are honest polynomials with
     # per-variable minimum exponent 0; the offset is a unit, restored at the end
-    nt = min(t for t, _ in num)
-    nm = min(m for _, m in num)
-    dt = min(t for t, _ in den)
-    dm = min(m for _, m in den)
     a = {(t - nt, m - nm): c for (t, m), c in num.items()}
     b = {(t - dt, m - dm): c for (t, m), c in den.items()}
     # Evaluation certificate of non-divisibility.  Suppose a = q*b with q an
@@ -127,32 +150,40 @@ def _div2(num, den):
     # an integer, and a(2, 3) = q(2, 3) * b(2, 3).  Hence b(2, 3) != 0 with
     # b(2, 3) not dividing a(2, 3) proves that no quotient exists.  The test
     # only ever rejects; when b(2, 3) = 0 it says nothing and the long
-    # division below decides, as it does for every quotient returned.
+    # division below decides.
     vb = _eval_at_2_3(b)
     if vb and _eval_at_2_3(a) % vb:
         raise NotDivisible("quotient is not an integer Laurent polynomial")
-    lead_b = max(b, key=_lex_key)
-    cb = b[lead_b]
-    r = dict(a)
+    r = {(-m, -t): c for (t, m), c in a.items()}
+    heap = list(r)
+    heapify(heap)
+    bk = {(-m, -t): c for (t, m), c in b.items()}
+    lm, lt = lead = min(bk)
+    cb = bk.pop(lead)
+    # the divisor's other terms, as key offsets from its leading term
+    rest = [(km - lm, kt - lt, c) for (km, kt), c in bk.items()]
+    ot, om = nt - dt, nm - dm
     q = {}
     while r:
-        lead_r = max(r, key=_lex_key)
-        ca = r[lead_r]
-        qe = (lead_r[0] - lead_b[0], lead_r[1] - lead_b[1])
-        if qe[0] < 0 or qe[1] < 0 or ca % cb:
+        key = heappop(heap)
+        ca = r.pop(key, 0)
+        if not ca:
+            continue
+        km, kt = key
+        if km > lm or kt > lt or ca % cb:
             raise NotDivisible("quotient is not an integer Laurent polynomial")
         qc = ca // cb
-        q[qe] = qc
-        for (t, m), c in b.items():
-            k = (t + qe[0], m + qe[1])
-            v = r.get(k, 0) - qc * c
-            if v:
-                r[k] = v
-            else:
+        q[(lt - kt + ot, lm - km + om)] = qc
+        for dkm, dkt, c in rest:
+            k = (km + dkm, kt + dkt)
+            v = r.get(k)
+            if v is None:
+                r[k] = -qc * c
+                heappush(heap, k)
+            elif v == qc * c:
                 del r[k]
-    off = (nt - dt, nm - dm)
-    if off != (0, 0):
-        q = {(t + off[0], m + off[1]): c for (t, m), c in q.items()}
+            else:
+                r[k] = v - qc * c
     return q
 
 
@@ -640,10 +671,15 @@ class RationalTM:
     integer content is removed; the denominator's leading term in
     (M ascending, t descending) order has positive coefficient.  Reduction
     beyond that is opportunistic: a trial exact division of the numerator
-    by the whole denominator, which an integer evaluation at (t, M) = (2, 3)
-    rejects in one step when the values already rule a quotient out (see
-    ``_div2``).  Equality is therefore decided by cross-multiplication, not
-    structurally.
+    by the whole denominator (``_div2``), also tried across the two factors
+    of a product.  Most trials that fail never reach the long division.
+    Spans add under multiplication in the domain Z[t, M], so a numerator
+    with a smaller t- or M-span than the denominator is rejected from its
+    exponents alone; after the unit monomials are stripped a quotient would
+    be a polynomial, so one whose value at (t, M) = (2, 3) the
+    denominator's value does not divide is rejected next.  A trial that
+    passes both runs the long division in heap order.  Equality is
+    therefore decided by cross-multiplication, not structurally.
 
     >>> f = RationalTM(IntLaurent2({(1, 1): 1, (-1, 1): -1}), IntLaurent2({(1, 0): 1, (-1, 0): -1}))
     >>> f.text()
@@ -663,8 +699,8 @@ class RationalTM:
             self.den = IntLaurent2.one()
             return
         # absorb the denominator's unit monomial into the numerator
-        dt = min(t for t, _ in dd)
-        dm = min(m for _, m in dd)
+        ts, ms = zip(*dd)
+        dt, dm = min(ts), min(ms)
         if dt or dm:
             dd = {(t - dt, m - dm): c for (t, m), c in dd.items()}
             nd = {(t - dt, m - dm): c for (t, m), c in nd.items()}
@@ -680,8 +716,9 @@ class RationalTM:
                 dd = {(0, 0): 1}
             except NotDivisible:
                 pass
-        # sign normalization on the denominator's canonical-first term
-        first = min(dd, key=lambda k: (k[1], -k[0]))
+        # sign normalization on the denominator's canonical-first term:
+        # lowest M-exponent (0 by now), then highest t-exponent
+        first = max(k for k in dd if not k[1])
         if dd[first] < 0:
             nd = {k: -c for k, c in nd.items()}
             dd = {k: -c for k, c in dd.items()}

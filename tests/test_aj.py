@@ -7,6 +7,7 @@ import pytest
 
 import ajcable.aj as aj
 from ajcable.algebra import (
+    IntLaurent1,
     IntLaurent2,
     PoleAtMinusOne,
     RationalM,
@@ -262,6 +263,23 @@ def test_determinant_check_all_cases():
         else:
             assert report["determinant_applicable"] is True
             assert report["determinant_matches"] and report["determinant_nonzero"]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("_b_minus1_products", "b_matches_closed_form"),
+    ("_determinant_products", "determinant_matches"),
+])
+def test_determinant_check_rejects_perturbed_closed_form(monkeypatch, name, field):
+    """The cross-multiplied comparison sees a closed form off by a factor
+    that does not cancel (M + 1 on top) and one off by a unit (M)."""
+    params = REPRESENTATIVES["S_ODD_QGT2"]
+    real = getattr(aj, name)
+    for factor in (IntLaurent1({1: 1, 0: 1}), IntLaurent1({1: 1})):
+        monkeypatch.setattr(aj, name, lambda p: (real(p)[0] * factor, real(p)[1]))
+        report = determinant_check(params)
+        assert report[field] is False and report["pass"] is False
+    monkeypatch.setattr(aj, name, real)
+    assert determinant_check(params)[field] is True
 
 
 def test_determinant_check_reuses_given_b():

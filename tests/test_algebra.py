@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import numpy as np
@@ -168,8 +169,9 @@ def test_exact_div_round_trip(f, g):
 # --- _div2 against the plain long division ----------------------------------
 
 def reference_div2(num, den):
-    """Lex long division of two-variable Laurent dicts with no evaluation
-    pre-test: the reference the certified ``_div2`` must agree with."""
+    """Lex long division of two-variable Laurent dicts with no certificate
+    and a scan of the whole remainder for each leading term: the reference
+    the certified, heap-ordered ``_div2`` must agree with."""
     if not den:
         raise DivByZero("division by zero polynomial")
     if not num:
@@ -281,14 +283,86 @@ def test_div2_negative_exponent_offsets():
 
 
 def test_div2_rejection_skips_long_division(monkeypatch):
-    """A quotient ruled out by the values is rejected before the lex loop."""
+    """A quotient ruled out by the values is rejected before the long division."""
 
-    def no_long_division(_key):
+    def no_long_division(_heap):
         raise AssertionError("long division ran")
 
-    monkeypatch.setattr(algebra, "_lex_key", no_long_division)
+    monkeypatch.setattr(algebra, "heapify", no_long_division)
+    # equal spans, values 3 and 6: the evaluation rejects
     with pytest.raises(NotDivisible):
         algebra._div2({(1, 0): 1, (0, 0): 1}, {(1, 0): 2, (0, 0): 2})
+    # the spy is live: a division the certificates pass reaches the loop
+    with pytest.raises(AssertionError, match="long division ran"):
+        algebra._div2({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): 1})
+
+
+def spans(d):
+    ts, ms = zip(*d)
+    return max(ts) - min(ts), max(ms) - min(ms)
+
+
+def test_div2_unequal_spans_rejected_without_evaluating(monkeypatch):
+    def no_evaluation(_d):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(algebra, "_eval_at_2_3", no_evaluation)
+    den = {(0, 0): 1, (3, 0): 1, (-1, 2): 1}                 # spans (4, 2)
+    for num in (
+        {(0, 0): 1, (2, 0): 5, (1, 2): 1, (3, 1): -2},         # t-span 3
+        {(-9, -3): 1, (7, -2): 4},                             # M-span 1
+    ):
+        assert spans(num)[0] < 4 or spans(num)[1] < 2
+        with pytest.raises(NotDivisible):
+            algebra._div2(num, den)
+
+
+@given(polys2(nonzero=True), polys2(nonzero=True))
+@settings(max_examples=200, deadline=None)
+def test_div2_span_test_never_rejects_a_product(f, g):
+    a = poly_mul(f, g).d
+    assert spans(a) == tuple(x + y for x, y in zip(spans(f.d), spans(g.d)))
+    assert algebra._div2(a, g.d) == f.d
+
+
+def test_div2_key_cancelled_and_recreated(monkeypatch):
+    """t^4 + t^2 + 1 = (t^2 + t + 1)(t^2 - t + 1): the remainder's t^2 term
+    cancels at the first step and is created again at the second, so its
+    key is in the heap twice and the stale entry is skipped."""
+    pushed = []
+    heapify, heappush = algebra.heapify, algebra.heappush
+    monkeypatch.setattr(algebra, "heapify", lambda h: (pushed.extend(h), heapify(h)))
+    monkeypatch.setattr(algebra, "heappush", lambda h, k: (pushed.append(k), heappush(h, k)))
+    num = {(4, 0): 1, (2, 0): 1, (0, 0): 1}
+    den = {(2, 0): 1, (1, 0): -1, (0, 0): 1}
+    assert assert_div2_matches_reference(num, den) == {(2, 0): 1, (1, 0): 1, (0, 0): 1}
+    assert pushed.count((0, -2)) == 2                     # the key of t^2
+    assert assert_div2_matches_reference({**num, (3, 1): 1}, den) is NotDivisible
+
+
+def random_poly2(rng, terms):
+    """``terms`` monomials of the size met in the annihilator construction:
+    t-exponents over about 120, M-exponents over about 10, some big
+    coefficients."""
+    d = {}
+    while len(d) < terms:
+        c = rng.choice((1, -1, 2, -3, 7, rng.randint(-10**12, 10**12) or 1))
+        d[(rng.randint(-60, 60), rng.randint(-2, 8))] = c
+    return d
+
+
+@pytest.mark.parametrize("den_terms, quo_terms", [(1, (40, 250)), (2, (20, 125)), (9, (5, 27))])
+@pytest.mark.parametrize("seed", range(4))
+def test_div2_construction_scale_matches_reference(den_terms, quo_terms, seed):
+    rng = random.Random(1000 * seed + den_terms)
+    den = random_poly2(rng, den_terms)
+    f = random_poly2(rng, rng.randint(*quo_terms))
+    product = poly_mul(L2(f), L2(den)).d
+    assert 40 <= len(product) <= 250
+    assert assert_div2_matches_reference(product, den) == f
+    # perturbed products: one coefficient moved, one term added
+    for k in (rng.choice(sorted(product)), (rng.randint(-70, 70), rng.randint(-3, 9))):
+        assert_div2_matches_reference((L2(product) + L2({k: 1})).d, den)
 
 
 @given(polys2(), polys2(), st.integers(min_value=-4, max_value=4))
