@@ -34,7 +34,6 @@ from .algebra import (
     PoleAtMinusOne,
     RationalM,
     RationalTM,
-    div_qint_den,
     limit_t_minus1,
     poly_mul,
     shift_M,
@@ -44,9 +43,9 @@ from .jones import (
     PEEL_STEP,
     BadParams,
     CablingParams,
-    cable_sequence,
     cable_step_coefficients,
     identity_suite,
+    numerator_window,
     peel,
     symbolic_delta,
 )
@@ -224,9 +223,12 @@ class AnnihilatorBundle:
     The left factor ``A = y L - y_1`` (``y = cleared_rhs``, ``y_1 = y(t,
     t^2 M)``) annihilates ``h(n) = y(t, t^(2n)) / D``, ``D = t^2 - t^-2``:
     ``(A h)(n) = y(n) y(n+1) / D - y(n+1) y(n) / D = 0``.  The construction
-    makes the body carry the cable values to ``h`` (``cleared_body J = h``),
-    so :func:`verify_tuple` checks that relation and never applies ``A``
-    (see :func:`check_annihilation`'s ``through``).
+    makes the body carry the cable values to ``h`` (``cleared_body J = h``).
+    D lies in ``Z[t^+-1]``, so it commutes with ``M`` and ``L``, and
+    ``Z[t^+-1]`` is a domain: with ``N = D J`` the cable numerators,
+    ``body N = y`` holds exactly when ``body J = y / D``.  So
+    :func:`verify_tuple` checks ``body N = y(t, t^(2n))``, with no division,
+    and never applies ``A`` (see :func:`check_annihilation`'s ``through``).
 
     ``scale`` is ``a_k a``, ``a_k = shift_M(a, k)``, for s > 2 and 1 for
     s = 2; ``cleared_body`` is scale times the factors after
@@ -619,26 +621,35 @@ def default_grid():
     return grid
 
 
-def verify_tuple(params, nmax=12):
+def verify_tuple(params, nmax=12, numerators=None):
     """Build, check annihilation, compare at t = -1; one report per tuple.
 
     Colors ``1..nmax`` are checked; ``nmax < 1`` raises :class:`ValueError`.
-    Annihilation is checked through the construction's relation: the cleared
-    body applied to the cable values equals ``h(n) = y(t, t^(2n)) / D``
-    (``y = cleared_rhs``, ``D = t^2 - t^-2``) at every colour the left factor
-    ``y L - y(t, t^2 M)`` reads, ``1..nmax + 1``.  That factor annihilates
-    ``h`` (see :class:`AnnihilatorBundle`), so the cleared chain, and hence
-    ``P``, annihilates the values at ``1..nmax``.  A failure is one of the
+    Annihilation is checked through the construction's relation on the cable
+    numerators ``N(n) = D J(n)``, ``D = t^2 - t^-2``: the cleared body applied
+    to N equals ``y(t, t^(2n))`` (``y = cleared_rhs``) at every colour the
+    left factor ``y L - y(t, t^2 M)`` reads, ``1..nmax + 1``.  That is the
+    relation ``body J = h``, ``h(n) = y(t, t^(2n)) / D``: D is a nonzero
+    element of the domain ``Z[t^+-1]`` and commutes with the operators, so
+    ``body N = y <=> body J = y / D``.  The left factor annihilates ``h``
+    (see :class:`AnnihilatorBundle`), so the cleared chain, and hence ``P``,
+    annihilates the values at ``1..nmax``.  A failure is one of the
     relation; ``annihilates`` is then false.
+
+    The numerators come from one :func:`numerator_window` over the colours
+    the body reads.  ``numerators``, a dict, receives them when given, so
+    that a caller can audit degrees on the same window.
     """
     if nmax < 1:
         raise ValueError(f"nmax must be at least 1, got {nmax}")
     bundle = build_annihilator(params)
-    seq = cable_sequence(params)
-    y = bundle.cleared_rhs
-    # the relation cleared_body J = y/D, through which the chain annihilates
-    ann = check_annihilation(bundle.cleared_chain(), seq, 1, nmax,
-                             through=lambda n: div_qint_den(substitute_M(y, n)))
+    body, y = bundle.cleared_body, bundle.cleared_rhs
+    window = numerator_window(params, 1 + min(body.coeffs), nmax + 1 + max(body.coeffs))
+    if numerators is not None:
+        numerators.update(window)
+    # the relation cleared_body N = y, through which the chain annihilates
+    ann = check_annihilation(bundle.cleared_chain(), window.__getitem__, 1, nmax,
+                             through=lambda n: substitute_M(y, n))
     det = determinant_check(params, bundle)
     aj = compare_aj(params, bundle)
     record = {

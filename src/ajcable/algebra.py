@@ -552,11 +552,6 @@ class IntLaurent2:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, c=1, t=0, m=0):
-        if not c:
-            return IntLaurent2()
-        return IntLaurent2({(tt + t, mm + m): cc * c for (tt, mm), cc in self.d.items()})
-
     def eval_t_minus1(self):
         """Substitute t = -1; returns an :class:`IntLaurent1` whose variable
         stands for ``M``."""

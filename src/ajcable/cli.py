@@ -140,9 +140,11 @@ def _tuple_label(d):
 def _verify_pipeline(params, nmax):
     """The five check stages for one tuple: displayed-identity suite,
     annihilation, comparison at t = -1, determinant closed forms, and
-    degree predictions."""
-    record = verify_tuple(params, nmax=nmax)
-    rows = audit_degrees(params, 2, max(2, min(nmax, 12)))
+    degree predictions.  The degree audit reads the cable numerators that
+    the annihilation check built, so no stage computes a cable value."""
+    numerators = {}
+    record = verify_tuple(params, nmax=nmax, numerators=numerators)
+    rows = audit_degrees(params, 2, max(2, min(nmax, 12)), numerators)
     record["degrees_ok"] = all(row["match"] for row in rows)
     record["degree_mismatches"] = [row for row in rows if not row["match"]]
     record["pass"] = bool(record["pass"] and record["degrees_ok"])

@@ -4,7 +4,7 @@ Each prediction gives the lowest and/or highest t-exponent of the value at
 color n.  A side is only predicted where a closed form is available for
 the parameter range at hand; absent sides are reported as ``None`` and
 are never extrapolated.  ``audit_degrees`` compares every predicted side
-against the exact computed value.
+against the exact extreme exponents, read from the numerators.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import degree_bounds
-from .jones import BadParams, CablingParams, _check_torus, cabled_jones, torus_jones
+from .jones import BadParams, CablingParams, _check_torus, numerator_window
 
 
 @dataclass(frozen=True)
@@ -116,29 +116,38 @@ def predicted_cable_degrees(params, n):
     return DegreePrediction(n=n, lowest=lowest, highest=highest)
 
 
-def audit_degrees(params, n_lo=2, n_hi=12):
+def audit_degrees(params, n_lo=2, n_hi=12, numerators=None):
     """Compare each predicted degree side to the exact value, color by color.
 
     ``params`` is a :class:`CablingParams` for a cable audit or a plain
     ``(p, q)`` pair for a torus audit.  Returns one row per (color, side).
     An empty color window raises :class:`ValueError`.
+
+    The exact sides come from the numerators ``N(n) = (t^2 - t^-2) J(n)``:
+    in the domain ``Z[t^+-1]`` extreme exponents add, so ``lowest(J) =
+    lowest(N) + 2`` and ``highest(J) = highest(N) - 2``.  ``numerators``
+    maps every color of the window to its numerator, as
+    :func:`~ajcable.aj.verify_tuple` fills it; by default they are built
+    here by :func:`~ajcable.jones.numerator_window`.
     """
     if n_hi < n_lo:
         raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
+    if n_lo < 1:
+        raise BadParams("color must be at least 1")
     rows = []
     if isinstance(params, CablingParams):
         label = params.as_dict()
         predict = lambda n: predicted_cable_degrees(params, n)  # noqa: E731
-        value = lambda n: cabled_jones(params, n)  # noqa: E731
     else:
         p, q = params
         label = {"p": p, "q": q}
         predict = lambda n: predicted_torus_degrees(p, q, n)  # noqa: E731
-        value = lambda n: torus_jones(p, q, n)  # noqa: E731
+    if numerators is None:
+        numerators = numerator_window(params, n_lo, n_hi)
     for n in range(n_lo, n_hi + 1):
         pred = predict(n)
-        lo, hi = degree_bounds(value(n))
-        actual = {"lowest": lo, "highest": hi}
+        lo, hi = degree_bounds(numerators[n])
+        actual = {"lowest": lo + 2, "highest": hi - 2}
         for side, predicted in pred.sides().items():
             rows.append(
                 {

@@ -8,7 +8,9 @@ cabling formula, applied twice: the (p, q) torus knot is the (p, q)-cable
 of the unknot.  The formula is evaluated on numerators, the values times
 ``t^2 - t^-2``, which are sparse sums of +-1 monomials: a value is its
 numerator's terms scattered into one array and divided exactly by
-``t^2 - t^-2``.  ``torus_jones_via_step`` is an independent second route
+``t^2 - t^-2``.  ``numerator_window`` gives the numerators of a colour
+window undivided, for the relation check and the degree audit, which
+need no value.  ``torus_jones_via_step`` is an independent second route
 to the torus values.
 
 The module also builds the symbolic-in-color data that the recurrences
@@ -205,8 +207,10 @@ _MEMO_LOCK = threading.Lock()
 
 def _memo(cache, limit, key):
     """The ``{color: value}`` dict of ``key`` in ``cache``, a FIFO memo that
-    keeps the values of at most ``limit`` keys.  Grid threads share the
-    caches; the lock keeps the bound."""
+    keeps the values of at most ``limit`` keys.  No ``verify`` or ``grid``
+    stage reads values (they read numerators, :func:`numerator_window`), so
+    the grid threads never touch the caches; the lock keeps the bound for
+    library callers that do share them across threads."""
     with _MEMO_LOCK:
         values = cache.get(key)
         if values is None:
@@ -217,11 +221,10 @@ def _memo(cache, limit, key):
 
 
 # Torus values are memoized per companion (p, q).  Their readers are the
-# degree audit of a torus knot (``audit_degrees``), the minimality search
-# on a torus knot (``torus_sequence``) and ``ajcable jones torus``; cable
-# values and the identity suite read torus numerators, never values.  Three
-# companions cover the tuples that eight grid threads hold at a companion
-# boundary: with two, the threads evicted values they still needed.
+# minimality search on a torus knot (``torus_sequence``) and ``ajcable
+# jones torus``; cable values, the identity suite and the degree audit read
+# torus numerators, never values.  Each reader works on one companion at a
+# time, so the limit only bounds memory.
 _TORUS_CACHE = {}
 _TORUS_CACHE_LIMIT = 3
 
@@ -300,6 +303,37 @@ def cabled_jones(params, n):
 def cable_sequence(params):
     """The cable's values as a function of the color."""
     return lambda n: cabled_jones(params, n)
+
+
+def numerator_window(params, lo, hi):
+    """The numerators ``N(n) = (t^2 - t^-2) J(n)`` at the colours
+    ``lo..hi`` (``lo >= 1``), as ``{n: IntLaurent1}``, of the cable
+    ``params`` (a :class:`CablingParams`) or of the torus knot ``params =
+    (p, q)``.
+
+    One vectorised :func:`_cabling_numerator` call covers the window, then
+    one scatter per colour; nothing is divided and nothing is memoized.
+    Readers that need ``J`` only up to the factor ``D = t^2 - t^-2`` use
+    these: ``Z[t^+-1]`` is a domain and D commutes with ``M`` and ``L``, so
+    ``body N = y`` holds exactly when ``body J = y / D``, and the extreme
+    exponents of N are those of J moved out by 2.
+
+    >>> numerator_window((3, 2), 2, 2)[2].text()
+    '1 - t^-12 - t^-16 + t^-20'
+    """
+    cp = _as_params(params)
+    if cp is None:
+        _check_torus(*params)
+        inner = _torus_numerators(*params)
+    else:
+        inner = _cable_numerators(cp)
+    if lo < 1 or hi < lo:
+        raise ValueError(f"numerator window [{lo}, {hi}] must be non-empty and start at colour 1 or above")
+    owner, exps, coeffs = inner(np.arange(lo, hi + 1, dtype=np.int64))
+    order = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[order], np.arange(1, hi - lo + 1))
+    return {lo + i: IntLaurent1.from_terms(e, c)
+            for i, (e, c) in enumerate(zip(np.split(exps[order], cuts), np.split(coeffs[order], cuts)))}
 
 
 def clear_caches():

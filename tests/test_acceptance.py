@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import ajcable.cli as cli
+import ajcable.jones as jones
 from ajcable.algebra import (
     IntLaurent1,
     IntLaurent2,
@@ -463,6 +465,34 @@ def test_golden_verify_tuple_digests():
         assert record["pass"], tag
         digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
         assert digest == expected[tag], tag
+
+
+def test_verify_and_grid_read_no_cable_value(monkeypatch, tmp_path, capsys):
+    """No stage of ``verify`` or ``grid`` computes a colored Jones value:
+    with the value builders raising, the pipeline still passes one tuple per
+    regime of each chirality, and the positive ones give the golden records."""
+    def no_values(*args):
+        raise AssertionError(f"a value was computed: {args!r}")
+
+    for name in ("_cabling_value", "cabled_jones", "torus_jones"):
+        monkeypatch.setattr(jones, name, no_values)
+    monkeypatch.setattr(jones, "_TORUS_CACHE", {})
+    monkeypatch.setattr(jones, "_CABLE_CACHE", {})
+    expected = json.loads(GOLDEN_VERIFY.read_text())["verify_tuple"]
+    for tag, params in CASE_EXEMPLARS.items():
+        record = cli._verify_pipeline(params, 12)
+        assert record.pop("degrees_ok") and record.pop("degree_mismatches") == [], tag
+        digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+        assert digest == expected[tag], tag
+    mirrored = [CablingParams(-3, 2, -1, 2), CablingParams(-5, 3, -1, 4),
+                CablingParams(-3, 2, -1, 3), CablingParams(-5, 3, -1, 5)]
+    assert sorted(case_tag(params) for params in mirrored) == sorted(CASE_EXEMPLARS)
+    grid_file = tmp_path / "mirrored.txt"
+    grid_file.write_text("".join(f"{c.p} {c.q} {c.r} {c.s}\n" for c in mirrored))
+    assert main(["grid", str(grid_file), "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert [record["params"] for record in records] == [c.as_dict() for c in mirrored]
+    assert all(record["pass"] and record["degrees_ok"] for record in records)
 
 
 def test_golden_perturbed_chain_failure():

@@ -225,30 +225,59 @@ def _bump(poly, t_shift=0, c=1):
     return poly - IntLaurent2({(te, me): coeff}) + IntLaurent2({(te + t_shift, me): coeff * (c + 1)})
 
 
-def _perturbed_body(body):
+def _perturbed_body(body, bump=_bump):
     i = min(body.coeffs)
     coeffs = {j: c.num for j, c in body.coeffs.items()}
-    coeffs[i] = _bump(coeffs[i])
+    coeffs[i] = bump(coeffs[i])
     return SkewOperator(coeffs)
 
 
+# (M - t^2)(M - t^4) realizes to zero at colours 1 and 2 only
+LATE_BUMP = IntLaurent2({(0, 2): 1, (2, 1): -1, (4, 1): -1, (6, 0): 1})
+
+
+# (id, perturbation of the bundle, first colour at which the relation fails)
+PERTURBATIONS = [
+    # h(n) is then not divisible by t^2 - t^-2 at any colour
+    ("rhs-coefficient", lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs)), 1),
+    # a term times t^4: h(n) stays a Laurent polynomial but moves
+    ("rhs-exponent", lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs, t_shift=4, c=0)), 1),
+    ("body-coefficient", lambda b: dataclasses.replace(b, cleared_body=_perturbed_body(b.cleared_body)), 1),
+    ("body-from-colour-3",
+     lambda b: dataclasses.replace(b, cleared_body=_perturbed_body(b.cleared_body, LATE_BUMP.__add__)), 3),
+]
+
+
 @pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
-@pytest.mark.parametrize(
-    "perturb",
-    [
-        # h(n) is then not divisible by t^2 - t^-2 at any colour
-        lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs)),
-        # a term times t^4: h(n) stays a Laurent polynomial but moves
-        lambda b: dataclasses.replace(b, cleared_rhs=_bump(b.cleared_rhs, t_shift=4, c=0)),
-        lambda b: dataclasses.replace(b, cleared_body=_perturbed_body(b.cleared_body)),
-    ],
-    ids=["rhs-coefficient", "rhs-exponent", "body-coefficient"],
-)
+@pytest.mark.parametrize("perturb", [p for _, p, _ in PERTURBATIONS], ids=[i for i, _, _ in PERTURBATIONS])
 def test_perturbed_cleared_form_fails_annihilation(monkeypatch, tag, perturb):
     real = aj.build_annihilator
     monkeypatch.setattr(aj, "build_annihilator", lambda params: perturb(real(params)))
     record = verify_tuple(REPRESENTATIVES[tag], nmax=4)
     assert record["annihilates"] is False and record["pass"] is False
+
+
+@pytest.mark.parametrize("tag", sorted(REPRESENTATIVES))
+@pytest.mark.parametrize(("perturb", "first"), [(p, n) for _, p, n in PERTURBATIONS],
+                         ids=[i for i, _, _ in PERTURBATIONS])
+def test_numerator_relation_fails_at_the_value_relation_colour(monkeypatch, tag, perturb, first):
+    """``verify_tuple`` checks ``body N = y`` on the numerators ``N = D J``;
+    on a perturbed form it fails at the colour where the value relation
+    ``body J = y / D`` does, since D is a nonzero element of a domain."""
+    params = REPRESENTATIVES[tag]
+    bundle = perturb(build_annihilator(params))
+    reports = []
+
+    def spy(*args, **kwargs):
+        reports.append(check_annihilation(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(aj, "build_annihilator", lambda _params: bundle)
+    monkeypatch.setattr(aj, "check_annihilation", spy)
+    verify_tuple(params, nmax=4)
+    by_values = check_annihilation(bundle.cleared_chain(), cable_sequence(params), 1, 4, _relation_rhs(bundle))
+    assert len(reports) == 1
+    assert reports[0]["first_failure_n"] == by_values["first_failure_n"] == first
 
 
 # --- determinant checks -----------------------------------------------------

@@ -227,7 +227,8 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
         "identities": [],
         "pass": False,
     }
-    monkeypatch.setattr(cli, "verify_tuple", lambda params, nmax: dict(failing))
+    monkeypatch.setattr(cli, "verify_tuple", lambda params, nmax, numerators: dict(failing))
+    monkeypatch.setattr(cli, "audit_degrees", lambda *args: [])
     rc = main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "4"])
     assert rc == 2
     assert capsys.readouterr().out.strip().endswith("FAIL")

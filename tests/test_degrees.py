@@ -9,7 +9,7 @@ from ajcable.degrees import (
     predicted_cable_degrees,
     predicted_torus_degrees,
 )
-from ajcable.jones import BadParams, CablingParams, cabled_jones, torus_jones
+from ajcable.jones import BadParams, CablingParams, cabled_jones, numerator_window, torus_jones
 
 
 # --- frozen worked examples ------------------------------------------------
@@ -91,3 +91,38 @@ def test_predictions_against_direct_degree_bounds():
     assert (lo, hi) == (-18, -2)
     lo, hi = degree_bounds(cabled_jones(CablingParams(3, 2, 13, 2), 2))
     assert lo == -78
+
+
+def _rows_from_values(params, n_lo, n_hi):
+    """The audit rows computed the direct way, from the values themselves."""
+    rows = []
+    for n in range(n_lo, n_hi + 1):
+        if isinstance(params, CablingParams):
+            label, pred = params.as_dict(), predicted_cable_degrees(params, n)
+            value = cabled_jones(params, n)
+        else:
+            label, pred = {"p": params[0], "q": params[1]}, predicted_torus_degrees(*params, n)
+            value = torus_jones(*params, n)
+        actual = dict(zip(("lowest", "highest"), degree_bounds(value)))
+        rows += [{"params": label, "n": n, "side": side, "predicted": predicted,
+                  "actual": actual[side], "match": predicted == actual[side]}
+                 for side, predicted in pred.sides().items()]
+    return rows
+
+
+@pytest.mark.parametrize("params", [
+    CablingParams(3, 2, 13, 2),   # S_EQ_2
+    CablingParams(5, 3, 121, 4),  # S_EVEN_GT2
+    CablingParams(3, 2, -1, 3),   # S_ODD_Q2, both sides
+    CablingParams(-5, 3, 76, 5),  # S_ODD_QGT2, mirrored
+    (3, 2),
+    (-5, 3),
+], ids=str)
+def test_numerator_audit_matches_the_value_audit(params):
+    """Degrees read from the numerators ``N = (t^2 - t^-2) J``, moved in by
+    2 on each side, are those of the values, at colours 2..16."""
+    expected = _rows_from_values(params, 2, 16)
+    assert len(expected) >= 15
+    assert audit_degrees(params, 2, 16) == expected
+    # the same rows from a window built elsewhere, as ``verify`` hands it in
+    assert audit_degrees(params, 2, 16, numerator_window(params, 1, 18)) == expected

@@ -308,7 +308,7 @@ def test_peel_sum_identities_fail_on_a_wrong_coefficient(monkeypatch):
 
     def wrong_coefficient(*args):
         c, total = real(*args)
-        return c.mul_monomial(t=2), total
+        return c * IntLaurent2.monomial(1, 2, 0), total
 
     monkeypatch.setattr(jones, "peel", wrong_coefficient)
     for identity_id, params in (
