@@ -512,8 +512,8 @@ def determinant_check(params, bundle=None):
 
     The determinant of the paper's 2x2 elimination, at numerator level,
     is ``sign * cleared_rhs`` with the sign from ``PEEL_REGIMES``: its
-    gamma-terms cancel.  It still carries one factor of t^2 - t^-2 and is
-    evaluated at t = -1 directly.
+    gamma-terms cancel.  It still carries one factor of t^2 - t^-2 and,
+    being a polynomial, is evaluated at t = -1 directly, with no limit.
 
     For s = 2 there is no determinant; the check degrades to the
     nonvanishing of b at t = -1 (which the closed-form route verifies).
@@ -538,7 +538,7 @@ def determinant_check(params, bundle=None):
         "determinant_nonzero": None,
     }
     if report["determinant_applicable"]:
-        det_value = limit_t_minus1(RationalTM.from_poly(y * PEEL_REGIMES[tag][1]))
+        det_value = RationalM(PEEL_REGIMES[tag][1] * y.eval_t_minus1())
         report["determinant_matches"] = _matches(det_value, _determinant_products(params))
         report["determinant_nonzero"] = not det_value.is_zero()
         report["determinant"] = det_value.text()

@@ -10,8 +10,10 @@ of the unknot.  The formula is evaluated on numerators, the values times
 numerator's terms scattered into one array and divided exactly by
 ``t^2 - t^-2``.  ``numerator_window`` gives the numerators of a colour
 window undivided, for the relation check and the degree audit, which
-need no value.  ``torus_jones_via_step`` is an independent second route
-to the torus values.
+need no value; ``value_window`` gives the values of a window.  No value
+or numerator is memoized: each call computes its window afresh.
+``torus_jones_via_step`` is an independent second route to the torus
+values.
 
 The module also builds the symbolic-in-color data that the recurrences
 are assembled from: the step inhomogeneity ``delta``, and three families
@@ -28,7 +30,6 @@ failing color.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from math import gcd
 
@@ -194,46 +195,11 @@ def _cable_numerators(params):
     return functools.partial(_cabling_numerator, params.r, params.s, _torus_numerators(params.p, params.q))
 
 
-def _cabling_value(a, b, inner, n):
-    """The value at colour ``n >= 1`` of the (a, b)-cable of the knot with
-    numerators ``inner``: its numerator, scattered into one array and
-    divided exactly by ``t^2 - t^-2`` (:class:`NotDivisible` otherwise)."""
-    _, exps, coeffs = _cabling_numerator(a, b, inner, np.array([n], dtype=np.int64))
-    return div_qint_den(IntLaurent1.from_terms(exps, coeffs))
-
-
-_MEMO_LOCK = threading.Lock()
-
-
-def _memo(cache, limit, key):
-    """The ``{color: value}`` dict of ``key`` in ``cache``, a FIFO memo that
-    keeps the values of at most ``limit`` keys.  No ``verify`` or ``grid``
-    stage reads values (they read numerators, :func:`numerator_window`), so
-    the grid threads never touch the caches; the lock keeps the bound for
-    library callers that do share them across threads."""
-    with _MEMO_LOCK:
-        values = cache.get(key)
-        if values is None:
-            if len(cache) >= limit:
-                del cache[next(iter(cache))]
-            values = cache[key] = {}
-        return values
-
-
-# Torus values are memoized per companion (p, q).  Their readers are the
-# minimality search on a torus knot (``torus_sequence``) and ``ajcable
-# jones torus``; cable values, the identity suite and the degree audit read
-# torus numerators, never values.  Each reader works on one companion at a
-# time, so the limit only bounds memory.
-_TORUS_CACHE = {}
-_TORUS_CACHE_LIMIT = 3
-
-
 def torus_jones(p, q, n):
     """Colored Jones value of the (p, q) torus knot at color n.
 
-    Computed by the cabling formula over the unknot; memoized per (p, q)
-    for the last ``_TORUS_CACHE_LIMIT`` companions.
+    Computed by the cabling formula over the unknot, one
+    :func:`value_window` of one colour per call; nothing is memoized.
 
     >>> torus_jones(3, 2, 2).text()
     't^-2 + t^-6 + t^-10 - t^-18'
@@ -243,12 +209,7 @@ def torus_jones(p, q, n):
         return IntLaurent1()
     if n < 0:
         return -torus_jones(p, q, -n)
-    cache = _memo(_TORUS_CACHE, _TORUS_CACHE_LIMIT, (p, q))
-    v = cache.get(n)
-    if v is not None:
-        return v
-    v = cache[n] = _cabling_value(p, q, _qint_numerators, n)
-    return v
+    return value_window((p, q), n, n)[n]
 
 
 def torus_jones_via_step(p, q, n):
@@ -278,12 +239,9 @@ def torus_sequence(p, q):
 # cabled values
 # ---------------------------------------------------------------------------
 
-_CABLE_CACHE = {}
-_CABLE_CACHE_LIMIT = 8
-
-
 def cabled_jones(params, n):
-    """Colored Jones value of the (r, s)-cable over the (p, q) torus knot.
+    """Colored Jones value of the (r, s)-cable over the (p, q) torus knot,
+    one :func:`value_window` of one colour per call.
 
     >>> cabled_jones(CablingParams(3, 2, 13, 2), 2).text()
     't^-30 + t^-34 + t^-38 + t^-42 + t^-46 - t^-58 - t^-62 - t^-66 + t^-74 - t^-78'
@@ -292,12 +250,7 @@ def cabled_jones(params, n):
         return IntLaurent1()
     if n < 0:
         return -cabled_jones(params, -n)
-    cache = _memo(_CABLE_CACHE, _CABLE_CACHE_LIMIT, params)
-    v = cache.get(n)
-    if v is not None:
-        return v
-    v = cache[n] = _cabling_value(params.r, params.s, _torus_numerators(params.p, params.q), n)
-    return v
+    return value_window(params, n, n)[n]
 
 
 def cable_sequence(params):
@@ -312,7 +265,8 @@ def numerator_window(params, lo, hi):
     (p, q)``.
 
     One vectorised :func:`_cabling_numerator` call covers the window, then
-    one scatter per colour; nothing is divided and nothing is memoized.
+    one scatter per colour; nothing is divided, and no numerator or value
+    is memoized: each call computes its window afresh.
     Readers that need ``J`` only up to the factor ``D = t^2 - t^-2`` use
     these: ``Z[t^+-1]`` is a domain and D commutes with ``M`` and ``L``, so
     ``body N = y`` holds exactly when ``body J = y / D``, and the extreme
@@ -336,10 +290,21 @@ def numerator_window(params, lo, hi):
             for i, (e, c) in enumerate(zip(np.split(exps[order], cuts), np.split(coeffs[order], cuts)))}
 
 
+def value_window(params, lo, hi):
+    """The values ``J(n)`` at the colours ``lo..hi`` (``lo >= 1``), as
+    ``{n: IntLaurent1}``, of the cable or torus knot ``params`` (as for
+    :func:`numerator_window`): each numerator divided exactly by
+    ``t^2 - t^-2`` (:class:`NotDivisible` otherwise).
+
+    >>> value_window((3, 2), 2, 2)[2].text()
+    't^-2 + t^-6 + t^-10 - t^-18'
+    """
+    return {n: div_qint_den(N) for n, N in numerator_window(params, lo, hi).items()}
+
+
 def clear_caches():
-    """Drop all memoized sequence values (frees memory between large runs)."""
-    _TORUS_CACHE.clear()
-    _CABLE_CACHE.clear()
+    """Does nothing: no value or numerator is memoized.  Kept public for
+    the callers that still call it."""
 
 
 # ---------------------------------------------------------------------------

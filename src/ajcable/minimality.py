@@ -52,13 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import IntLaurent2
-from .jones import (
-    BadParams,
-    CablingParams,
-    cable_sequence,
-    torus_sequence,
-    unknot_sequence,
-)
+from .jones import BadParams, CablingParams, unknot_sequence, value_window
 from .degrees import predicted_cable_degrees, predicted_torus_degrees
 from .qtorus import SkewOperator, check_annihilation
 
@@ -607,13 +601,14 @@ def _certify(matrix, prime, cols, seq, bounds):
     return nullity, None
 
 
-def _sequence_for(params):
+def _sequence_for(params, bounds):
+    """The values a search reads, as a function of the color: the unknot's
+    quantum integers, or one :func:`.jones.value_window` over
+    ``[n_lo, n_hi + l_degree]``, every color that ``_equation_count``,
+    ``_exact_matrix`` and the lift check read."""
     if params is None:
         return unknot_sequence()
-    if isinstance(params, CablingParams):
-        return cable_sequence(params)
-    p, q = params
-    return torus_sequence(p, q)
+    return value_window(params, bounds.n_lo, bounds.n_hi + bounds.l_degree).__getitem__
 
 
 def _params_label(params):
@@ -632,13 +627,13 @@ _EXACT_LIMIT_COLS = 90
 _EXACT_LIMIT_ROWS = 2500
 
 
-def _exact_matrix(params, bounds, centers, cols, prime):
-    """The exact system mod ``prime``, one row per (color, t-exponent).
+def _exact_matrix(seq, bounds, centers, cols, prime):
+    """The exact system mod ``prime``, one row per (color, t-exponent), of
+    the values ``seq`` (see :func:`_sequence_for`).
 
     Its entries are the integer coefficients of the values, so full column
     rank mod ``prime`` is full rank over Q, as for the evaluation rows.
     """
-    seq = _sequence_for(params)
     col_index = {c: k for k, c in enumerate(cols)}
     rows = []
     for n in range(bounds.n_lo, bounds.n_hi + 1):
@@ -679,7 +674,7 @@ def search_bounded_annihilator(params, bounds=None):
         bounds = default_search_bounds(params)
     centers = _box_centers(params, bounds.l_degree)
     unknowns = bounds.box_size() * (bounds.l_degree + 1)
-    seq = _sequence_for(params)
+    seq = _sequence_for(params, bounds)
     equations = _equation_count(seq, bounds, centers)
     if equations < 2 * unknowns:
         raise SystemTooSmall(
@@ -711,7 +706,7 @@ def search_bounded_annihilator(params, bounds=None):
         # both primes rank-deficient and no lift verified: the exact
         # system, at the last prime, if it is small enough
         if unknowns <= _EXACT_LIMIT_COLS and equations <= _EXACT_LIMIT_ROWS:
-            matrix = _exact_matrix(params, bounds, centers, cols, prime)
+            matrix = _exact_matrix(seq, bounds, centers, cols, prime)
             nullity, op = _certify(matrix, prime, cols, seq, bounds)
     report["nullity"] = nullity
     if op is not None:

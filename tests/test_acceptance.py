@@ -474,10 +474,8 @@ def test_verify_and_grid_read_no_cable_value(monkeypatch, tmp_path, capsys):
     def no_values(*args):
         raise AssertionError(f"a value was computed: {args!r}")
 
-    for name in ("_cabling_value", "cabled_jones", "torus_jones"):
+    for name in ("value_window", "cabled_jones", "torus_jones"):
         monkeypatch.setattr(jones, name, no_values)
-    monkeypatch.setattr(jones, "_TORUS_CACHE", {})
-    monkeypatch.setattr(jones, "_CABLE_CACHE", {})
     expected = json.loads(GOLDEN_VERIFY.read_text())["verify_tuple"]
     for tag, params in CASE_EXEMPLARS.items():
         record = cli._verify_pipeline(params, 12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.resources
+from math import gcd
 
 import pytest
 
@@ -572,3 +573,31 @@ def test_default_grid_file_matches_programmatic():
         p, q, r, s = map(int, line.split())
         rows.append(CablingParams(p, q, r, s))
     assert rows == default_grid()
+
+
+SWEEP_COMPANIONS = ((3, 2), (5, 2), (7, 2), (5, 3), (7, 3), (7, 4), (9, 4), (7, 5), (11, 5), (7, 6),
+                    (13, 6), (9, 7))
+SWEEP_S = (2, 3, 4, 5, 7, 9)
+
+
+def _sweep_rule():
+    """The extended grid's tuples, from the rule in its header."""
+    rows = []
+    for p, q in SWEEP_COMPANIONS + tuple((-p, q) for p, q in SWEEP_COMPANIONS):
+        for s in SWEEP_S:
+            pqs = p * q * s
+            mid = -(-pqs // 2)  # ceil(pqs / 2)
+            while gcd(mid, s) != 1:
+                mid += 1
+            below, above = (-1, pqs + 1) if pqs > 0 else (pqs - 1, 1)
+            rows += [CablingParams(p, q, r, s) for r in (below, mid, above)]
+    return rows
+
+
+def test_extended_grid_file_follows_its_rule():
+    text = importlib.resources.files("ajcable").joinpath("data/extended_grid.txt").read_text()
+    rows = [CablingParams(*map(int, line.split())) for line in text.splitlines()
+            if not line.startswith("#")]
+    assert rows == _sweep_rule()
+    assert len(rows) == len(set(rows)) == 432
+    assert sum(1 for g in rows if not g.theorem_applies) == 144

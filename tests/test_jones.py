@@ -1,9 +1,7 @@
 """Colored Jones values: frozen examples, dual oracles, recurrence checks."""
 
 import functools
-import sys
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,6 +30,7 @@ from ajcable.jones import (
     torus_jones,
     torus_jones_via_step,
     unknot_jones,
+    value_window,
     applicable_identities,
     identity_suite,
     verify_identity,
@@ -92,6 +91,10 @@ def test_torus_rejects_non_coprime_and_degenerate():
     with pytest.raises(BadParams):
         torus_jones(4, 2, 2)
     with pytest.raises(BadParams):
+        torus_jones(4, 2, 0)  # checked before the colour-0 shortcut
+    with pytest.raises(BadParams):
+        value_window((4, 2), 1, 2)
+    with pytest.raises(BadParams):
         torus_jones(3, 1, 2)
     with pytest.raises(BadParams):
         torus_jones(3, -2, 2)
@@ -104,30 +107,17 @@ def test_torus_dual_oracle_direct_vs_step():
             assert torus_jones(p, q, n) == torus_jones_via_step(p, q, n), (p, q, n)
 
 
-def test_torus_cache_bound_holds_under_threads():
-    """Threads cycling through more companions than the torus cache keeps
-    get the step-recurrence values, and the cache stays in bound."""
-    expected = {(p, q, n): torus_jones_via_step(p, q, n) for p, q in GRID_PQ for n in (2, 3)}
-    sizes = []
-
-    def work(i):
-        for k in range(40):
-            p, q = GRID_PQ[(i + k) % len(GRID_PQ)]
-            n = 2 + k % 2
-            assert torus_jones(p, q, n) == expected[p, q, n]
-            sizes.append(len(jones._TORUS_CACHE))
-
-    jones.clear_caches()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for future in [pool.submit(work, i) for i in range(40)]:
-                future.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        jones.clear_caches()
-    assert len(sizes) == 1600 and max(sizes) <= jones._TORUS_CACHE_LIMIT < len(GRID_PQ)
+def test_value_window_matches_step_oracle_and_one_colour_reads():
+    """One window of values equals the step recurrence on every companion
+    and the one-colour reads on one cable per regime, at colours 1..16."""
+    for p, q in GRID_PQ:
+        window = value_window((p, q), 1, 16)
+        assert window == {n: torus_jones_via_step(p, q, n) for n in range(1, 17)}, (p, q)
+    for params in (CablingParams(3, 2, 13, 2), CablingParams(5, 3, -1, 4),
+                   CablingParams(3, 2, -1, 3), CablingParams(5, 3, -1, 5)):
+        window = value_window(params, 1, 16)
+        assert window == {n: cabled_jones(params, n) for n in range(1, 17)}, params
+    assert list(value_window((3, 2), 4, 6)) == [4, 5, 6]
 
 
 # --- cable values --------------------------------------------------------------
@@ -433,7 +423,6 @@ def test_corrupted_numerator_is_not_divisible(monkeypatch):
         coeffs[-1] = -coeffs[-1]
         return owner, exps, coeffs
 
-    jones.clear_caches()  # compute, not read memoized values
     monkeypatch.setattr(jones, "_qint_numerators", corrupted)
     with pytest.raises(NotDivisible):
         torus_jones(3, 2, 5)

@@ -1,6 +1,9 @@
 """Bounded searches below the constructed order, plus unknot controls."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import ajcable.jones as jones
 import ajcable.minimality as minimality
 from ajcable.algebra import IntLaurent2
 from ajcable.jones import CablingParams, cable_sequence, torus_sequence, unknot_sequence
@@ -114,6 +118,34 @@ def test_torus_pair_search_runs_with_default_bounds():
     assert report["L_degree_searched"] == 2
 
 
+GOLDEN_MINIMALITY = Path(__file__).resolve().parent / "data" / "golden_minimality.json"
+
+
+@pytest.mark.parametrize("params, expected", [
+    (CablingParams(3, 2, 13, 2), None),  # the golden entry
+    ((3, 2), {"params": {"p": 3, "q": 2}, "L_degree_searched": 2, "unknowns": 315, "equations": 6684,
+              "nullity": 0, "verdict": "no annihilator within bounds", "prime": PRIMES[0], "rows": 384}),
+])
+def test_search_reads_one_value_window(monkeypatch, params, expected):
+    """A search computes its values once, as one window over every color it
+    reads, and never through the one-color value functions."""
+    windows = _count_calls(monkeypatch, "value_window")
+
+    def no_values(*args):
+        raise AssertionError(f"a one-color value was computed: {args!r}")
+
+    for name in ("cabled_jones", "torus_jones"):
+        monkeypatch.setattr(jones, name, no_values)
+    report = search_bounded_annihilator(params)
+    bounds = default_search_bounds(params)
+    assert windows == [(params, bounds.n_lo, bounds.n_hi + bounds.l_degree)]
+    if expected is None:
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == json.loads(GOLDEN_MINIMALITY.read_text())["3,2,13,2"]
+    else:
+        assert report == expected
+
+
 @pytest.mark.parametrize("fields", [
     {"l_degree": 0},
     {"l_degree": 2, "t_span": -1},
@@ -152,7 +184,7 @@ def _exact_row_count(params, bounds):
     """Rows of the exact system: per color n, the distinct exponents
     a + 2nb + e over every column (i, a, b) and exponent e of the value at
     color n + i."""
-    seq = minimality._sequence_for(params)
+    seq = minimality._sequence_for(params, bounds)
     centers = minimality._box_centers(params, bounds.l_degree)
     total = 0
     for n in range(bounds.n_lo, bounds.n_hi + 1):
@@ -177,7 +209,7 @@ UNKNOT_BOXES = [
 def test_exact_row_count_matches_the_exact_matrix(bounds):
     centers = minimality._box_centers(None, bounds.l_degree)
     cols = minimality._columns(bounds, centers)
-    matrix = minimality._exact_matrix(None, bounds, centers, cols, PRIMES[0])
+    matrix = minimality._exact_matrix(unknot_sequence(), bounds, centers, cols, PRIMES[0])
     assert _exact_row_count(None, bounds) == matrix.shape[0]
 
 
@@ -195,7 +227,7 @@ def test_equation_count_bounds_the_exact_rows(params, bounds, excess):
     if bounds is None:
         bounds = default_search_bounds(params)
     centers = minimality._box_centers(params, bounds.l_degree)
-    count = minimality._equation_count(minimality._sequence_for(params), bounds, centers)
+    count = minimality._equation_count(minimality._sequence_for(params, bounds), bounds, centers)
     assert count - _exact_row_count(params, bounds) == excess
 
 
@@ -569,7 +601,7 @@ def _exact_system_sympy(params, bounds, centers, cols):
     coefficient of each power of t in sum_k x_k t^(a + 2nb) J(n + i), one
     row per color and power."""
     ring, t, *xs = sympy.ring(["t"] + [f"x{k}" for k in range(len(cols))], sympy.ZZ)
-    seq = minimality._sequence_for(params)
+    seq = minimality._sequence_for(params, bounds)
     rows = []
     for n in range(bounds.n_lo, bounds.n_hi + 1):
         terms = [seq(n + i).items() for i in range(len(centers))]
@@ -603,8 +635,9 @@ def test_exact_matrix_rank_matches_sympy(params, bounds):
     cols = minimality._columns(bounds, centers)
     rows = _exact_system_sympy(params, bounds, centers, cols)
     rank = DomainMatrix.from_list(rows, sympy.QQ).rank()  # over Q
+    seq = minimality._sequence_for(params, bounds)
     for prime in PRIMES:
-        matrix = minimality._exact_matrix(params, bounds, centers, cols, prime)
+        matrix = minimality._exact_matrix(seq, bounds, centers, cols, prime)
         assert matrix.dtype == np.int64
         assert sorted(matrix.tolist()) == sorted([c % prime for c in row] for row in rows)
         assert len(minimality._echelon_mod(matrix, prime)) == rank
@@ -615,7 +648,7 @@ def test_exact_matrix_certifies_the_unknot_second_order_operator():
     centers = minimality._box_centers(None, bounds.l_degree)
     cols = minimality._columns(bounds, centers)
     prime = PRIMES[-1]
-    matrix = minimality._exact_matrix(None, bounds, centers, cols, prime)
+    matrix = minimality._exact_matrix(unknot_sequence(), bounds, centers, cols, prime)
     nullity, op = minimality._certify(matrix, prime, cols, unknot_sequence(), bounds)
     assert nullity > 0
     assert op is not None
