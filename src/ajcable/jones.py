@@ -21,10 +21,15 @@ of peel sums (full, alternating, half), each stored as the numerator of a
 quotient by ``t^2 - t^-2``, a two-variable polynomial in ``(t, M)`` with
 ``M`` standing for ``t^(2n)``.
 
-``verify_identity`` checks every recurrence this package relies on,
-exactly, on the same numerators: the terms of all colors of a window are
-sorted once and summed, with no values formed except the residue of a
-failing color.
+Every recurrence this package relies on is stated once, as data: in
+``_relation``, a list of terms ``f(t, t^(2n)) * X(slope*n + const)``
+summing to zero, with ``X`` the torus, cable or quantum-integer
+numerators or the constant 1 (the shape q-holonomicity predicts;
+Garoufalidis-Le, Geom. Topol. 9, 2005).  One evaluator checks them for
+``verify_identity`` and ``identity_suite`` exactly, on the same
+numerators: each distinct read is made once per call, and the terms of
+all colors of a window are sorted once and summed, with no values formed
+except the residue of a failing color.
 """
 
 from __future__ import annotations
@@ -154,6 +159,14 @@ def _check_reach(reach, a, b, n):
         raise BadParams(f"the ({a}, {b})-cabling sum at colour {n} has exponents beyond 2^62")
 
 
+def _cabling_reach(a, b, n):
+    """``|ab| n^2 + 2|a| n``, which bounds ``|ab(m^2 - n^2 + 1) + 2am|`` and
+    ``|mb + 1|`` over the (a, b)-cabling sum at colour n, refused at 2^62."""
+    reach = abs(a * b) * n ** 2 + 2 * abs(a) * n
+    _check_reach(reach, a, b, n)
+    return reach
+
+
 def _cabling_numerator(a, b, inner, ns):
     """The numerators of the (a, b)-cable of a knot at the colours ``ns``
     (an int64 array, entries >= 1), where ``inner(ks)`` gives the knot's
@@ -175,9 +188,7 @@ def _cabling_numerator(a, b, inner, ns):
     n = ns[colour_of]
     m = 2 * (np.arange(colour_of.size) - first[colour_of]) + 1 - n
     n_max = int(ns.max())
-    # |ab(m^2 - n^2 + 1) + 2am| <= |ab| n^2 + 2|a| n, which bounds |mb + 1| too
-    reach = abs(a * b) * n_max ** 2 + 2 * abs(a) * n_max
-    _check_reach(reach, a, b, n_max)
+    reach = _cabling_reach(a, b, n_max)
     k = m * b + 1
     m_of, exps, coeffs = inner(np.abs(k))  # index in m of each term's m
     _check_reach(reach + int(np.abs(exps).max()), a, b, n_max)
@@ -275,15 +286,12 @@ def numerator_window(params, lo, hi):
     >>> numerator_window((3, 2), 2, 2)[2].text()
     '1 - t^-12 - t^-16 + t^-20'
     """
-    cp = _as_params(params)
-    if cp is None:
-        _check_torus(*params)
-        inner = _torus_numerators(*params)
-    else:
-        inner = _cable_numerators(cp)
+    cp, p, q = _as_params(params)
+    a, b, inner = (p, q, _qint_numerators) if cp is None else (cp.r, cp.s, _torus_numerators(p, q))
     if lo < 1 or hi < lo:
         raise ValueError(f"numerator window [{lo}, {hi}] must be non-empty and start at colour 1 or above")
-    owner, exps, coeffs = inner(np.arange(lo, hi + 1, dtype=np.int64))
+    _cabling_reach(a, b, hi)  # refused before any array of the window is built
+    owner, exps, coeffs = _cabling_numerator(a, b, inner, np.arange(lo, hi + 1, dtype=np.int64))
     order = np.argsort(owner, kind="stable")
     cuts = np.searchsorted(owner[order], np.arange(1, hi - lo + 1))
     return {lo + i: IntLaurent1.from_terms(e, c)
@@ -455,10 +463,13 @@ IDENTITY_IDS = (
 
 
 def _as_params(params):
+    """``(cp, p, q)`` for a :class:`CablingParams` ``cp``, ``(None, p, q)``
+    for a valid torus pair ``(p, q)``."""
     if isinstance(params, CablingParams):
-        return params
+        return params, params.p, params.q
     if isinstance(params, tuple) and len(params) == 2:
-        return None  # torus-only
+        _check_torus(*params)
+        return None, *params
     raise BadParams(f"expected CablingParams or a (p, q) pair, got {params!r}")
 
 
@@ -469,67 +480,124 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     a plain ``(p, q)`` pair for the torus-only identities.  ``m`` is the
     peel depth for the iterated-peel identities.
 
-    All colors are checked at once, on numerators.  With
-    ``D = t^2 - t^-2``, D times the identity's left side minus its right
-    side is, at every color, a sum of sparse terms: the numerators ``D*J``
-    of the torus and cable values it reads, the four terms of ``D*delta``,
-    the numerators ``t^(2k) - t^(-2k)`` of the quantum integers and the
-    peel totals, each times its realized coefficient.  The terms of all
-    colors are sorted once by (color, exponent) and summed.  This is
-    sound: ``Z[t^+-1]`` is a domain and D is not zero, so a residue is
-    zero exactly when D times it is.  The residue reported for a failing
-    color is the exact quotient of its terms by D, i.e. the residue
-    itself.  Every torus and cable numerator read must be divisible by D,
-    as its value requires; :class:`NotDivisible` is raised otherwise.
+    Every identity is stated once, in :func:`_relation`, as groups of
+    terms ``f(t, t^(2n)) * X(slope*n + const)``: with ``D = t^2 - t^-2``,
+    each group sums to D times one residue of the identity at every color.
+    ``X`` is read through its numerators ``D*X`` (the torus and cable
+    values, the quantum integers) or is the constant 1, whose ``f`` is
+    already a numerator (the four terms of ``D*delta``, the peel totals).
+    One evaluator, shared with :func:`identity_suite`, makes each distinct
+    read ``(X, slope, const)`` once per call and checks all colors at once:
+    the terms of all colors are sorted once by (color, exponent) and
+    summed.  This is sound: ``Z[t^+-1]`` is a domain and D is not zero, so
+    a residue is zero exactly when D times it is.  The residue reported
+    for a failing color, that of its first nonzero group, is the exact
+    quotient of its terms by D, i.e. the residue itself.  Every torus and
+    cable numerator read must be divisible by D, as its value requires;
+    :class:`NotDivisible` is raised otherwise.
 
     The report lists every failing color with the nonzero residue.  An
     empty color window raises :class:`ValueError`: checking no color must
     not read as a pass.
     """
-    if n_hi < n_lo:
-        raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
+    ns = _colours(n_lo, n_hi)
     if identity_id not in IDENTITY_IDS:
         raise BadParams(f"unknown identity {identity_id!r}")
-    cp = _as_params(params)
-    if cp is None:
-        p, q = params
-        _check_torus(p, q)
-    else:
-        p, q = cp.p, cp.q
+    cp, p, q = _as_params(params)
     if identity_id in ("PEEL", "Q2_PEEL") and (m is None or m < 1):
         raise BadParams(f"{identity_id} needs a peel depth m >= 1")
     if identity_id not in {i for i, _ in applicable_identities(params, max_peel=1)}:
         raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
-
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    residues = {}
-    for parts in _IDENTITY_CHECKS[identity_id](p, q, cp, m, ns):
-        slot, exps, coeffs = _gather(parts)
-        for i in _nonzero_slots(slot, exps, coeffs, ns.size):
-            if i not in residues:  # a colour reports its first nonzero residue
-                mine = slot == i
-                residues[i] = div_qint_den(IntLaurent1.from_terms(exps[mine], coeffs[mine])).text()
-    failures = [{"n": n_lo + i, "residue": residues[i]} for i in sorted(residues)]
-    report = {
-        "id": identity_id,
-        "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
-        "n_lo": n_lo,
-        "n_hi": n_hi,
-        "pass": not failures,
-        "failures": failures,
-    }
-    if m is not None:
-        report["m"] = m
-    return report
+    return _check_relations([(identity_id, m)], cp, p, q, ns)[0]
 
 
-# Each check below takes (p, q, cp, m, ns), ``ns`` the int64 array of the
-# colors, and returns a list of term groups, each summing to D times one
-# residue of the identity at every color.  A group is a list of parts
-# ``(slot, exps, coeffs, k)``: the terms ``k * coeffs[i] * t^exps[i]`` at the
-# colors ``ns[slot[i]]``, with k a Python int and every coefficient +-1.
-# Exponents of parts and realized coefficients are bounded below 2^62, so
-# their sums are exact in int64.
+def _colours(n_lo, n_hi):
+    """The int64 array of the colors ``n_lo..n_hi``; an empty window raises."""
+    if n_hi < n_lo:
+        raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
+    return np.arange(n_lo, n_hi + 1, dtype=np.int64)
+
+
+def _relation(identity_id, p, q, cp, m):
+    """The identity ``identity_id`` as a list of term groups, each summing
+    to D times one residue of the identity at every color n.  A term
+    ``(seq, slope, const, f)`` is ``f(t, t^(2n)) * X(slope*n + const)``,
+    f an :class:`IntLaurent2` in ``(t, M)``, where ``X`` is read through
+    its numerators ``D*X`` for ``seq`` "T" (the torus values), "C" (the
+    cable values) and "Q" (the quantum integers), and is the constant 1
+    for ``seq`` "1" (slope and const 0; f is then itself a numerator).
+    Reads are made in the order the terms are listed."""
+    mono, one = IntLaurent2.monomial, IntLaurent2.one()
+    pq = p * q
+    if identity_id == "TORUS_STEP":  # J(n+2) = t^(-4pq(n+1)) J(n) + t^(-2pq(n+1)) delta(n)
+        return [[("T", 1, 2, one), ("T", 1, 0, mono(-1, -4 * pq, -2 * pq)),
+                 ("1", 0, 0, mono(-1, -2 * pq, -pq) * symbolic_delta(p, q, 1, 0))]]
+    if identity_id == "Q2_STEP":  # J(n+1) = -t^(-(4n+2)p) J(n) + t^(-2pn) [2n+1]
+        # the torus read at n + 1, made first, bounds |pq| (n + 1)^2 below
+        # 2^62, so the exponents +-2(2n + 1) of [2n + 1] are far below it too
+        return [[("T", 1, 1, one), ("T", 1, 0, mono(1, -2 * p, -2 * p)), ("Q", 2, 1, mono(-1, 0, -p))]]
+    if identity_id == "CABLE_STEP":  # see cable_step_coefficients
+        c, s = cable_step_coefficients(cp), cp.s
+        return [[("C", 1, 2, one), ("C", 1, 0, -c["step"]), ("T", s, s - 1, -c["torus"]),
+                 ("1", 0, 0, -c["delta"] * symbolic_delta(p, q, s, s - 1))]]
+    if identity_id == "S2_STEP":  # the cable and torus relations through J(2n + 1)
+        r = cp.r
+        return [[("C", 1, 1, one), ("T", 2, 1, mono(-1, 0, -r)), ("C", 1, 0, mono(1, -2 * r, -2 * r))],
+                [("T", 2, 3, one), ("T", 2, 1, mono(-1, -8 * pq, -4 * pq)),
+                 ("1", 0, 0, mono(-1, -4 * pq, -2 * pq) * symbolic_delta(p, q, 2, 1))]]
+    # a peel J(k) = c(n)*J(k - drop) + total(n)/(t^2 - t^-2) at k = slope*n + const
+    if identity_id == "PEEL":
+        slope, const, drop, (c, total) = 1, 0, 2 * m, _two_step_peel(p, q, m, 1, 0)
+    elif identity_id == "Q2_PEEL":
+        slope, const, drop, (c, total) = 1, 0, m, _single_step_peel(p, m, 1, 0)
+    else:  # a peel sum: J(s(n+1+k)-1) = c(n)*J(s(n+1)-1) + sum(n)
+        kind = {"PEEL_S": "S", "Q2_PEEL_S": "U", "HALF_PEEL": "V"}[identity_id]
+        k, s = PEEL_STEP[kind], cp.s
+        slope, const, drop, (c, total) = s, s * (1 + k) - 1, k * s, peel(kind, p, q, s)
+    return [[("T", slope, const, one), ("T", slope, const - drop, -c), ("1", 0, 0, -total)]]
+
+
+def _check_relations(identities, cp, p, q, ns):
+    """The reports of ``identities``, ``(identity_id, m)`` pairs that apply
+    to the parameters, at the colors ``ns``.
+
+    Each distinct read ``(seq, slope, const)`` of :func:`_relation` is made
+    once, whichever identities share it; each group's terms are then
+    summed at all colors at once.  Exponents of reads and realized
+    coefficients are bounded below 2^62, so their sums are exact in int64.
+    """
+    reads = {}
+    reports = []
+    for identity_id, m in identities:
+        residues = {}
+        for group in _relation(identity_id, p, q, cp, m):
+            parts = []
+            for seq, slope, const, f in group:
+                key = (seq, slope, const)
+                if key not in reads:
+                    reads[key] = _read(*key, p, q, cp, ns)
+                slot, exps, coeffs = reads[key]
+                parts += [(slot, exps + _affine(a, 2 * b, ns)[slot], coeffs, c)
+                          for (a, b), c in f.d.items()]
+            slot, exps, coeffs = _gather(parts)
+            for i in _nonzero_slots(slot, exps, coeffs, ns.size):
+                if i not in residues:  # a colour reports its first nonzero residue
+                    mine = slot == i
+                    residues[i] = div_qint_den(IntLaurent1.from_terms(exps[mine], coeffs[mine])).text()
+        n_lo = int(ns[0])
+        failures = [{"n": n_lo + i, "residue": residues[i]} for i in sorted(residues)]
+        report = {
+            "id": identity_id,
+            "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
+            "n_lo": n_lo,
+            "n_hi": int(ns[-1]),
+            "pass": not failures,
+            "failures": failures,
+        }
+        if m is not None:
+            report["m"] = m
+        reports.append(report)
+    return reports
 
 
 def _affine(const, slope, ns):
@@ -541,18 +609,24 @@ def _affine(const, slope, ns):
     return const + slope * ns
 
 
-def _numerators(inner, ks):
-    """The numerators ``inner`` (see :func:`_cabling_numerator`) at the
-    signed colours ``ks``, as ``(slot, exps, coeffs)`` with slots indexing
-    ``ks``.  A negative colour reads the numerator at ``-k`` negated, the
-    odd extension; colour 0 has none.
+def _read(seq, slope, const, p, q, cp, ns):
+    """The numerators of the sequence ``seq`` (see :func:`_relation`) at
+    the signed colours ``ks = slope*ns + const``, as ``(slot, exps,
+    coeffs)``: the terms ``coeffs[i] * t^exps[i]`` at the colours
+    ``ns[slot[i]]``, every coefficient +-1.  A negative colour reads the
+    numerator at ``-k`` negated, the odd extension; colour 0 has none.
 
     Each numerator read must be divisible by ``t^2 - t^-2``: per colour, the
     coefficients of each exponent class mod 4 sum to zero, the criterion of
     :func:`div_qint_den`.  Otherwise :class:`NotDivisible` is raised."""
+    if seq == "1":
+        return np.arange(ns.size), np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)
+    ks = _affine(const, slope, ns)
     nz = np.flatnonzero(ks)
     if not nz.size:
         return nz, nz, nz
+    inner = (_torus_numerators(p, q) if seq == "T" else _cable_numerators(cp) if seq == "C"
+             else _qint_numerators)
     owner, exps, coeffs = inner(np.abs(ks[nz]))
     sums = np.zeros(4 * nz.size, dtype=np.int64)  # +-1 terms: bounded by their count
     np.add.at(sums, 4 * owner + (exps & 3), coeffs)
@@ -562,22 +636,12 @@ def _numerators(inner, ks):
     return slot, exps, np.where(ks[slot] < 0, -coeffs, coeffs)
 
 
-def _unit(ns):
-    """The part 1 at every colour."""
-    slot = np.arange(ns.size)
-    return slot, np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)
-
-
-def _times(f, part, ns, k=1):
-    """The parts of ``k * f(t, t^(2n)) * part`` for an :class:`IntLaurent2` f."""
-    slot, exps, coeffs = part
-    return [(slot, exps + _affine(a, 2 * b, ns)[slot], coeffs, k * c) for (a, b), c in f.d.items()]
-
-
 def _gather(parts):
-    """The terms of ``parts`` as one ``(slot, exps, coeffs)`` triple.  Every
-    sum of coefficients is bounded by the sum of ``|k|`` over the terms:
-    the coefficients are int64 below 2^63, object arrays otherwise."""
+    """The terms of ``parts``, each ``(slot, exps, coeffs, k)`` for the
+    terms ``k * coeffs[i] * t^exps[i]`` at the colours ``ns[slot[i]]``, as
+    one ``(slot, exps, coeffs)`` triple.  Every sum of coefficients is
+    bounded by the sum of ``|k|`` over the terms: the coefficients are
+    int64 below 2^63, object arrays otherwise."""
     dtype = _dtype_for(sum(abs(k) * coeffs.size for _, _, coeffs, k in parts))
     return (np.concatenate([part[0] for part in parts]),
             np.concatenate([part[1] for part in parts]),
@@ -599,86 +663,6 @@ def _nonzero_slots(slot, exps, coeffs, size):
     starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
     sums = np.add.reduceat(coeffs[order], starts)
     return np.unique(keys[starts[sums != 0]] // width).tolist()
-
-
-def _torus_step(p, q, cp, m, ns):
-    pq = p * q
-    torus = _torus_numerators(p, q)
-    return [[(*_numerators(torus, _affine(2, 1, ns)), 1)]
-            + _times(IntLaurent2.monomial(1, -4 * pq, -2 * pq), _numerators(torus, ns), ns, -1)
-            + _times(IntLaurent2.monomial(1, -2 * pq, -pq) * symbolic_delta(p, q, 1, 0), _unit(ns), ns, -1)]
-
-
-def _q2_step(p, q, cp, m, ns):
-    torus = _torus_numerators(p, q)
-    # the torus numerators at n + 1, read first, bound |pq| (n + 1)^2 below
-    # 2^62, so the exponents +-2(2n + 1) of [2n + 1] are far below it too
-    return [[(*_numerators(torus, _affine(1, 1, ns)), 1)]
-            + _times(IntLaurent2.monomial(1, -2 * p, -2 * p), _numerators(torus, ns), ns)
-            + _times(IntLaurent2.monomial(1, 0, -p), _qint_numerators(2 * ns + 1), ns, -1)]
-
-
-def _cable_step(p, q, cp, m, ns):
-    coeffs = cable_step_coefficients(cp)
-    s = cp.s
-    cable = _cable_numerators(cp)
-    return [[(*_numerators(cable, _affine(2, 1, ns)), 1)]
-            + _times(coeffs["step"], _numerators(cable, ns), ns, -1)
-            + _times(coeffs["torus"], _numerators(_torus_numerators(p, q), _affine(s - 1, s, ns)), ns, -1)
-            + _times(coeffs["delta"] * symbolic_delta(p, q, s, s - 1), _unit(ns), ns, -1)]
-
-
-def _peel_check(p, q, ns, const, slope, drop, c, total):
-    """J(k) - c(n)*J(k - drop) - total(n)/(t^2 - t^-2) at k = const + slope*n."""
-    torus = _torus_numerators(p, q)
-    return [[(*_numerators(torus, _affine(const, slope, ns)), 1)]
-            + _times(c, _numerators(torus, _affine(const - drop, slope, ns)), ns, -1)
-            + _times(total, _unit(ns), ns, -1)]
-
-
-def _peel(p, q, cp, m, ns):
-    return _peel_check(p, q, ns, 0, 1, 2 * m, *_two_step_peel(p, q, m, 1, 0))
-
-
-def _q2_peel(p, q, cp, m, ns):
-    return _peel_check(p, q, ns, 0, 1, m, *_single_step_peel(p, m, 1, 0))
-
-
-def _peel_sum(kind):
-    """Check J(s(n+1+k)-1) = c(n)*J(s(n+1)-1) + sum(n) of one peel-sum kind."""
-
-    def check(p, q, cp, m, ns):
-        k, s = PEEL_STEP[kind], cp.s
-        return _peel_check(p, q, ns, s * (1 + k) - 1, s, k * s, *peel(kind, p, q, s))
-
-    return check
-
-
-def _s2_step(p, q, cp, m, ns):
-    pq, r = p * q, cp.r
-    torus, cable = _torus_numerators(p, q), _cable_numerators(cp)
-    odd = _numerators(torus, _affine(1, 2, ns))  # J(2n + 1), read by both relations
-    return [
-        [(*_numerators(cable, _affine(1, 1, ns)), 1)]
-        + _times(IntLaurent2.monomial(1, 0, -r), odd, ns, -1)
-        + _times(IntLaurent2.monomial(1, -2 * r, -2 * r), _numerators(cable, ns), ns),
-        [(*_numerators(torus, _affine(3, 2, ns)), 1)]
-        + _times(IntLaurent2.monomial(1, -8 * pq, -4 * pq), odd, ns, -1)
-        + _times(IntLaurent2.monomial(1, -4 * pq, -2 * pq) * symbolic_delta(p, q, 2, 1), _unit(ns), ns, -1),
-    ]
-
-
-_IDENTITY_CHECKS = {
-    "TORUS_STEP": _torus_step,
-    "Q2_STEP": _q2_step,
-    "CABLE_STEP": _cable_step,
-    "PEEL": _peel,
-    "PEEL_S": _peel_sum("S"),
-    "Q2_PEEL": _q2_peel,
-    "Q2_PEEL_S": _peel_sum("U"),
-    "HALF_PEEL": _peel_sum("V"),
-    "S2_STEP": _s2_step,
-}
 
 
 def applicable_identities(params, max_peel=4):
@@ -703,11 +687,12 @@ def applicable_identities(params, max_peel=4):
 
 
 def identity_suite(params, n_lo, n_hi, max_peel=4):
-    """Run every applicable identity check; returns the list of reports.
+    """Run every applicable identity check; returns the list of reports,
+    as :func:`verify_identity` gives them, from one evaluation that makes
+    each read shared by several identities once.
 
     An empty color window raises :class:`ValueError`.
     """
-    return [
-        verify_identity(identity_id, params, n_lo, n_hi, m)
-        for identity_id, m in applicable_identities(params, max_peel)
-    ]
+    ns = _colours(n_lo, n_hi)
+    cp, p, q = _as_params(params)
+    return _check_relations(applicable_identities(params, max_peel), cp, p, q, ns)

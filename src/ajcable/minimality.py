@@ -46,6 +46,7 @@ relative to the stated boxes and color window.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -667,8 +668,11 @@ def search_bounded_annihilator(params, bounds=None):
 
     Raises :class:`SystemTooSmall` unless ``equations``, an upper bound on
     the exact system's row count (``_equation_count``), is at least twice
-    the number of unknowns.  See the module docstring for the three
-    possible verdicts.
+    the number of unknowns, and :class:`MemoryError` when the evaluation
+    matrix, at least ``unknowns + 48`` rows of ``unknowns`` 8-byte
+    entries, cannot fit in physical memory.  Both are refused before the
+    unknowns are listed.  See the module docstring for the three possible
+    verdicts.
     """
     if bounds is None:
         bounds = default_search_bounds(params)
@@ -680,6 +684,10 @@ def search_bounded_annihilator(params, bounds=None):
         raise SystemTooSmall(
             f"{equations} equations for {unknowns} unknowns (need at least twice as many)"
         )
+    matrix_bytes = 8 * unknowns * (unknowns + 48)
+    if matrix_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"the evaluation matrix of {unknowns} unknowns needs at least "
+                          f"{matrix_bytes} bytes, more than physical memory")
     cols = _columns(bounds, centers)
     report = {
         "params": _params_label(params),

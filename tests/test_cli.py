@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ajcable.cli as cli
+import ajcable.minimality as minimality
 from ajcable.cli import IN_BAND_WARNING, main
 
 GOLDEN_TORUS = "t^-2 + t^-6 + t^-10 - t^-18"
@@ -111,6 +112,40 @@ def test_out_of_memory_exits_1(error, message, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, colour", [
+    (["jones", "torus", "-p", "3", "-q", "2", "-n", HUGE], f"(3, 2)-cabling sum at colour {HUGE}"),
+    (["degrees", "-p", "3", "-q", "2", "--nmax", HUGE], f"(3, 2)-cabling sum at colour {HUGE}"),
+    (["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", HUGE],
+     "(13, 2)-cabling sum at colour 100000000000000000002"),
+], ids=["jones", "degrees", "verify"])
+def test_colour_beyond_int64_exits_1(argv, colour, capsys):
+    """A colour whose exponents would overflow int64 is refused before any
+    array of its window is built."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ajcable: error: the {colour} has exponents beyond 2^62\n"
+
+
+def test_minimality_box_beyond_physical_memory_exits_1(monkeypatch, capsys):
+    """A box whose evaluation matrix cannot fit in memory is refused before
+    its unknowns are listed; ``_columns`` raises, so a broken guard cannot
+    allocate anything."""
+    def no_columns(*_args):
+        raise AssertionError("columns built before the memory guard")
+
+    monkeypatch.setattr(minimality, "_columns", no_columns)
+    rc = main(["minimality", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--mspan", "3000000000"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ajcable: error: out of memory: the evaluation matrix of 378000000063 unknowns "
+                            "needs at least 1143072000526176000055944 bytes, more than physical memory\n")
 
 
 # --- usage errors ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import ajcable.jones as jones
 from ajcable.aj import default_grid
+from ajcable.degrees import audit_degrees
 from ajcable.algebra import (
     IntLaurent1,
     IntLaurent2,
@@ -435,10 +436,13 @@ def test_corrupted_numerator_is_not_divisible(monkeypatch):
     lambda: cabled_jones(CablingParams(3, 2, 2**61, 3), 2),
     lambda: verify_identity("TORUS_STEP", (2**61 + 1, 2), 1, 3),
     lambda: identity_suite(CablingParams(3, 2, 2**61, 3), 1, 2),
+    lambda: torus_jones(3, 2, 99999999999999999999),
+    lambda: audit_degrees((3, 2), 2, 99999999999999999999),
 ])
 def test_exponents_beyond_int64_are_refused(value):
-    """Exponents are int64: parameters that would overflow them raise
-    BadParams instead of wrapping around."""
+    """Exponents are int64: parameters or colours that would overflow them
+    raise BadParams instead of wrapping around, and a colour window is
+    refused before any of its arrays is built."""
     with pytest.raises(BadParams, match="exponents beyond 2\\^62"):
         value()
 
@@ -510,9 +514,31 @@ def reference_suite(params, n_lo, n_hi):
 
 @pytest.mark.parametrize("params", STOCK_CELLS)
 def test_identity_suite_matches_value_reference(params):
-    """Negative colours read the odd extension of both sequences."""
+    """Negative colours read the odd extension of both sequences.  The
+    suite's shared reads give the reports of the one-identity checks."""
     for n_lo, n_hi in ((1, 12), (-4, 3)):
-        assert identity_suite(params, n_lo, n_hi) == reference_suite(params, n_lo, n_hi)
+        suite = identity_suite(params, n_lo, n_hi)
+        assert suite == reference_suite(params, n_lo, n_hi)
+        assert suite == [verify_identity(identity_id, params, n_lo, n_hi, m)
+                         for identity_id, m in applicable_identities(params)]
+
+
+def test_identity_suite_makes_each_read_once(monkeypatch):
+    """Identities that read the same numerators share one read: for
+    (3, 2, -1, 2) at colours 1..12 the 14 identities need 12 distinct torus
+    reads and 3 cable reads, and each cabling sum runs once per read (a
+    cable read runs the torus sum inside it once)."""
+    reads, sums = [], []
+    read, cabling = jones._read, jones._cabling_numerator
+    monkeypatch.setattr(jones, "_read", lambda *args: reads.append(args[:3]) or read(*args))
+    monkeypatch.setattr(jones, "_cabling_numerator",
+                        lambda a, b, *rest: sums.append((a, b)) or cabling(a, b, *rest))
+    params = CablingParams(3, 2, -1, 2)
+    assert all(report["pass"] for report in identity_suite(params, 1, 12))
+    assert len(reads) == len(set(reads))
+    assert [seq for seq, _, _ in reads].count("T") == 12
+    assert [seq for seq, _, _ in reads].count("C") == 3
+    assert sorted(sums) == [(-1, 2)] * 3 + [(3, 2)] * (12 + 3)
 
 
 @pytest.mark.parametrize("pq", GRID_PQ)
