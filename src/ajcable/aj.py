@@ -40,6 +40,7 @@ from .algebra import (
     substitute_M,
 )
 from .jones import (
+    _EXPONENT_LIMIT,
     PEEL_STEP,
     BadParams,
     CablingParams,
@@ -182,8 +183,15 @@ def g_poly(p, q):
 
 def cabled_a_polynomial_factors(params):
     """The three factors: (L - 1), the cabling-torus factor in M, and the
-    companion factor evaluated at M^(s^2)."""
+    companion factor evaluated at M^(s^2).
+
+    Their M-exponents, and those of their product, are bounded by
+    ``2|r|s + 2|pq|s^2``; parameters that reach 2^62 are refused before
+    any factor is built.
+    """
     p, q, r, s = params.p, params.q, params.r, params.s
+    if 2 * abs(r) * s + 2 * abs(p * q) * s * s >= _EXPONENT_LIMIT:
+        raise BadParams(f"the A-polynomial of the ({p}, {q}, {r}, {s}) cable has exponents beyond 2^62")
     l_minus_1 = _lp({1: 1, 0: -1})
     companion = f_poly(p, q) if s % 2 else g_poly(p, q)
     return [l_minus_1, f_poly(r, s), companion.substitute_M_power(s * s)]

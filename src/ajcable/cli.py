@@ -140,11 +140,12 @@ def _tuple_label(d):
 def _verify_pipeline(params, nmax):
     """The five check stages for one tuple: displayed-identity suite,
     annihilation, comparison at t = -1, determinant closed forms, and
-    degree predictions.  The degree audit reads the cable numerators that
-    the annihilation check built, so no stage computes a cable value."""
+    degree predictions.  The degree audit covers colours 2..nmax and reads
+    the cable numerators that the annihilation check built, so no stage
+    computes a cable value."""
     numerators = {}
     record = verify_tuple(params, nmax=nmax, numerators=numerators)
-    rows = audit_degrees(params, 2, max(2, min(nmax, 12)), numerators)
+    rows = audit_degrees(params, 2, max(2, nmax), numerators)
     record["degrees_ok"] = all(row["match"] for row in rows)
     record["degree_mismatches"] = [row for row in rows if not row["match"]]
     record["pass"] = bool(record["pass"] and record["degrees_ok"])

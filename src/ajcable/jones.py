@@ -506,7 +506,7 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     cp, p, q = _as_params(params)
     if identity_id in ("PEEL", "Q2_PEEL") and (m is None or m < 1):
         raise BadParams(f"{identity_id} needs a peel depth m >= 1")
-    if identity_id not in {i for i, _ in applicable_identities(params, max_peel=1)}:
+    if identity_id not in {i for i, _ in applicable_identities(params)}:
         raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
     return _check_relations([(identity_id, m)], cp, p, q, ns)[0]
 
@@ -665,15 +665,16 @@ def _nonzero_slots(slot, exps, coeffs, size):
     return np.unique(keys[starts[sums != 0]] // width).tolist()
 
 
-def applicable_identities(params, max_peel=4):
-    """Which identities (with peel depths) apply to one parameter tuple."""
+def applicable_identities(params):
+    """Which identities apply to one parameter tuple, PEEL and Q2_PEEL at
+    the peel depths 1..4."""
     cp = params if isinstance(params, CablingParams) else None
     q = cp.q if cp is not None else params[1]
     out = [("TORUS_STEP", None)]
-    out += [("PEEL", m) for m in range(1, max_peel + 1)]
+    out += [("PEEL", m) for m in range(1, 5)]
     if q == 2:
         out.append(("Q2_STEP", None))
-        out += [("Q2_PEEL", m) for m in range(1, max_peel + 1)]
+        out += [("Q2_PEEL", m) for m in range(1, 5)]
     if cp is not None:
         out.append(("CABLE_STEP", None))
         out.append(("PEEL_S", None))
@@ -686,7 +687,7 @@ def applicable_identities(params, max_peel=4):
     return out
 
 
-def identity_suite(params, n_lo, n_hi, max_peel=4):
+def identity_suite(params, n_lo, n_hi):
     """Run every applicable identity check; returns the list of reports,
     as :func:`verify_identity` gives them, from one evaluation that makes
     each read shared by several identities once.
@@ -695,4 +696,4 @@ def identity_suite(params, n_lo, n_hi, max_peel=4):
     """
     ns = _colours(n_lo, n_hi)
     cp, p, q = _as_params(params)
-    return _check_relations(applicable_identities(params, max_peel), cp, p, q, ns)
+    return _check_relations(applicable_identities(params), cp, p, q, ns)

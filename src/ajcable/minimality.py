@@ -34,11 +34,13 @@ quantum integers cabled by (p, q) and then by (r, s): the same formula
 that gives the exact values.
 
 The evaluation matrix is tried at each prime in turn.  When both are
-rank-deficient and nothing lifts, a small enough box gets one more try:
-the exact system itself (one row per color and t-exponent, its integer
-entries reduced mod the last prime) goes through the same elimination
-and lift.  Its full column rank mod p is full rank over Q by the argument
-above.
+rank-deficient and nothing lifts, the last prime's system grows by
+batches of fresh points, each through the same elimination and lift,
+until its rank is full, a lift verifies, or a batch adds no rank.  Too
+few points can make a system of full rank look deficient: for the unknot
+one point's rows span at most two dimensions per M-power, as the quantum
+integers satisfy a two-term recurrence.  Every certificate, batch or
+not, is the full column rank of evaluation rows mod p argued above.
 
 Nothing here ever claims minimality outright: the result is always
 relative to the stated boxes and color window.
@@ -242,8 +244,6 @@ def _equation_count(values, bounds, centers):
 # A color of the cabling sum (``_cabling_sum_mod``) adds at most n_max
 # residues below 2^31 before its reduction, less than 2^63 for any
 # n_max below 2^32.
-# The entries of the exact system (``_exact_matrix``) are summed as Python
-# ints and reduced mod p before they are stored.
 #
 # The one exception is the matrix product of the blocked elimination
 # (``_sub_product``), a sum of k <= _PANEL products F[i, j] U[j, l] of
@@ -605,8 +605,8 @@ def _certify(matrix, prime, cols, seq, bounds):
 def _sequence_for(params, bounds):
     """The values a search reads, as a function of the color: the unknot's
     quantum integers, or one :func:`.jones.value_window` over
-    ``[n_lo, n_hi + l_degree]``, every color that ``_equation_count``,
-    ``_exact_matrix`` and the lift check read."""
+    ``[n_lo, n_hi + l_degree]``, every color that ``_equation_count`` and
+    the lift check read."""
     if params is None:
         return unknot_sequence()
     return value_window(params, bounds.n_lo, bounds.n_hi + bounds.l_degree).__getitem__
@@ -621,44 +621,17 @@ def _params_label(params):
 
 
 # ---------------------------------------------------------------------------
-# exact fallback on the uncompressed system
-# ---------------------------------------------------------------------------
-
-_EXACT_LIMIT_COLS = 90
-_EXACT_LIMIT_ROWS = 2500
-
-
-def _exact_matrix(seq, bounds, centers, cols, prime):
-    """The exact system mod ``prime``, one row per (color, t-exponent), of
-    the values ``seq`` (see :func:`_sequence_for`).
-
-    Its entries are the integer coefficients of the values, so full column
-    rank mod ``prime`` is full rank over Q, as for the evaluation rows.
-    """
-    col_index = {c: k for k, c in enumerate(cols)}
-    rows = []
-    for n in range(bounds.n_lo, bounds.n_hi + 1):
-        by_exp = {}
-        for i, (tc, mc) in enumerate(centers):
-            terms = seq(n + i).items()
-            for b in range(mc - bounds.m_span, mc + bounds.m_span + 1):
-                shift = 2 * n * b
-                for a in range(tc - bounds.t_span, tc + bounds.t_span + 1):
-                    k = col_index[(i, a, b)]
-                    off = a + shift
-                    for e, c in terms:
-                        cell = by_exp.setdefault(off + e, {})
-                        cell[k] = cell.get(k, 0) + c
-        rows.extend(by_exp.values())
-    matrix = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, row in enumerate(rows):
-        matrix[r, list(row)] = [c % prime for c in row.values()]
-    return matrix
-
-
-# ---------------------------------------------------------------------------
 # the search
 # ---------------------------------------------------------------------------
+
+
+def _refuse_beyond_memory(unknowns, rows):
+    """Raise :class:`MemoryError` when an evaluation matrix of ``rows``
+    rows of ``unknowns`` 8-byte entries cannot fit in physical memory."""
+    matrix_bytes = 8 * unknowns * rows
+    if matrix_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"the evaluation matrix of {unknowns} unknowns needs at least "
+                          f"{matrix_bytes} bytes, more than physical memory")
 
 
 def search_bounded_annihilator(params, bounds=None):
@@ -671,8 +644,13 @@ def search_bounded_annihilator(params, bounds=None):
     the number of unknowns, and :class:`MemoryError` when the evaluation
     matrix, at least ``unknowns + 48`` rows of ``unknowns`` 8-byte
     entries, cannot fit in physical memory.  Both are refused before the
-    unknowns are listed.  See the module docstring for the three possible
-    verdicts.
+    unknowns are listed; a batch of added points is refused the same way
+    before its rows are built.  See the module docstring for the three
+    possible verdicts.
+
+    ``prime`` and ``rows`` describe the last prime's first system, before
+    any batch of added points; ``nullity`` is that of the last system
+    eliminated.
     """
     if bounds is None:
         bounds = default_search_bounds(params)
@@ -684,10 +662,7 @@ def search_bounded_annihilator(params, bounds=None):
         raise SystemTooSmall(
             f"{equations} equations for {unknowns} unknowns (need at least twice as many)"
         )
-    matrix_bytes = 8 * unknowns * (unknowns + 48)
-    if matrix_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise MemoryError(f"the evaluation matrix of {unknowns} unknowns needs at least "
-                          f"{matrix_bytes} bytes, more than physical memory")
+    _refuse_beyond_memory(unknowns, unknowns + 48)
     cols = _columns(bounds, centers)
     report = {
         "params": _params_label(params),
@@ -711,11 +686,18 @@ def search_bounded_annihilator(params, bounds=None):
         if nullity == 0 or op is not None:
             break
     else:
-        # both primes rank-deficient and no lift verified: the exact
-        # system, at the last prime, if it is small enough
-        if unknowns <= _EXACT_LIMIT_COLS and equations <= _EXACT_LIMIT_ROWS:
-            matrix = _exact_matrix(seq, bounds, centers, cols, prime)
+        # both primes rank-deficient and no lift verified: add batches of
+        # points at the last prime; the nullity falls with every batch that
+        # adds rank, so at most nullity + 1 batches run
+        while True:
+            _refuse_beyond_memory(unknowns, (len(taus) + tau_count) * n_count)
+            drawn = set(taus)
+            taus = taus + [t for t in _draw_taus(rng, tau_count, prime) if t not in drawn]
+            matrix = _build_matrix(params, bounds, centers, taus, prime)
+            before = nullity
             nullity, op = _certify(matrix, prime, cols, seq, bounds)
+            if nullity in (0, before) or op is not None:
+                break
     report["nullity"] = nullity
     if op is not None:
         report["verdict"] = "found annihilator within bounds"

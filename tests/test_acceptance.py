@@ -77,7 +77,7 @@ def test_criterion_1_identity_suite():
     t0 = time.time()
     failures = []
     for params in GRID:
-        for report in identity_suite(params, 1, 12, max_peel=4):
+        for report in identity_suite(params, 1, 12):
             if not report["pass"]:
                 failures.append((params, report["id"], report["failures"][:1]))
     elapsed = time.time() - t0

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import ajcable.cli as cli
+import ajcable.degrees as degrees
 import ajcable.minimality as minimality
 from ajcable.cli import IN_BAND_WARNING, main
 
@@ -117,19 +119,27 @@ def test_out_of_memory_exits_1(error, message, monkeypatch, capsys):
 HUGE = "99999999999999999999"
 
 
-@pytest.mark.parametrize("argv, colour", [
+P61, P62 = str(2**61 + 1), str(2**62 + 1)
+
+
+@pytest.mark.parametrize("argv, what", [
     (["jones", "torus", "-p", "3", "-q", "2", "-n", HUGE], f"(3, 2)-cabling sum at colour {HUGE}"),
     (["degrees", "-p", "3", "-q", "2", "--nmax", HUGE], f"(3, 2)-cabling sum at colour {HUGE}"),
     (["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", HUGE],
      "(13, 2)-cabling sum at colour 100000000000000000002"),
-], ids=["jones", "degrees", "verify"])
-def test_colour_beyond_int64_exits_1(argv, colour, capsys):
-    """A colour whose exponents would overflow int64 is refused before any
-    array of its window is built."""
+    # an int64 overflow in the companion factor at M^(s^2), in f_poly(r, s),
+    # and a factor within int64 whose dense array would not fit in memory
+    (["apoly", "-p", P61, "-q", "2", "-r", "1", "-s", "2"], f"A-polynomial of the ({P61}, 2, 1, 2) cable"),
+    (["apoly", "-p", "3", "-q", "2", "-r", P62, "-s", "2"], f"A-polynomial of the (3, 2, {P62}, 2) cable"),
+    (["apoly", "-p", "3", "-q", "2", "-r", P61, "-s", "2"], f"A-polynomial of the (3, 2, {P61}, 2) cable"),
+], ids=["jones", "degrees", "verify", "apoly-companion", "apoly-cabling", "apoly-memory"])
+def test_colour_beyond_int64_exits_1(argv, what, capsys):
+    """A colour or a parameter whose exponents would overflow int64 is
+    refused before any array of its window or polynomial is built."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"ajcable: error: the {colour} has exponents beyond 2^62\n"
+    assert captured.err == f"ajcable: error: the {what} has exponents beyond 2^62\n"
 
 
 def test_minimality_box_beyond_physical_memory_exits_1(monkeypatch, capsys):
@@ -267,6 +277,21 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     rc = main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "4"])
     assert rc == 2
     assert capsys.readouterr().out.strip().endswith("FAIL")
+
+
+def test_verify_audits_degrees_at_every_colour(monkeypatch, capsys):
+    """A degree prediction off at colour 14 fails ``verify --nmax 16``."""
+    real = degrees.predicted_cable_degrees
+
+    def off_at_14(params, n):
+        pred = real(params, n)
+        return replace(pred, lowest=pred.lowest + 1) if n == 14 else pred
+
+    monkeypatch.setattr(degrees, "predicted_cable_degrees", off_at_14)
+    rc = main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "16", "--format", "json"])
+    assert rc == 2
+    (record,) = json.loads(capsys.readouterr().out)["results"]
+    assert [(row["n"], row["side"]) for row in record["degree_mismatches"]] == [(14, "lowest")]
 
 
 def test_verify_in_band_warning_and_exit_policy(capsys):

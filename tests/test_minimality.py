@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,13 +70,19 @@ def test_unknot_second_order_found(monkeypatch):
 
 
 def test_unknot_first_order_none_over_m_free_box(monkeypatch):
-    exact = _count_calls(monkeypatch, "_exact_matrix")
+    builds = _count_calls(monkeypatch, "_build_matrix")
     report = search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
     assert report["verdict"] == "no annihilator within bounds"
     assert report["nullity"] == 0
     # both primes are rank-deficient here (7 points, each adding at most
-    # rank 2): the verdict comes from the exact system, built once
-    assert len(exact) == 1
+    # rank 2): one batch of 7 fresh points at the last prime settles it
+    assert [(len(taus), prime) for *_, taus, prime in builds] == [
+        (7, PRIMES[0]), (7, PRIMES[1]), (14, PRIMES[1]),
+    ]
+    first, batch = builds[1][3], builds[2][3]
+    assert batch[:7] == first and len(set(batch)) == 14
+    # the report describes the last prime's first system
+    assert (report["prime"], report["rows"]) == (PRIMES[1], 70)
 
 
 def test_unknot_first_order_exists_once_m_coefficients_allowed():
@@ -203,14 +210,6 @@ UNKNOT_BOXES = [
     default_search_bounds(None, l_degree=1),
     SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10),
 ]
-
-
-@pytest.mark.parametrize("bounds", UNKNOT_BOXES)
-def test_exact_row_count_matches_the_exact_matrix(bounds):
-    centers = minimality._box_centers(None, bounds.l_degree)
-    cols = minimality._columns(bounds, centers)
-    matrix = minimality._exact_matrix(unknot_sequence(), bounds, centers, cols, PRIMES[0])
-    assert _exact_row_count(None, bounds) == matrix.shape[0]
 
 
 @pytest.mark.parametrize("params, bounds, excess", [
@@ -593,7 +592,7 @@ def test_pow_table_matches_builtin_pow(prime):
     ]
 
 
-# --- the exact system against sympy, and through the shared certificate -----------------
+# --- the exact system over Q against the search's verdicts -------------------------------
 
 
 def _exact_system_sympy(params, bounds, centers, cols):
@@ -624,35 +623,78 @@ def _exact_system_sympy(params, bounds, centers, cols):
     return rows
 
 
-@pytest.mark.parametrize("params, bounds", [
-    (None, default_search_bounds(None)),
-    (None, default_search_bounds(None, l_degree=1)),
-    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10)),
-    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5)),
-])
-def test_exact_matrix_rank_matches_sympy(params, bounds):
+FOUND = "found annihilator within bounds"
+NONE = "no annihilator within bounds"
+
+
+@pytest.mark.parametrize("params, bounds, nullity, verdict", [
+    (None, default_search_bounds(None), 5, FOUND),
+    (None, default_search_bounds(None, l_degree=1), 0, NONE),
+    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10), 5, FOUND),
+    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5), 0, NONE),
+], ids=["unknot-order-2", "unknot-m-free", "unknot-m-box", "cable"])
+def test_search_verdict_agrees_with_the_exact_system_over_q(params, bounds, nullity, verdict):
+    """The verdict from evaluation rows mod p against the nullity over Q of
+    the exact system: "none" exactly where that nullity is 0."""
     centers = minimality._box_centers(params, bounds.l_degree)
     cols = minimality._columns(bounds, centers)
     rows = _exact_system_sympy(params, bounds, centers, cols)
-    rank = DomainMatrix.from_list(rows, sympy.QQ).rank()  # over Q
-    seq = minimality._sequence_for(params, bounds)
-    for prime in PRIMES:
-        matrix = minimality._exact_matrix(seq, bounds, centers, cols, prime)
-        assert matrix.dtype == np.int64
-        assert sorted(matrix.tolist()) == sorted([c % prime for c in row] for row in rows)
-        assert len(minimality._echelon_mod(matrix, prime)) == rank
+    assert len(cols) - DomainMatrix.from_list(rows, sympy.QQ).rank() == nullity
+    assert search_bounded_annihilator(params, bounds)["verdict"] == verdict
 
 
-def test_exact_matrix_certifies_the_unknot_second_order_operator():
-    bounds = default_search_bounds(None)
+@pytest.mark.parametrize("bounds", UNKNOT_BOXES)
+def test_exact_row_count_matches_the_exact_matrix(bounds):
+    """The row count behind ``test_equation_count_bounds_the_exact_rows``
+    against the exact system as sympy expands it."""
     centers = minimality._box_centers(None, bounds.l_degree)
     cols = minimality._columns(bounds, centers)
-    prime = PRIMES[-1]
-    matrix = minimality._exact_matrix(unknot_sequence(), bounds, centers, cols, prime)
-    nullity, op = minimality._certify(matrix, prime, cols, unknot_sequence(), bounds)
-    assert nullity > 0
-    assert op is not None
-    assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
+    assert _exact_row_count(None, bounds) == len(_exact_system_sympy(None, bounds, centers, cols))
+
+
+@pytest.mark.parametrize("bounds, points", [
+    (default_search_bounds(None), [8, 8, 16, 24]),
+    (SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10), [11, 11, 22, 33]),
+], ids=["unknot-order-2", "unknot-m-box"])
+def test_batches_stop_when_a_batch_adds_no_rank(bounds, points, monkeypatch):
+    """With the lift disabled, the controls that have annihilators add
+    batches until the nullity settles at that of the exact system over Q
+    (5, see above), then stop one batch later: inconclusive."""
+    monkeypatch.setattr(minimality, "check_annihilation", lambda *args: {"pass": False})
+    builds = _count_calls(monkeypatch, "_build_matrix")
+    report = search_bounded_annihilator(None, bounds)
+    assert (report["verdict"], report["nullity"]) == ("inconclusive", 5)
+    assert [len(taus) for *_, taus, _ in builds] == points
+    assert (report["prime"], report["rows"]) == (PRIMES[1], points[0] * 10)
+
+
+def test_batch_drops_points_already_drawn(monkeypatch):
+    """A batch point equal to one already drawn adds no row: the M-free
+    control's batch, its first three points made repeats, keeps 4 of 7."""
+    real, draws = minimality._draw_taus, []
+
+    def draw_with_repeats(rng, count, prime):
+        draws.append(real(rng, count, prime))
+        if len(draws) == 3:
+            draws[2][:3] = draws[1][:3]
+        return list(draws[-1])
+
+    monkeypatch.setattr(minimality, "_draw_taus", draw_with_repeats)
+    builds = _count_calls(monkeypatch, "_build_matrix")
+    report = search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
+    assert [taus for *_, taus, _ in builds][2:] == [draws[1] + draws[2][3:]]
+    assert (report["verdict"], report["nullity"]) == (NONE, 0)  # 11 points suffice
+
+
+def test_batch_beyond_physical_memory_is_refused_before_its_rows(monkeypatch):
+    """A batch is refused like the first system: the M-free control's first
+    batch (14 points, 140 x 18) needs 20160 bytes, the first systems 70 x 18."""
+    builds = _count_calls(monkeypatch, "_build_matrix")
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20159}
+    monkeypatch.setattr(minimality, "os", SimpleNamespace(sysconf=sizes.__getitem__))
+    with pytest.raises(MemoryError, match="18 unknowns needs at least 20160 bytes"):
+        search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
+    assert [len(taus) for *_, taus, _ in builds] == [7, 7]
 
 
 # --- the head-first rank certificate ------------------------------------------------
@@ -723,16 +765,20 @@ def test_unknot_controls_fall_back_to_the_whole_matrix(bounds, monkeypatch):
     assert (nullity, text) == _direct_certificate(matrix, prime, cols, unknot_sequence(), bounds)
 
 
-def test_m_free_exact_stage_is_eliminated_once(monkeypatch):
+def test_m_free_batch_is_eliminated_whole(monkeypatch):
     certified = _record_eliminations(monkeypatch)
     bounds = default_search_bounds(None, l_degree=1)
     assert search_bounded_annihilator(None, bounds)["nullity"] == 0
-    # both primes' evaluation systems fall back; the exact system's first
-    # 18 + 8 rows already have full rank
+    # both primes' systems fall back to the whole matrix; so does the
+    # batch, whose first 18 + 8 rows (under three points) cannot have full
+    # rank
     assert [[E.shape for E in e] for e, *_ in certified] == [
-        [(26, 18), (70, 18)], [(26, 18), (70, 18)], [(26, 18)],
+        [(26, 18), (70, 18)], [(26, 18), (70, 18)], [(26, 18), (140, 18)],
     ]
-    assert certified[-1][1].shape == (310, 18)
+    # the batch appends rows to the last prime's system
+    (_, first, *_), (_, batch, prime, *_, result) = certified[1:]
+    assert np.array_equal(batch[:70], first)
+    assert (prime, result) == (PRIMES[1], (0, None))
 
 
 @pytest.mark.parametrize("extra", [0, 8])
