@@ -623,6 +623,43 @@ def _exact_system_sympy(params, bounds, centers, cols):
     return rows
 
 
+def _exact_rows(params, bounds):
+    centers = minimality._box_centers(params, bounds.l_degree)
+    cols = minimality._columns(bounds, centers)
+    return _exact_system_sympy(params, bounds, centers, cols), cols
+
+
+def _mod(rows, prime):
+    return np.array([[c % prime for c in row] for row in rows], dtype=np.int64)
+
+
+@pytest.mark.parametrize("params, bounds", [
+    (None, default_search_bounds(None)),
+    (None, default_search_bounds(None, l_degree=1)),
+    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10)),
+    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5)),
+])
+def test_exact_matrix_rank_matches_sympy(params, bounds):
+    """Elimination mod each search prime keeps the rank over Q of the
+    exact system."""
+    rows, _ = _exact_rows(params, bounds)
+    rank = DomainMatrix.from_list(rows, sympy.QQ).rank()
+    for prime in PRIMES:
+        assert len(minimality._echelon_mod(_mod(rows, prime), prime)) == rank
+
+
+def test_exact_matrix_certifies_the_unknot_second_order_operator():
+    """The shared certificate, given the exact system mod p, lifts an
+    operator that annihilates the unknot."""
+    bounds = default_search_bounds(None)
+    prime = PRIMES[-1]
+    rows, cols = _exact_rows(None, bounds)
+    nullity, op = minimality._certify(_mod(rows, prime), prime, cols, unknot_sequence(), bounds)
+    assert nullity > 0
+    assert op is not None
+    assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
+
+
 FOUND = "found annihilator within bounds"
 NONE = "no annihilator within bounds"
 
@@ -636,9 +673,7 @@ NONE = "no annihilator within bounds"
 def test_search_verdict_agrees_with_the_exact_system_over_q(params, bounds, nullity, verdict):
     """The verdict from evaluation rows mod p against the nullity over Q of
     the exact system: "none" exactly where that nullity is 0."""
-    centers = minimality._box_centers(params, bounds.l_degree)
-    cols = minimality._columns(bounds, centers)
-    rows = _exact_system_sympy(params, bounds, centers, cols)
+    rows, cols = _exact_rows(params, bounds)
     assert len(cols) - DomainMatrix.from_list(rows, sympy.QQ).rank() == nullity
     assert search_bounded_annihilator(params, bounds)["verdict"] == verdict
 
