@@ -27,9 +27,10 @@ summing to zero, with ``X`` the torus, cable or quantum-integer
 numerators or the constant 1 (the shape q-holonomicity predicts;
 Garoufalidis-Le, Geom. Topol. 9, 2005).  One evaluator checks them for
 ``verify_identity`` and ``identity_suite`` exactly, on the same
-numerators: each distinct read is made once per call, and the terms of
-all colors of a window are sorted once and summed, with no values formed
-except the residue of a failing color.
+numerators: the reads of one call come from one numerator table per
+sequence, and the terms of all groups and colors of a window are sorted
+once and summed, with no values formed except the residue of a failing
+color.
 """
 
 from __future__ import annotations
@@ -136,22 +137,24 @@ class CablingParams:
 
 # Numerators are ragged int64 arrays ``(owner, exps, coeffs)`` holding the
 # numerators ``(t^2 - t^-2) * J(k)`` at several colours k: term i is
-# ``coeffs[i] * t^exps[i]`` of the colour with index ``owner[i]``.  Every
+# ``coeffs[i] * t^exps[i]`` of the colour with index ``owner[i]``, and
+# ``owner`` is ascending, so each colour's terms are one slice.  Every
 # coefficient is +-1, so a sum of some of them, which is what every
 # coefficient and partial sum of a value is, is bounded by the term count,
 # far below 2^63.  ``_cabling_numerator`` bounds every exponent below 2^62
 # in Python ints before computing it, so exponents and their differences
 # are exact in int64; a value reaching further could not be allocated.
 _EXPONENT_LIMIT = 1 << 62
-_PLUS_MINUS = np.array([1, -1], dtype=np.int64)
 
 
 def _qint_numerators(ks):
     """The numerators ``t^(2k) - t^(-2k)`` of the quantum integers at the
     colours ``ks``, the unknot's numerators."""
-    owner = np.arange(ks.size)
-    return (np.concatenate((owner, owner)), np.concatenate((2 * ks, -2 * ks)),
-            np.repeat(_PLUS_MINUS, ks.size))
+    exps = np.repeat(2 * ks, 2)
+    exps[1::2] *= -1
+    coeffs = np.ones_like(exps)
+    coeffs[1::2] = -1
+    return np.repeat(np.arange(ks.size), 2), exps, coeffs
 
 
 def _check_reach(reach, a, b, n):
@@ -177,7 +180,9 @@ def _cabling_numerator(a, b, inner, ns):
     ``m = 1-n, 3-n, .., n-1`` is linear in the inner values, so it holds for
     the numerators too.  ``mb + 1`` is never 0 (b >= 2); a negative one
     reads the inner numerator at ``|mb + 1|`` negated, the odd extension.
-    The (p, q) torus knot is the (p, q)-cable of the unknot:
+    The m's are laid out colour by colour, so the result's ``owner`` is
+    ascending when ``inner``'s is.  The (p, q) torus knot is the
+    (p, q)-cable of the unknot:
 
     >>> _, exps, coeffs = _cabling_numerator(3, 2, _qint_numerators, np.array([2]))
     >>> div_qint_den(IntLaurent1.from_terms(exps, coeffs)).text()
@@ -292,10 +297,9 @@ def numerator_window(params, lo, hi):
         raise ValueError(f"numerator window [{lo}, {hi}] must be non-empty and start at colour 1 or above")
     _cabling_reach(a, b, hi)  # refused before any array of the window is built
     owner, exps, coeffs = _cabling_numerator(a, b, inner, np.arange(lo, hi + 1, dtype=np.int64))
-    order = np.argsort(owner, kind="stable")
-    cuts = np.searchsorted(owner[order], np.arange(1, hi - lo + 1))
+    cuts = np.searchsorted(owner, np.arange(1, hi - lo + 1))  # owner is ascending
     return {lo + i: IntLaurent1.from_terms(e, c)
-            for i, (e, c) in enumerate(zip(np.split(exps[order], cuts), np.split(coeffs[order], cuts)))}
+            for i, (e, c) in enumerate(zip(np.split(exps, cuts), np.split(coeffs, cuts)))}
 
 
 def value_window(params, lo, hi):
@@ -366,31 +370,35 @@ def symbolic_delta(p, q, a, b):
     return acc
 
 
-def _two_step_peel(p, q, m, a, b):
-    """Peel of the torus index a*n + b by m two-steps, in M-form.
+def _two_step_peels(p, q, m, a, b):
+    """Peels of the torus index a*n + b by 1..m two-steps, in M-form, each
+    total built on the one before.
 
-    Returns ``(c, total)`` with J(a*n+b) = c*J(a*n+b-2m) + total/(t^2 - t^-2).
+    Entry j - 1 is ``(c, total)`` with J(a*n+b) = c*J(a*n+b-2j) + total/(t^2 - t^-2).
     """
     pq = p * q
-    total = IntLaurent2()
+    out, total = [], IntLaurent2()
     for j in range(1, m + 1):
         pref = _affine_monomial((2 - 4 * j) * pq * a, (2 - 4 * j) * pq * b + 4 * pq * j * (j - 1) + 2 * pq)
         total = total + poly_mul(pref, symbolic_delta(p, q, a, b - 2 * j))
-    return _affine_monomial(-4 * pq * m * a, 4 * pq * m * (m - b)), total
+        out.append((_affine_monomial(-4 * pq * j * a, 4 * pq * j * (j - b)), total))
+    return out
 
 
-def _single_step_peel(p, m, a, b):
-    """Peel of the torus index a*n + b by m steps of the q = 2 recurrence.
+def _single_step_peels(p, m, a, b):
+    """Peels of the torus index a*n + b by 1..m steps of the q = 2
+    recurrence, in M-form, each total built on the one before.
 
-    Returns ``(c, total)`` with J(a*n+b) = c*J(a*n+b-m) + total/(t^2 - t^-2).
+    Entry j - 1 is ``(c, total)`` with J(a*n+b) = c*J(a*n+b-j) + total/(t^2 - t^-2).
     """
-    total = IntLaurent2()
+    out, total = [], IntLaurent2()
     for j in range(1, m + 1):
         sign = 1 if j % 2 else -1
         pref = _affine_monomial((2 - 4 * j) * p * a, ((2 - 4 * j) * b + 2 * j * j - 2 * j + 2) * p, sign)
         core = _affine_monomial(4 * a, 4 * b + 2 - 4 * j) - _affine_monomial(-4 * a, -4 * b - 2 + 4 * j)
         total = total + poly_mul(pref, core)
-    return _affine_monomial(-4 * p * m * a, (2 * m * m - 4 * m * b) * p, (-1) ** m), total
+        out.append((_affine_monomial(-4 * p * j * a, (2 * j * j - 4 * j * b) * p, (-1) ** j), total))
+    return out
 
 
 # Each peel-sum kind peels the torus index from s(n+1+k)-1 down to s(n+1)-1:
@@ -420,8 +428,8 @@ def peel(kind, p, q, s):
         raise BadParams("half peel sum needs even s")
     k = PEEL_STEP[kind]
     if kind == "U":
-        return _single_step_peel(p, k * s, s, (k + 1) * s - 1)
-    return _two_step_peel(p, q, k * s // 2, s, (k + 1) * s - 1)
+        return _single_step_peels(p, k * s, s, (k + 1) * s - 1)[-1]
+    return _two_step_peels(p, q, k * s // 2, s, (k + 1) * s - 1)[-1]
 
 
 def cable_step_coefficients(params):
@@ -486,13 +494,15 @@ def verify_identity(identity_id, params, n_lo, n_hi, m=None):
     ``X`` is read through its numerators ``D*X`` (the torus and cable
     values, the quantum integers) or is the constant 1, whose ``f`` is
     already a numerator (the four terms of ``D*delta``, the peel totals).
-    One evaluator, shared with :func:`identity_suite`, makes each distinct
-    read ``(X, slope, const)`` once per call and checks all colors at once:
-    the terms of all colors are sorted once by (color, exponent) and
-    summed.  This is sound: ``Z[t^+-1]`` is a domain and D is not zero, so
-    a residue is zero exactly when D times it is.  The residue reported
-    for a failing color, that of its first nonzero group, is the exact
-    quotient of its terms by D, i.e. the residue itself.  Every torus and
+    One evaluator, shared with :func:`identity_suite`, takes every read
+    ``(X, slope, const)`` of a call from one numerator table per sequence
+    and checks all groups and colors at once: their terms are sorted once
+    by (group, color, exponent) and summed.  This is sound: ``Z[t^+-1]``
+    is a domain and D is not zero, so a residue is zero exactly when D
+    times it is.  The residue reported for a failing color, that of its
+    first nonzero group, is the exact quotient of its terms by D, i.e. the
+    residue itself; a sum that D does not divide has no residue, and the
+    color is reported failing with a text saying so.  Every torus and
     cable numerator read must be divisible by D, as its value requires;
     :class:`NotDivisible` is raised otherwise.
 
@@ -518,7 +528,7 @@ def _colours(n_lo, n_hi):
     return np.arange(n_lo, n_hi + 1, dtype=np.int64)
 
 
-def _relation(identity_id, p, q, cp, m):
+def _relation(identity_id, p, q, cp, m, depth_peels):
     """The identity ``identity_id`` as a list of term groups, each summing
     to D times one residue of the identity at every color n.  A term
     ``(seq, slope, const, f)`` is ``f(t, t^(2n)) * X(slope*n + const)``,
@@ -526,15 +536,14 @@ def _relation(identity_id, p, q, cp, m):
     its numerators ``D*X`` for ``seq`` "T" (the torus values), "C" (the
     cable values) and "Q" (the quantum integers), and is the constant 1
     for ``seq`` "1" (slope and const 0; f is then itself a numerator).
-    Reads are made in the order the terms are listed."""
+    PEEL and Q2_PEEL take their peel at depth m from ``depth_peels`` (see
+    :func:`_depth_peels`)."""
     mono, one = IntLaurent2.monomial, IntLaurent2.one()
     pq = p * q
     if identity_id == "TORUS_STEP":  # J(n+2) = t^(-4pq(n+1)) J(n) + t^(-2pq(n+1)) delta(n)
         return [[("T", 1, 2, one), ("T", 1, 0, mono(-1, -4 * pq, -2 * pq)),
                  ("1", 0, 0, mono(-1, -2 * pq, -pq) * symbolic_delta(p, q, 1, 0))]]
     if identity_id == "Q2_STEP":  # J(n+1) = -t^(-(4n+2)p) J(n) + t^(-2pn) [2n+1]
-        # the torus read at n + 1, made first, bounds |pq| (n + 1)^2 below
-        # 2^62, so the exponents +-2(2n + 1) of [2n + 1] are far below it too
         return [[("T", 1, 1, one), ("T", 1, 0, mono(1, -2 * p, -2 * p)), ("Q", 2, 1, mono(-1, 0, -p))]]
     if identity_id == "CABLE_STEP":  # see cable_step_coefficients
         c, s = cable_step_coefficients(cp), cp.s
@@ -546,10 +555,9 @@ def _relation(identity_id, p, q, cp, m):
                 [("T", 2, 3, one), ("T", 2, 1, mono(-1, -8 * pq, -4 * pq)),
                  ("1", 0, 0, mono(-1, -4 * pq, -2 * pq) * symbolic_delta(p, q, 2, 1))]]
     # a peel J(k) = c(n)*J(k - drop) + total(n)/(t^2 - t^-2) at k = slope*n + const
-    if identity_id == "PEEL":
-        slope, const, drop, (c, total) = 1, 0, 2 * m, _two_step_peel(p, q, m, 1, 0)
-    elif identity_id == "Q2_PEEL":
-        slope, const, drop, (c, total) = 1, 0, m, _single_step_peel(p, m, 1, 0)
+    if identity_id in ("PEEL", "Q2_PEEL"):
+        slope, const, (c, total) = 1, 0, depth_peels[identity_id][m - 1]
+        drop = 2 * m if identity_id == "PEEL" else m
     else:  # a peel sum: J(s(n+1+k)-1) = c(n)*J(s(n+1)-1) + sum(n)
         kind = {"PEEL_S": "S", "Q2_PEEL_S": "U", "HALF_PEEL": "V"}[identity_id]
         k, s = PEEL_STEP[kind], cp.s
@@ -557,35 +565,58 @@ def _relation(identity_id, p, q, cp, m):
     return [[("T", slope, const, one), ("T", slope, const - drop, -c), ("1", 0, 0, -total)]]
 
 
+def _depth_peels(identities, p, q):
+    """The peels of the PEEL and Q2_PEEL entries of ``identities``, as
+    ``{identity_id: [(c, total) at depths 1..m]}`` for the largest depth m
+    asked for: each total is built once, on the one before it."""
+    depth = {}
+    for identity_id, m in identities:
+        if identity_id in ("PEEL", "Q2_PEEL"):
+            depth[identity_id] = max(depth.get(identity_id, 0), m)
+    return {identity_id: _two_step_peels(p, q, m, 1, 0) if identity_id == "PEEL"
+            else _single_step_peels(p, m, 1, 0) for identity_id, m in depth.items()}
+
+
 def _check_relations(identities, cp, p, q, ns):
     """The reports of ``identities``, ``(identity_id, m)`` pairs that apply
-    to the parameters, at the colors ``ns``.
+    to the parameters, at the colors ``ns``, from one pass over all their
+    groups.
 
-    Each distinct read ``(seq, slope, const)`` of :func:`_relation` is made
-    once, whichever identities share it; each group's terms are then
-    summed at all colors at once.  Exponents of reads and realized
-    coefficients are bounded below 2^62, so their sums are exact in int64.
+    The reads of every group are taken from one numerator table per
+    sequence (:func:`_reads`).  Every term is tagged with its group and
+    color, and all terms are sorted once by the key (group, color,
+    exponent) and each run of equal keys summed.  The key is an int64 when
+    ``groups * colors * width`` is below 2^63, ``width`` bounding the span
+    of the terms' exponents (see :func:`_pieces`), and a Python int
+    otherwise, so no window is refused for its key: exponents below 2^62
+    (bounded in :func:`_cabling_reach` and :func:`_pieces`) are the only
+    bound.
+    A color reports, per identity, the residue of its first nonzero group:
+    the exact quotient of the group's summed terms by D, or, when that
+    quotient does not exist, a text saying so.
     """
-    reads = {}
+    peels = _depth_peels(identities, p, q)
+    groups = [(index, group) for index, (identity_id, m) in enumerate(identities)
+              for group in _relation(identity_id, p, q, cp, m, peels)]
+    reads = _reads({term[:3] for _, group in groups for term in group}, p, q, cp, ns)
+    keys, coeffs, lo, width = _pieces(groups, reads, ns)
+    residues = [{} for _ in identities]
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+    sums = np.add.reduceat(coeffs[order], starts)
+    keys, sums = keys[starts[sums != 0]], sums[sums != 0]  # the nonzero runs, by key
+    gslot = keys // width
+    cuts = np.flatnonzero(np.diff(gslot, prepend=-1)).tolist() + [keys.size]
+    for a, b in zip(cuts, cuts[1:]):
+        g, i = divmod(int(gslot[a]), ns.size)
+        mine = residues[groups[g][0]]
+        if i not in mine:  # a colour reports its first nonzero group
+            mine[i] = _residue_text((keys[a:b] - gslot[a] * width + lo).astype(np.int64), sums[a:b])
+    n_lo = int(ns[0])
     reports = []
-    for identity_id, m in identities:
-        residues = {}
-        for group in _relation(identity_id, p, q, cp, m):
-            parts = []
-            for seq, slope, const, f in group:
-                key = (seq, slope, const)
-                if key not in reads:
-                    reads[key] = _read(*key, p, q, cp, ns)
-                slot, exps, coeffs = reads[key]
-                parts += [(slot, exps + _affine(a, 2 * b, ns)[slot], coeffs, c)
-                          for (a, b), c in f.d.items()]
-            slot, exps, coeffs = _gather(parts)
-            for i in _nonzero_slots(slot, exps, coeffs, ns.size):
-                if i not in residues:  # a colour reports its first nonzero residue
-                    mine = slot == i
-                    residues[i] = div_qint_den(IntLaurent1.from_terms(exps[mine], coeffs[mine])).text()
-        n_lo = int(ns[0])
-        failures = [{"n": n_lo + i, "residue": residues[i]} for i in sorted(residues)]
+    for (identity_id, m), mine in zip(identities, residues):
+        failures = [{"n": n_lo + i, "residue": mine[i]} for i in sorted(mine)]
         report = {
             "id": identity_id,
             "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
@@ -600,6 +631,15 @@ def _check_relations(identities, cp, p, q, ns):
     return reports
 
 
+def _residue_text(exps, coeffs):
+    """The text of ``sum coeffs[i] t^exps[i]`` divided by ``t^2 - t^-2``, or
+    of why it has no such quotient."""
+    try:
+        return div_qint_den(IntLaurent1.from_terms(exps, coeffs)).text()
+    except NotDivisible:
+        return "the sum of the terms is not divisible by t^2 - t^-2"
+
+
 def _affine(const, slope, ns):
     """The int64 array ``const + slope * ns`` (``ns`` ascending), bounded
     below 2^62 in Python ints first."""
@@ -609,60 +649,98 @@ def _affine(const, slope, ns):
     return const + slope * ns
 
 
-def _read(seq, slope, const, p, q, cp, ns):
-    """The numerators of the sequence ``seq`` (see :func:`_relation`) at
-    the signed colours ``ks = slope*ns + const``, as ``(slot, exps,
-    coeffs)``: the terms ``coeffs[i] * t^exps[i]`` at the colours
-    ``ns[slot[i]]``, every coefficient +-1.  A negative colour reads the
-    numerator at ``-k`` negated, the odd extension; colour 0 has none.
+def _ranges(first, count):
+    """The indices ``first[i] .. first[i] + count[i] - 1`` of every i, concatenated."""
+    ends = np.cumsum(count)
+    return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(first - ends + count, count)
 
-    Each numerator read must be divisible by ``t^2 - t^-2``: per colour, the
-    coefficients of each exponent class mod 4 sum to zero, the criterion of
+
+def _reads(keys, p, q, cp, ns):
+    """The reads ``keys``, each ``(seq, slope, const)`` of :func:`_relation`,
+    as ``(span, slot, exps, coeffs)``: a read's terms are the entries
+    ``span[key][0]:span[key][1]`` of the three arrays, the terms ``coeffs[i]
+    * t^exps[i]`` of its numerators at the signed colours ``k = slope*n +
+    const``, n = ``ns[slot[i]]``, every coefficient +-1.  A negative colour
+    reads the numerator at ``-k`` negated, the odd extension; colour 0 has
+    none.  The read ``("1", 0, 0)``, always made, is the term 1 at every
+    colour.
+
+    Each sequence's numerators come from one table: one cabling sum over
+    the union of the colours its reads need, in the order T, C, Q.  The
+    torus table bounds ``|pq| k^2`` below 2^62 for the colours ``k = n + 1``
+    of Q2_STEP, so the exponents ``+-2(2n + 1)`` of its quantum integers
+    are far below it too.  Every numerator of a table must be divisible by
+    ``t^2 - t^-2``, as its value requires: per colour, the coefficients of
+    each exponent class mod 4 sum to zero, the criterion of
     :func:`div_qint_den`.  Otherwise :class:`NotDivisible` is raised."""
-    if seq == "1":
-        return np.arange(ns.size), np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)
-    ks = _affine(const, slope, ns)
-    nz = np.flatnonzero(ks)
-    if not nz.size:
-        return nz, nz, nz
-    inner = (_torus_numerators(p, q) if seq == "T" else _cable_numerators(cp) if seq == "C"
-             else _qint_numerators)
-    owner, exps, coeffs = inner(np.abs(ks[nz]))
-    sums = np.zeros(4 * nz.size, dtype=np.int64)  # +-1 terms: bounded by their count
-    np.add.at(sums, 4 * owner + (exps & 3), coeffs)
-    if sums.any():
-        raise NotDivisible("a numerator is not divisible by t^2 - t^-2")
-    slot = nz[owner]
-    return slot, exps, np.where(ks[slot] < 0, -coeffs, coeffs)
+    span, parts, offset = {}, [], 0
+    for seq in ("T", "C", "Q"):
+        mine = sorted(key for key in keys if key[0] == seq)
+        if not mine:
+            continue
+        ks = np.stack([_affine(const, slope, ns) for _, slope, const in mine]).ravel()
+        colours = np.unique(np.abs(ks))
+        colours = colours[colours > 0]  # not empty: no identity reads a sequence at colour 0 alone
+        inner = (_torus_numerators(p, q) if seq == "T" else _cable_numerators(cp) if seq == "C"
+                 else _qint_numerators)
+        owner, exps, coeffs = inner(colours)  # owner ascending
+        sums = np.zeros(4 * colours.size, dtype=np.int64)  # +-1 terms: bounded by their count
+        np.add.at(sums, 4 * owner + (exps & 3), coeffs)
+        if sums.any():
+            raise NotDivisible("a numerator is not divisible by t^2 - t^-2")
+        bounds = np.searchsorted(owner, np.arange(colours.size + 1))
+        cell = np.flatnonzero(ks)  # read j's colours are ks[j * ns.size:(j + 1) * ns.size]
+        row = np.searchsorted(colours, np.abs(ks[cell]))
+        count = bounds[row + 1] - bounds[row]
+        idx = _ranges(bounds[row], count)
+        cell = np.repeat(cell, count)
+        cuts = (offset + np.searchsorted(cell, np.arange(len(mine) + 1) * ns.size)).tolist()
+        span.update(zip(mine, zip(cuts, cuts[1:])))
+        parts.append((cell % ns.size, exps[idx], np.where(ks[cell] < 0, -coeffs[idx], coeffs[idx])))
+        offset += idx.size
+    span["1", 0, 0] = (offset, offset + ns.size)
+    parts.append((np.arange(ns.size), np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)))
+    return span, *(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _gather(parts):
-    """The terms of ``parts``, each ``(slot, exps, coeffs, k)`` for the
-    terms ``k * coeffs[i] * t^exps[i]`` at the colours ``ns[slot[i]]``, as
-    one ``(slot, exps, coeffs)`` triple.  Every sum of coefficients is
-    bounded by the sum of ``|k|`` over the terms: the coefficients are
-    int64 below 2^63, object arrays otherwise."""
-    dtype = _dtype_for(sum(abs(k) * coeffs.size for _, _, coeffs, k in parts))
-    return (np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([k * coeffs.astype(dtype) for _, _, coeffs, k in parts]))
-
-
-def _nonzero_slots(slot, exps, coeffs, size):
-    """The slots, ascending, whose terms do not sum to zero: the terms are
-    sorted once by the key ``(slot, exponent)`` and each run is summed."""
-    if not exps.size:
-        return []
-    lo = int(exps.min())
-    width = int(exps.max()) - lo + 1
-    if size * width >= _INT64_LIMIT:
-        raise BadParams("identity terms span too many exponents for int64 keys")
-    keys = slot * width + (exps - lo)
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
-    sums = np.add.reduceat(coeffs[order], starts)
-    return np.unique(keys[starts[sums != 0]] // width).tolist()
+def _pieces(groups, reads, ns):
+    """Every term of every group in ``groups`` (``(identity index, group)``
+    pairs, the groups of :func:`_relation`) at the colours ``ns``, as
+    ``(keys, coeffs, lo, width)``: the term ``coeffs[i] * t^e`` of group g
+    at the colour ``ns[j]`` has the key ``(g * ns.size + j) * width + e -
+    lo``, with ``lo <= e < lo + width`` for every term.  A piece is one
+    monomial ``k t^a M^b`` of a term's f times its read (see
+    :func:`_reads`); each realized exponent ``a + 2bn`` is bounded below
+    2^62 in Python ints first, so every e, a read's exponent plus that, is
+    exact in int64.  ``width`` is the span of the reads' exponents plus that
+    of the realized ones; the keys are int64 when ``groups * colours *
+    width`` is below 2^63, Python ints otherwise.  Every sum of
+    coefficients is bounded by the sum of ``|k|`` over the pieces' terms:
+    the coefficients are int64 below 2^63, object arrays otherwise."""
+    span, slot, exps, coeffs = reads
+    size, n_lo, n_hi = ns.size, int(ns[0]), int(ns[-1])
+    pieces, bound = [], 0
+    for g, (_, group) in enumerate(groups):
+        for seq, slope, const, f in group:
+            start, stop = span[seq, slope, const]
+            if start == stop:
+                continue
+            for (a, b), k in f.d.items():
+                if max(abs(a), abs(a + 2 * b * n_lo), abs(a + 2 * b * n_hi)) >= _EXPONENT_LIMIT:
+                    raise BadParams(f"identity terms at colours {n_lo}..{n_hi} have exponents beyond 2^62")
+                pieces.append((g, a, b, k, start, stop - start))
+                bound += abs(k) * (stop - start)
+    g, a, b, k, first, count = zip(*pieces)
+    count = np.array(count)
+    piece = np.repeat(np.arange(count.size), count)
+    idx = _ranges(np.array(first), count)
+    shift = np.array(a)[:, None] + 2 * np.array(b)[:, None] * ns  # realized exponents, (piece, colour)
+    lo = int(exps.min()) + int(shift.min())
+    width = int(exps.max()) + int(shift.max()) - lo + 1
+    dtype = _dtype_for(len(groups) * size * width)
+    base = (np.array(g)[:, None] * size + np.arange(size)).astype(dtype) * width + (shift.astype(dtype) - lo)
+    keys = base.ravel()[piece * size + slot[idx]] + exps[idx]
+    return keys, np.array(k, dtype=_dtype_for(bound))[piece] * coeffs[idx], lo, width
 
 
 def applicable_identities(params):
@@ -689,8 +767,8 @@ def applicable_identities(params):
 
 def identity_suite(params, n_lo, n_hi):
     """Run every applicable identity check; returns the list of reports,
-    as :func:`verify_identity` gives them, from one evaluation that makes
-    each read shared by several identities once.
+    as :func:`verify_identity` gives them, from one evaluation: one
+    numerator table per sequence and one sort of all the suite's terms.
 
     An empty color window raises :class:`ValueError`.
     """

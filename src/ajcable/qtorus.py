@@ -123,21 +123,23 @@ def skew_multiply(P, Q):
     return SkewOperator(out)
 
 
-def apply_operator(P, f, n):
-    """Apply a polynomial-coefficient operator to a sequence at one color:
-    ``(P f)(n)``.
-
-    Each coefficient is realized at ``M = t^(2n)`` and its products with
-    the shifted values ``f(n + i)`` go through one :func:`shifted_sum`.  A
+def _operator_terms(P, f, n):
+    """The :func:`shifted_sum` terms of ``(P f)(n)``: each coefficient
+    realized at ``M = t^(2n)`` times the shifted value ``f(n + i)``.  A
     coefficient that is not a polynomial raises :class:`TypeError`; the
-    chains of :meth:`AnnihilatorBundle.cleared_chain` are denominator-free.
-    """
+    chains of :meth:`AnnihilatorBundle.cleared_chain` are denominator-free."""
     terms = []
     for i, c in P.coeffs.items():
         if not c.is_poly():
             raise TypeError(f"operator coefficient of L^{i} is not a polynomial")
         terms += realized_terms(c.num, n, f(n + i))
-    return shifted_sum(terms)
+    return terms
+
+
+def apply_operator(P, f, n):
+    """Apply a polynomial-coefficient operator to a sequence at one color:
+    ``(P f)(n)``, one :func:`shifted_sum` of :func:`_operator_terms`."""
+    return shifted_sum(_operator_terms(P, f, n))
 
 
 def check_annihilation(P, f, n_lo, n_hi, through=None):
@@ -161,7 +163,10 @@ def check_annihilation(P, f, n_lo, n_hi, through=None):
     ``(A h)(n) = 0``.  A pass therefore proves the annihilation; a failure
     is one of the relation ``B f = h``, so the report's ``relation`` names
     it with its window, and ``first_failure_n`` and ``residue`` are the
-    relation's (``B f - h``), not the chain's.  ``h(n)`` may raise
+    relation's (``B f - h``), not the chain's.  Its residue at each colour
+    is one :func:`shifted_sum`: the terms of ``chain[1]`` on the values of
+    the rest of ``B`` (``f(n)`` itself for a chain of one) and ``-h(n)``;
+    ``chain[1]`` is never applied on its own.  ``h(n)`` may raise
     :class:`NotDivisible` when it is an exact quotient that does not
     exist; no value of ``B f`` equals it, so the relation fails there.
     """
@@ -177,7 +182,9 @@ def check_annihilation(P, f, n_lo, n_hi, through=None):
         windows.append((lo + min(op.coeffs, default=0), hi + max(op.coeffs, default=0)))
     lo, hi = windows[-1]
     values = {k: f(k) for k in range(lo, hi + 1)}
-    for k in range(len(chain) - 1, 0, -1):
+    # with ``through``, chain[1] is not applied here: its terms join the
+    # relation's residue below
+    for k in range(len(chain) - 1, 0 if through is None else 1, -1):
         lo, hi = windows[k]
         values = {n: apply_operator(chain[k], values.__getitem__, n) for n in range(lo, hi + 1)}
     report = {
@@ -201,10 +208,13 @@ def check_annihilation(P, f, n_lo, n_hi, through=None):
     lo, hi = windows[1]
     report["relation"] = f"chain[1:] f = through at colors [{lo}, {hi}]"
     for n in range(lo, hi + 1):
+        terms = (_operator_terms(chain[1], values.__getitem__, n) if len(chain) > 1
+                 else [(0, 1, values[n])])
         try:
-            residue = values[n] - through(n)
+            terms.append((0, -1, through(n)))
         except NotDivisible as exc:
             return fail(n, f"through({n}) is not a Laurent polynomial: {exc}")
+        residue = shifted_sum(terms)
         if residue:
             return fail(n, residue.text())
     return report

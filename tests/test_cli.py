@@ -11,7 +11,9 @@ import pytest
 
 import ajcable.cli as cli
 import ajcable.degrees as degrees
+import ajcable.jones as jones
 import ajcable.minimality as minimality
+from ajcable.algebra import IntLaurent2
 from ajcable.cli import IN_BAND_WARNING, main
 
 GOLDEN_TORUS = "t^-2 + t^-6 + t^-10 - t^-18"
@@ -277,6 +279,27 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     rc = main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "2", "--nmax", "4"])
     assert rc == 2
     assert capsys.readouterr().out.strip().endswith("FAIL")
+
+
+def test_verify_identity_sum_not_divisible_exits_2(monkeypatch, capsys):
+    """An identity whose sum is not divisible by t^2 - t^-2 fails the tuple
+    with a report, not a traceback: a theorem-applicable tuple exits 2, an
+    in-band one (gated on annihilation only) exits 0 with the failure shown."""
+    real = jones.peel
+
+    def perturbed(*args):
+        c, total = real(*args)
+        return c, total + IntLaurent2.monomial(1, 0, 0)
+
+    monkeypatch.setattr(jones, "peel", perturbed)
+    rc = main(["verify", "-p", "3", "-q", "2", "-r", "-1", "-s", "3", "--nmax", "4", "--format", "json"])
+    assert rc == 2
+    (record,) = json.loads(capsys.readouterr().out)["results"]
+    assert record["annihilates"] and not record["identities_pass"]
+    failing = {rep["id"]: rep["failures"][0]["residue"] for rep in record["identities"] if not rep["pass"]}
+    assert failing == dict.fromkeys(("PEEL_S", "Q2_PEEL_S"), "the sum of the terms is not divisible by t^2 - t^-2")
+    assert main(["verify", "-p", "3", "-q", "2", "-r", "13", "-s", "3", "--nmax", "4"]) == 0
+    assert "identities    FAIL" in capsys.readouterr().out
 
 
 def test_verify_audits_degrees_at_every_colour(monkeypatch, capsys):

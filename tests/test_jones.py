@@ -2,8 +2,12 @@
 
 import functools
 from collections import defaultdict
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ajcable.jones as jones
 from ajcable.aj import default_grid
@@ -483,9 +487,9 @@ def _reference_residue(identity_id, p, q, cp, m):
         return residue
     # a peel: J(k) - c(n)*J(k - drop) - total(n)/(t^2 - t^-2) at the index k(n)
     if identity_id == "PEEL":
-        index, drop, (c, total) = (lambda n: n), 2 * m, jones._two_step_peel(p, q, m, 1, 0)
+        index, drop, (c, total) = (lambda n: n), 2 * m, jones._two_step_peels(p, q, m, 1, 0)[-1]
     elif identity_id == "Q2_PEEL":
-        index, drop, (c, total) = (lambda n: n), m, jones._single_step_peel(p, m, 1, 0)
+        index, drop, (c, total) = (lambda n: n), m, jones._single_step_peels(p, m, 1, 0)[-1]
     else:
         kind = {"PEEL_S": "S", "Q2_PEEL_S": "U", "HALF_PEEL": "V"}[identity_id]
         k, s = jones.PEEL_STEP[kind], cp.s
@@ -524,21 +528,22 @@ def test_identity_suite_matches_value_reference(params):
 
 
 def test_identity_suite_makes_each_read_once(monkeypatch):
-    """Identities that read the same numerators share one read: for
-    (3, 2, -1, 2) at colours 1..12 the 14 identities need 12 distinct torus
-    reads and 3 cable reads, and each cabling sum runs once per read (a
-    cable read runs the torus sum inside it once)."""
-    reads, sums = [], []
-    read, cabling = jones._read, jones._cabling_numerator
-    monkeypatch.setattr(jones, "_read", lambda *args: reads.append(args[:3]) or read(*args))
+    """Identities that read the same numerators share one read, and the
+    reads of each sequence come from one table: for (3, 2, -1, 2) at colours
+    1..12 the 14 identities make 12 distinct torus reads and 3 cable reads
+    in one call, from one torus cabling sum and one cable cabling sum (which
+    runs the torus sum inside it once)."""
+    calls, sums = [], []
+    reads, cabling = jones._reads, jones._cabling_numerator
+    monkeypatch.setattr(jones, "_reads", lambda keys, *rest: calls.append(keys) or reads(keys, *rest))
     monkeypatch.setattr(jones, "_cabling_numerator",
                         lambda a, b, *rest: sums.append((a, b)) or cabling(a, b, *rest))
     params = CablingParams(3, 2, -1, 2)
     assert all(report["pass"] for report in identity_suite(params, 1, 12))
-    assert len(reads) == len(set(reads))
-    assert [seq for seq, _, _ in reads].count("T") == 12
-    assert [seq for seq, _, _ in reads].count("C") == 3
-    assert sorted(sums) == [(-1, 2)] * 3 + [(3, 2)] * (12 + 3)
+    assert len(calls) == 1
+    assert [seq for seq, _, _ in calls[0]].count("T") == 12
+    assert [seq for seq, _, _ in calls[0]].count("C") == 3
+    assert sorted(sums) == [(-1, 2), (3, 2), (3, 2)]
 
 
 @pytest.mark.parametrize("pq", GRID_PQ)
@@ -562,14 +567,34 @@ def test_perturbed_cable_step_fails_like_the_reference(monkeypatch):
         assert len(report["failures"]) == 11, params
 
 
+@pytest.mark.parametrize("r", [2**50 + 1, 2**51 - 1])
+def test_suite_holds_where_the_key_leaves_int64(r, monkeypatch):
+    """The suite's one sort key spans groups * colours * width; past int64
+    it is a Python int, so no window is refused for it.  At r = 2^50 + 1
+    (int64 per group before, Python ints now) and r = 2^51 - 1 (refused
+    before with "identity terms span too many exponents for int64 keys")
+    every identity passes.  A torus coefficient of CABLE_STEP off by
+    t^2 M (t^2 - t^-2) then fails every colour n with the residue
+    -t^(2n + 2) N_T(3n + 2), N_T the torus numerator: no wrong verdict."""
+    cp = CablingParams(3, 2, r, 3)
+    assert all(report["pass"] for report in identity_suite(cp, 1, 12))
+    for identity_id, m in applicable_identities(cp):
+        assert verify_identity(identity_id, cp, 1, 12, m)["pass"], identity_id
+    real = jones.cable_step_coefficients
+    monkeypatch.setattr(jones, "cable_step_coefficients",
+                        lambda params: {**real(params), "torus": real(params)["torus"] + D_MULTIPLE})
+    torus = jones.numerator_window((3, 2), 5, 38)
+    assert verify_identity("CABLE_STEP", cp, 1, 12)["failures"] == [
+        {"n": n, "residue": poly_mul(tpow(2 * n + 2, -1), torus[3 * n + 2]).text()} for n in range(1, 13)]
+
+
 def test_perturbed_peel_total_fails_like_the_reference(monkeypatch):
-    real = jones._two_step_peel
+    real = jones._two_step_peels
 
     def perturbed(*args):
-        c, total = real(*args)
-        return c, total + D_MULTIPLE
+        return [(c, total + D_MULTIPLE) for c, total in real(*args)]
 
-    monkeypatch.setattr(jones, "_two_step_peel", perturbed)
+    monkeypatch.setattr(jones, "_two_step_peels", perturbed)
     for identity_id, params, m in (
         ("PEEL", (3, 2), 2),
         ("PEEL", (-5, 3), 3),
@@ -581,19 +606,42 @@ def test_perturbed_peel_total_fails_like_the_reference(monkeypatch):
         assert len(report["failures"]) == 11, identity_id
 
 
+NOT_DIVISIBLE = "the sum of the terms is not divisible by t^2 - t^-2"
+
+
 def test_non_divisible_peel_total_is_not_divisible(monkeypatch):
-    """A total that is not a multiple of t^2 - t^-2 has no quotient to
-    report: the suite raises, as the value reference does."""
-    real = jones._two_step_peel
+    """A total that is not a multiple of t^2 - t^-2 has no quotient: the
+    value reference raises, and the check reports every colour as failing
+    with a residue that says the sum is not divisible."""
+    real = jones._two_step_peels
+
+    def perturbed(*args):
+        return [(c, total + IntLaurent2.monomial(1, 0, 1)) for c, total in real(*args)]
+
+    monkeypatch.setattr(jones, "_two_step_peels", perturbed)
+    with pytest.raises(NotDivisible):
+        reference_report("PEEL", (3, 2), 1, 4, 1)
+    report = verify_identity("PEEL", (3, 2), 1, 4, 1)
+    assert not report["pass"]
+    assert report["failures"] == [{"n": n, "residue": NOT_DIVISIBLE} for n in range(1, 5)]
+
+
+def test_non_divisible_identity_sum_is_reported_not_raised(monkeypatch):
+    """A peel sum off by a term that is not a multiple of t^2 - t^-2 fails
+    PEEL_S and Q2_PEEL_S at every colour, and the rest of the suite still
+    passes: the suite reports, it does not raise."""
+    real = jones.peel
 
     def perturbed(*args):
         c, total = real(*args)
-        return c, total + IntLaurent2.monomial(1, 0, 1)
+        return c, total + IntLaurent2.monomial(1, 0, 0)
 
-    monkeypatch.setattr(jones, "_two_step_peel", perturbed)
-    for check in (verify_identity, reference_report):
-        with pytest.raises(NotDivisible):
-            check("PEEL", (3, 2), 1, 4, 1)
+    monkeypatch.setattr(jones, "peel", perturbed)
+    for report in identity_suite(CablingParams(3, 2, 13, 3), 1, 4):
+        failing = report["id"] in ("PEEL_S", "Q2_PEEL_S")
+        assert report["pass"] is not failing, report["id"]
+        if failing:
+            assert report["failures"] == [{"n": n, "residue": NOT_DIVISIBLE} for n in range(1, 5)]
 
 
 def test_corrupted_numerator_fails_the_divisibility_guard(monkeypatch):
@@ -612,3 +660,156 @@ def test_corrupted_numerator_fails_the_divisibility_guard(monkeypatch):
     for params in ((3, 2), CablingParams(3, 2, 13, 2)):
         with pytest.raises(NotDivisible, match="a numerator is not divisible"):
             identity_suite(params, 1, 12)
+
+
+# --- the one-pass evaluator against a copy of the per-group one -----------------
+# The former evaluator made each read on its own (one cabling sum and one
+# divisibility check per read) and sorted each group's terms on its own.  It
+# is kept here as the oracle, with the fix that a group sum not divisible by
+# t^2 - t^-2 is reported rather than raised.
+
+def _per_group_read(seq, slope, const, p, q, cp, ns):
+    if seq == "1":
+        return np.arange(ns.size), np.zeros(ns.size, dtype=np.int64), np.ones(ns.size, dtype=np.int64)
+    ks = const + slope * ns
+    nz = np.flatnonzero(ks)
+    if not nz.size:
+        return nz, nz, nz
+    inner = (jones._torus_numerators(p, q) if seq == "T" else jones._cable_numerators(cp) if seq == "C"
+             else jones._qint_numerators)
+    owner, exps, coeffs = inner(np.abs(ks[nz]))
+    sums = np.zeros(4 * nz.size, dtype=np.int64)
+    np.add.at(sums, 4 * owner + (exps & 3), coeffs)
+    if sums.any():
+        raise NotDivisible("a numerator is not divisible by t^2 - t^-2")
+    slot = nz[owner]
+    return slot, exps, np.where(ks[slot] < 0, -coeffs, coeffs)
+
+
+def _per_group_nonzero_slots(slot, exps, coeffs):
+    if not exps.size:
+        return []
+    lo = int(exps.min())
+    width = int(exps.max()) - lo + 1
+    keys = slot * width + (exps - lo)
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(coeffs[order], starts)
+    return np.unique(keys[starts[sums != 0]] // width).tolist()
+
+
+def per_group_reports(identities, params, n_lo, n_hi):
+    """The reports of ``identities``, each group of each identity read and
+    summed on its own."""
+    cp = params if isinstance(params, CablingParams) else None
+    p, q = (cp.p, cp.q) if cp is not None else params
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    peels = jones._depth_peels(identities, p, q)
+    reads, reports = {}, []
+    for identity_id, m in identities:
+        residues = {}
+        for group in jones._relation(identity_id, p, q, cp, m, peels):
+            slots, exps, coeffs = [], [], []
+            for seq, slope, const, f in group:
+                if (seq, slope, const) not in reads:
+                    reads[seq, slope, const] = _per_group_read(seq, slope, const, p, q, cp, ns)
+                slot, e, c = reads[seq, slope, const]
+                for (a, b), k in f.d.items():
+                    slots.append(slot)
+                    exps.append(e + (a + 2 * b * ns)[slot])
+                    coeffs.append(k * c)
+            slot, e, c = (np.concatenate(x) for x in (slots, exps, coeffs))
+            for i in _per_group_nonzero_slots(slot, e, c):
+                if i not in residues:
+                    mine = slot == i
+                    try:
+                        residues[i] = div_qint_den(IntLaurent1.from_terms(e[mine], c[mine])).text()
+                    except NotDivisible:
+                        residues[i] = NOT_DIVISIBLE
+        failures = [{"n": n_lo + i, "residue": residues[i]} for i in sorted(residues)]
+        report = {"id": identity_id, "params": cp.as_dict() if cp is not None else {"p": p, "q": q},
+                  "n_lo": n_lo, "n_hi": n_hi, "pass": not failures, "failures": failures}
+        if m is not None:
+            report["m"] = m
+        reports.append(report)
+    return reports
+
+
+def perturbed_relation(target, change):
+    """``jones._relation`` with one term of one group of the identity
+    ``target`` changed by ``change(term)``."""
+    real = jones._relation
+    identity_id, group_index, term_index = target
+
+    def relation(iid, *args):
+        groups = real(iid, *args)
+        if iid == identity_id:
+            group = groups[group_index % len(groups)]
+            t = term_index % len(group)
+            group[t] = change(group[t])
+        return groups
+
+    return relation
+
+
+D_POLY = IntLaurent2({(2, 0): 1, (-2, 0): -1})  # t^2 - t^-2
+
+
+@st.composite
+def perturbations(draw):
+    """None, or a target term and a change to it: a monomial added to its
+    coefficient, times t^2 - t^-2 or not, or its read (not the constant 1)
+    moved by a few colours."""
+    if draw(st.booleans()):
+        return None
+    target = (draw(st.sampled_from(jones.IDENTITY_IDS)), draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        shift = draw(st.sampled_from((-2, -1, 1, 2)))
+        return target, lambda term: term if term[0] == "1" else (*term[:2], term[2] + shift, term[3])
+    extra = IntLaurent2.monomial(draw(st.sampled_from((-2, -1, 1, 2))), draw(st.integers(-8, 8)),
+                                 draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        extra = extra * D_POLY
+    return target, lambda term: (*term[:3], term[3] + extra)
+
+
+@given(params=st.sampled_from(STOCK_CELLS + list(GRID_PQ)),
+       window=st.sampled_from(((1, 12), (-4, 3))),
+       perturbation=perturbations())
+@settings(max_examples=60, deadline=None)
+def test_one_pass_suite_matches_the_per_group_evaluator(params, window, perturbation):
+    relation = jones._relation if perturbation is None else perturbed_relation(*perturbation)
+    with mock.patch.object(jones, "_relation", relation):
+        expected = per_group_reports(applicable_identities(params), params, *window)
+        assert identity_suite(params, *window) == expected
+        for report, (identity_id, m) in zip(expected, applicable_identities(params)):
+            if not report["pass"]:
+                assert verify_identity(identity_id, params, *window, m) == report
+
+
+def test_first_failing_group_reports_the_residue():
+    """Both S2_STEP groups fail at every colour, with different residues:
+    each colour reports the first group's, as when it alone fails."""
+    params = CablingParams(3, 2, -1, 2)
+
+    def add(extra):
+        return lambda term: (*term[:3], term[3] + extra)
+
+    first = perturbed_relation(("S2_STEP", 0, 0), add(D_MULTIPLE))
+    second = perturbed_relation(("S2_STEP", 1, 0), add(-D_MULTIPLE))
+
+    def both(iid, *args):
+        return second(iid, *args) if iid != "S2_STEP" else [
+            first(iid, *args)[0], second(iid, *args)[1]]
+
+    reports = {}
+    for name, relation in (("first", first), ("second", second), ("both", both)):
+        with mock.patch.object(jones, "_relation", relation):
+            reports[name] = verify_identity("S2_STEP", params, 1, 6)
+            assert reports[name] == per_group_reports([("S2_STEP", None)], params, 1, 6)[0]
+    assert len(reports["both"]["failures"]) == 6
+    assert reports["both"] == reports["first"] != reports["second"]
+    assert all(a["residue"] != b["residue"]
+               for a, b in zip(reports["first"]["failures"], reports["second"]["failures"]))
+
