@@ -34,7 +34,6 @@ from .algebra import (
     PoleAtMinusOne,
     RationalM,
     RationalTM,
-    limit_t_minus1,
     poly_mul,
     shift_M,
     substitute_M,
@@ -218,18 +217,19 @@ def cabled_a_polynomial(params):
 class AnnihilatorBundle:
     """Constructed annihilator and every intermediate needed to check it.
 
-    ``factors`` multiply out (skew product, in order) to ``P``, which is
-    expanded on first read only: the checks use the factors and the cleared
-    form, and only the operator text needs ``P``.  ``a`` is
-    the torus-term coefficient of the cable two-step relation; ``b`` the
-    composed relation's inhomogeneous term.  ``cleared_rhs`` (= scale * b,
-    a polynomial) and ``cleared_body`` give the denominator-free form
-    ``(cleared_rhs(t,M) L - cleared_rhs(t,t^2 M)) * cleared_body``, whose
-    action on a sequence matches P up to the nonzero left multiplier
-    ``cleared_rhs(t,t^2 M) * cleared_rhs(t,M)``.
+    Every field after ``case_tag`` is a polynomial or a polynomial
+    operator.  ``a`` is the torus-term coefficient of the cable two-step
+    relation; ``cleared_rhs`` (``y``) is ``scale * b``, ``b`` the composed
+    relation's inhomogeneous term; ``tail`` holds the polynomial factors
+    after ``(L - 1) b^-1``.
+    Only the operator text needs fractions, so ``b = y / scale``,
+    ``factors`` (with ``a^-1`` after the tail's first factor for s > 2) and
+    their skew product ``P`` are built on first read.  ``(y L - y(t, t^2
+    M)) * cleared_body`` is the denominator-free form, whose action matches
+    P up to the nonzero left multiplier ``y(t, t^2 M) * y(t, M)``.
 
-    The left factor ``A = y L - y_1`` (``y = cleared_rhs``, ``y_1 = y(t,
-    t^2 M)``) annihilates ``h(n) = y(t, t^(2n)) / D``, ``D = t^2 - t^-2``:
+    The left factor ``A = y L - y_1`` (``y_1 = y(t, t^2 M)``) annihilates
+    ``h(n) = y(t, t^(2n)) / D``, ``D = t^2 - t^-2``:
     ``(A h)(n) = y(n) y(n+1) / D - y(n+1) y(n) / D = 0``.  The construction
     makes the body carry the cable values to ``h`` (``cleared_body J = h``).
     D lies in ``Z[t^+-1]``, so it commutes with ``M`` and ``L``, and
@@ -242,26 +242,42 @@ class AnnihilatorBundle:
     s = 2; ``cleared_body`` is scale times the factors after
     ``(L - 1) b^-1``.  For s > 2, ``L^k a^-1 = a_k^-1 L^k`` makes it the
     product of two polynomial operators, ``(a L^k - a_k c) (L^2 - gamma)``;
-    for s = 2 those factors are polynomial already.
+    for s = 2 those factors are polynomial already.  The twist is the
+    identity at t = -1, so ``scale(-1) = a(-1)^2``, nonzero as ``a(-1) =
+    M^(r-rs-2pqs) - M^(-r-rs)`` and ``r != pqs``: ``b(-1) = y(-1) / scale(-1)``.
     """
 
     params: CablingParams
     case_tag: str
-    factors: list
     a: IntLaurent2
-    b: RationalTM
+    scale: IntLaurent2
     cleared_rhs: IntLaurent2
     cleared_body: SkewOperator
+    tail: list
+
+    @cached_property
+    def b(self):
+        return RationalTM(self.cleared_rhs, self.scale)
+
+    @cached_property
+    def factors(self):
+        # RationalTM coefficients in the leftmost factor make every product
+        # in P's expansion promote its polynomial right operand
+        one = RationalTM.one()
+        tail = list(self.tail)
+        if self.case_tag != "S_EQ_2":
+            tail.insert(1, SkewOperator({0: RationalTM(IntLaurent2.one(), self.a)}))
+        return [SkewOperator({1: one, 0: -one}), SkewOperator({0: self.b.inverse()})] + tail
 
     @cached_property
     def P(self):
         return _multiply(self.factors)
 
     def l_degree(self):
-        """L-degree of ``P``, without expanding it: the coefficients lie in
-        a field, and the twist is an automorphism, so the leading
-        coefficients of a skew product multiply to a nonzero one."""
-        return sum(f.l_degree() for f in self.factors)
+        """L-degree of ``P = (y y_1)^-1 (y L - y_1) cleared_body``, without
+        building it: over a domain, the twist keeps the body's leading
+        coefficient nonzero, and ``y`` times it is nonzero."""
+        return 1 + self.cleared_body.l_degree()
 
     def cleared_chain(self):
         """Denominator-free factored chain (apply right factor first)."""
@@ -281,8 +297,9 @@ def _multiply(ops):
 def build_annihilator(params):
     """Construct the annihilating operator bundle for one cable.
 
-    The only skew products are those of the polynomial ``cleared_body``
-    (see :class:`AnnihilatorBundle`); ``P`` stays unexpanded until read.
+    The only skew products are those of the polynomial ``cleared_body``;
+    ``b``, the factors and ``P`` are built when first read (see
+    :class:`AnnihilatorBundle`).
     """
     p, q, r, s = params.p, params.q, params.r, params.s
     pq = p * q
@@ -315,19 +332,18 @@ def build_annihilator(params):
             - poly_mul(poly_mul(a_k, poly_mul(c, mu)), dnum(s - 1))
         )
         two_step = SkewOperator({2: one, 0: -step["step"]})
-        tail = [SkewOperator({k: one, 0: -c}), SkewOperator({0: RationalTM(one, a)}), two_step]
+        tail = [SkewOperator({k: one, 0: -c}), two_step]
         body = skew_multiply(SkewOperator({k: a, 0: -poly_mul(a_k, c)}), two_step)
-    b = RationalTM(y, scale)
-    if b.is_zero():
+    if not y:
         raise BZero("inhomogeneous term is zero")
     return AnnihilatorBundle(
         params=params,
         case_tag=tag,
-        factors=[SkewOperator({1: one, 0: -one}), SkewOperator({0: b.inverse()})] + tail,
         a=a,
-        b=b,
+        scale=scale,
         cleared_rhs=y,
         cleared_body=body,
+        tail=tail,
     )
 
 
@@ -372,7 +388,7 @@ def _cleared_at_minus1(bundle):
         raise PoleAtMinusOne("cleared_rhs vanishes at t = -1: b^-1 has a pole there")
     coeffs = {}
     for i, c in bundle.cleared_body.coeffs.items():
-        v = c.num.eval_t_minus1()
+        v = c.eval_t_minus1()
         coeffs[i + 1] = coeffs.get(i + 1, _M_ZERO) + v
         coeffs[i] = coeffs.get(i, _M_ZERO) - v
     return {i: v for i, v in coeffs.items() if v}, y1
@@ -522,6 +538,8 @@ def determinant_check(params, bundle=None):
     is ``sign * cleared_rhs`` with the sign from ``PEEL_REGIMES``: its
     gamma-terms cancel.  It still carries one factor of t^2 - t^-2 and,
     being a polynomial, is evaluated at t = -1 directly, with no limit.
+    So is ``b(-1) = y(-1) / scale(-1)``: ``scale(-1) = a(-1)^2`` is nonzero
+    (see :class:`AnnihilatorBundle`).
 
     For s = 2 there is no determinant; the check degrades to the
     nonvanishing of b at t = -1 (which the closed-form route verifies).
@@ -533,20 +551,20 @@ def determinant_check(params, bundle=None):
     tag = case_tag(params)
     if bundle is None:
         bundle = build_annihilator(params)
-    b, y = bundle.b, bundle.cleared_rhs
-    b_limit = limit_t_minus1(b)
+    y1 = bundle.cleared_rhs.eval_t_minus1()
+    b_value = RationalM(y1, bundle.scale.eval_t_minus1())
     report = {
         "params": params.as_dict(),
         "case_tag": tag,
-        "b_at_minus1": b_limit.text(),
-        "b_matches_closed_form": _matches(b_limit, _b_minus1_products(params)),
-        "b_nonzero": not b_limit.is_zero(),
+        "b_at_minus1": b_value.text(),
+        "b_matches_closed_form": _matches(b_value, _b_minus1_products(params)),
+        "b_nonzero": not b_value.is_zero(),
         "determinant_applicable": tag != "S_EQ_2",
         "determinant_matches": None,
         "determinant_nonzero": None,
     }
     if report["determinant_applicable"]:
-        det_value = RationalM(PEEL_REGIMES[tag][1] * y.eval_t_minus1())
+        det_value = RationalM(PEEL_REGIMES[tag][1] * y1)
         report["determinant_matches"] = _matches(det_value, _determinant_products(params))
         report["determinant_nonzero"] = not det_value.is_zero()
         report["determinant"] = det_value.text()

@@ -728,9 +728,6 @@ class RationalTM:
     def one(cls):
         return cls(IntLaurent2.one())
 
-    def is_zero(self):
-        return not self.num
-
     def is_poly(self):
         return self.den.d == {(0, 0): 1}
 
@@ -757,11 +754,6 @@ class RationalTM:
             poly_mul(self.num, other.den) + poly_mul(other.num, self.den),
             poly_mul(self.den, other.den),
         )
-
-    def __sub__(self, other):
-        if isinstance(other, IntLaurent2):
-            other = RationalTM.from_poly(other)
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, IntLaurent2):

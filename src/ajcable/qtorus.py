@@ -12,47 +12,36 @@ sequence ``f`` of one-variable Laurent polynomials indexed by the color
 An operator is stored with all ``M``-coefficients moved to the left of the
 ``L``-powers.  Multiplying two such normal forms twists the right factor:
 ``f(t,M) L^a * g(t,M) L^b = f(t,M) g(t, t^(2a) M) L^(a+b)``.
+
+Coefficients are :class:`~ajcable.algebra.IntLaurent2`; only the factors of
+the annihilator ``P`` hold fractions, :class:`~ajcable.algebra.RationalTM`.
 """
 
 from __future__ import annotations
 
-from .algebra import IntLaurent2, NotDivisible, RationalTM, realized_terms, shift_M, shifted_sum
-
-
-def _coerce_coeff(c):
-    if isinstance(c, RationalTM):
-        return c
-    if isinstance(c, IntLaurent2):
-        return RationalTM.from_poly(c)
-    raise TypeError(f"operator coefficient must be IntLaurent2 or RationalTM, got {type(c).__name__}")
+from .algebra import IntLaurent2, NotDivisible, realized_terms, shift_M, shifted_sum
 
 
 class SkewOperator:
     """Finite sum ``sum_i  c_i(t, M) L^i`` with left coefficients.
 
-    ``coeffs`` maps the L-exponent to a :class:`RationalTM`.  Plain
-    polynomial coefficients may be passed in and are wrapped.
+    ``coeffs`` maps the L-exponent to the nonzero coefficient as given.  A
+    product or sum that mixes polynomials and fractions needs the fraction
+    on the left, whose arithmetic promotes the polynomial.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = {}
-        for i, c in coeffs.items():
-            c = _coerce_coeff(c)
-            if not c.is_zero():
-                self.coeffs[i] = c
+        self.coeffs = {i: c for i, c in coeffs.items() if c}
 
     @classmethod
     def identity(cls):
-        return cls({0: RationalTM.one()})
+        return cls({0: IntLaurent2.one()})
 
     @classmethod
     def l_power(cls, i):
-        return cls({i: RationalTM.one()})
-
-    def is_zero(self):
-        return not self.coeffs
+        return cls({i: IntLaurent2.one()})
 
     def l_degree(self):
         if not self.coeffs:
@@ -73,7 +62,7 @@ class SkewOperator:
             a = self.coeffs.get(i)
             b = other.coeffs.get(i)
             c = b if a is None else (a if b is None else a + b)
-            if not c.is_zero():
+            if c:
                 out[i] = c
         return SkewOperator(out)
 
@@ -116,7 +105,7 @@ def skew_multiply(P, Q):
             term = c * shift_M(d, i)
             prev = out.get(k)
             v = term if prev is None else prev + term
-            if v.is_zero():
+            if not v:
                 out.pop(k, None)
             else:
                 out[k] = v
@@ -126,13 +115,14 @@ def skew_multiply(P, Q):
 def _operator_terms(P, f, n):
     """The :func:`shifted_sum` terms of ``(P f)(n)``: each coefficient
     realized at ``M = t^(2n)`` times the shifted value ``f(n + i)``.  A
-    coefficient that is not a polynomial raises :class:`TypeError`; the
-    chains of :meth:`AnnihilatorBundle.cleared_chain` are denominator-free."""
+    coefficient that is not an :class:`IntLaurent2` raises
+    :class:`TypeError`; the chains of :meth:`AnnihilatorBundle.cleared_chain`
+    are denominator-free."""
     terms = []
     for i, c in P.coeffs.items():
-        if not c.is_poly():
+        if not isinstance(c, IntLaurent2):
             raise TypeError(f"operator coefficient of L^{i} is not a polynomial")
-        terms += realized_terms(c.num, n, f(n + i))
+        terms += realized_terms(c, n, f(n + i))
     return terms
 
 
@@ -163,30 +153,18 @@ def check_annihilation(P, f, n_lo, n_hi, through=None):
     ``(A h)(n) = 0``.  A pass therefore proves the annihilation; a failure
     is one of the relation ``B f = h``, so the report's ``relation`` names
     it with its window, and ``first_failure_n`` and ``residue`` are the
-    relation's (``B f - h``), not the chain's.  Its residue at each colour
-    is one :func:`shifted_sum`: the terms of ``chain[1]`` on the values of
-    the rest of ``B`` (``f(n)`` itself for a chain of one) and ``-h(n)``;
-    ``chain[1]`` is never applied on its own.  ``h(n)`` may raise
-    :class:`NotDivisible` when it is an exact quotient that does not
-    exist; no value of ``B f`` equals it, so the relation fails there.
+    relation's (``B f - h``), not the chain's; ``B`` is the identity for
+    a chain of one.  ``h(n)`` may raise :class:`NotDivisible` when it is an
+    exact quotient that does not exist; no value of ``B f`` equals it, so
+    the relation fails there.  Either way, the leftmost operator checked is
+    never applied on its own: its residue at each colour is one
+    :func:`shifted_sum` of its terms and the target's (0, or ``-h(n)``).
     """
     if n_hi < n_lo:
         raise ValueError(f"empty color window [{n_lo}, {n_hi}]")
     chain = [P] if isinstance(P, SkewOperator) else list(P)
     if not chain:
         raise ValueError("empty operator chain")
-    # windows[k]: the colors chain[k] is evaluated at; windows[-1]: those of f
-    windows = [(n_lo, n_hi)]
-    for op in chain:
-        lo, hi = windows[-1]
-        windows.append((lo + min(op.coeffs, default=0), hi + max(op.coeffs, default=0)))
-    lo, hi = windows[-1]
-    values = {k: f(k) for k in range(lo, hi + 1)}
-    # with ``through``, chain[1] is not applied here: its terms join the
-    # relation's residue below
-    for k in range(len(chain) - 1, 0 if through is None else 1, -1):
-        lo, hi = windows[k]
-        values = {n: apply_operator(chain[k], values.__getitem__, n) for n in range(lo, hi + 1)}
     report = {
         "n_lo": n_lo,
         "n_hi": n_hi,
@@ -194,26 +172,33 @@ def check_annihilation(P, f, n_lo, n_hi, through=None):
         "first_failure_n": None,
         "residue": None,
     }
+    lo, hi = n_lo, n_hi
+    if through is not None:
+        lo, hi = lo + min(chain[0].coeffs, default=0), hi + max(chain[0].coeffs, default=0)
+        report["relation"] = f"chain[1:] f = through at colors [{lo}, {hi}]"
+        chain = chain[1:] or [SkewOperator.identity()]
+    # windows[k]: the colors chain[k] is evaluated at; windows[-1]: those of f
+    windows = [(lo, hi)]
+    for op in chain:
+        w_lo, w_hi = windows[-1]
+        windows.append((w_lo + min(op.coeffs, default=0), w_hi + max(op.coeffs, default=0)))
+    w_lo, w_hi = windows[-1]
+    values = {k: f(k) for k in range(w_lo, w_hi + 1)}
+    for k in range(len(chain) - 1, 0, -1):
+        w_lo, w_hi = windows[k]
+        values = {n: apply_operator(chain[k], values.__getitem__, n) for n in range(w_lo, w_hi + 1)}
 
     def fail(n, text):
         report.update({"pass": False, "first_failure_n": n, "residue": text})
         return report
 
-    if through is None:
-        for n in range(n_lo, n_hi + 1):
-            residue = apply_operator(chain[0], values.__getitem__, n)
-            if residue:
-                return fail(n, residue.text())
-        return report
-    lo, hi = windows[1]
-    report["relation"] = f"chain[1:] f = through at colors [{lo}, {hi}]"
     for n in range(lo, hi + 1):
-        terms = (_operator_terms(chain[1], values.__getitem__, n) if len(chain) > 1
-                 else [(0, 1, values[n])])
-        try:
-            terms.append((0, -1, through(n)))
-        except NotDivisible as exc:
-            return fail(n, f"through({n}) is not a Laurent polynomial: {exc}")
+        terms = _operator_terms(chain[0], values.__getitem__, n)
+        if through is not None:
+            try:
+                terms.append((0, -1, through(n)))
+            except NotDivisible as exc:
+                return fail(n, f"through({n}) is not a Laurent polynomial: {exc}")
         residue = shifted_sum(terms)
         if residue:
             return fail(n, residue.text())

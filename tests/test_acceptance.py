@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
+import ajcable.aj as aj
 import ajcable.cli as cli
 import ajcable.jones as jones
 from ajcable.algebra import (
     IntLaurent1,
     IntLaurent2,
     RationalM,
+    RationalTM,
     div_qint_den,
     limit_t_minus1,
     poly_exact_div,
@@ -159,8 +161,10 @@ def test_criterion_4_closed_forms():
         if b_limit != b_minus1_closed_form(params) or b_limit.is_zero():
             failures.append((params, "b mismatch or zero"))
             continue
+        # the limit of the rational b checks the report's direct quotient
+        # y(-1) / scale(-1)
         report = determinant_check(params)
-        if not report["pass"]:
+        if not report["pass"] or report["b_at_minus1"] != b_limit.text():
             failures.append((params, report))
     assert not failures, failures
     print(
@@ -279,10 +283,17 @@ def factorwise_at_minus1(bundle):
     """The commutative product of the factors' values at t = -1: the route
     ``evaluate_annihilator_at_minus1`` took before it read the cleared form,
     kept as an oracle.  t -> -1 is a ring homomorphism on operators whose
-    coefficients are regular there, and the twist becomes the identity."""
+    coefficients are regular there, and the twist becomes the identity.
+    The fraction coefficients go through the limit, the polynomial ones
+    are evaluated."""
+    def at_minus1(c):
+        if isinstance(c, IntLaurent2):
+            return RationalM(c.eval_t_minus1())
+        return limit_t_minus1(c)
+
     out = LPolynomialOverM({0: RationalM.from_int(1)})
     for op in bundle.factors:
-        out = out * LPolynomialOverM({i: limit_t_minus1(c) for i, c in op.coeffs.items()})
+        out = out * LPolynomialOverM({i: at_minus1(c) for i, c in op.coeffs.items()})
     return out
 
 
@@ -491,6 +502,34 @@ def test_verify_and_grid_read_no_cable_value(monkeypatch, tmp_path, capsys):
     records = json.loads(capsys.readouterr().out)["results"]
     assert [record["params"] for record in records] == [c.as_dict() for c in mirrored]
     assert all(record["pass"] and record["degrees_ok"] for record in records)
+
+
+def test_verify_pipeline_builds_no_fraction(monkeypatch):
+    """``verify`` reads only the polynomial cleared form: the pipeline of
+    one stock tuple per regime constructs no ``RationalTM``, and the bundle
+    it built still gives the golden annihilator record from ``P`` and its
+    factors."""
+    built, fractions = [], []
+    real_build, real_init = aj.build_annihilator, RationalTM.__init__
+
+    def init(self, *args, **kwargs):
+        fractions.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(aj, "build_annihilator", lambda params: built.append(real_build(params)) or built[-1])
+    monkeypatch.setattr(RationalTM, "__init__", init)
+    expected = json.loads(GOLDEN_DIGESTS.read_text())
+    stock = [CablingParams(3, 2, -1, 2), CablingParams(3, 2, -1, 4),
+             CablingParams(3, 2, -1, 3), CablingParams(5, 3, -1, 3)]
+    assert sorted(case_tag(params) for params in stock) == sorted(CASE_EXEMPLARS)
+    for params in stock:
+        built.clear()
+        fractions.clear()
+        assert cli._verify_pipeline(params, 12)["pass"], params
+        assert not fractions, params
+        (bundle,) = built
+        assert golden_digest(params, bundle) == expected[_golden_key(params)], params
+        assert fractions, params  # the spy sees the fractions of P's factors
 
 
 def test_golden_perturbed_chain_failure():
