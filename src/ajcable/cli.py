@@ -310,27 +310,16 @@ def _read_grid_file(path):
     return tuples
 
 
-def _grid_threads():
-    """The ``AJCABLE_THREADS`` thread count; 0, or unset, selects the default."""
-    raw = os.environ.get("AJCABLE_THREADS", "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = -1
-    if threads < 0:
-        raise ValueError(f"AJCABLE_THREADS must be a non-negative integer, got {raw!r}")
-    return threads
-
-
 def _cmd_grid(args):
     try:
         grid = _read_grid_file(args.file)
-        workers = _grid_threads() or min(8, len(grid))
     except (OSError, ValueError) as exc:
         print(f"ajcable: error: {exc}", file=sys.stderr)
         return 1
+    workers = min(len(grid), os.cpu_count() or 1)
     for params in grid:
         _warn_in_band(params)
+    # Kept only because perfbench's self-test asserts spans from several threads.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         records = list(pool.map(lambda t: _verify_pipeline(t, args.nmax), grid))
     lines = []

@@ -23,19 +23,19 @@ quotient by ``t^2 - t^-2``, a two-variable polynomial in ``(t, M)`` with
 
 Every recurrence this package relies on is stated once, as data: in
 ``_relation``, a list of terms ``f(t, t^(2n)) * X(slope*n + const)``
-summing to zero, with ``X`` the torus, cable or quantum-integer
-numerators or the constant 1 (the shape q-holonomicity predicts;
-Garoufalidis-Le, Geom. Topol. 9, 2005).  One evaluator checks them for
-``verify_identity`` and ``identity_suite`` exactly, on the same
-numerators: the reads of one call come from one numerator table per
-sequence, and the terms of all groups and colors of a window are sorted
-once and summed, with no values formed except the residue of a failing
-color.
+summing to zero, with ``X`` the torus or cable numerators or the
+constant 1 (the shape q-holonomicity predicts; Garoufalidis-Le, Geom.
+Topol. 9, 2005).  One evaluator checks them for ``verify_identity`` and
+``identity_suite`` exactly, on the same numerators: the reads of one call
+come from one numerator table per sequence, and the terms of all groups
+and colors of a window are sorted once and summed, with no values formed
+except the residue of a failing color.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from math import gcd
 
@@ -170,10 +170,34 @@ def _cabling_reach(a, b, n):
     return reach
 
 
+# tracemalloc peak of one ``_cabling_numerator`` call per term of its result,
+# over the unknot and over a torus knot alike (24 bytes of it are the result).
+_BYTES_PER_TERM = 77
+
+
+def _refuse_beyond_memory(nbytes, what):
+    """Raise :class:`MemoryError` when ``nbytes`` bytes for ``what`` exceed
+    physical memory."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"{what} needs at least {nbytes} bytes, more than physical memory")
+
+
+def _window_terms(b, inner, ns):
+    """The term count of the (a, b)-cabling sum of ``inner`` at the colours
+    ``ns``: 2n at colour n over the unknot, an int64 sum far below 2^63;
+    over a torus knot, whose numerator at colour k has 2k terms,
+    ``sum 2|mb + 1|`` over the m of colour n, ``2(b floor(n^2/2) + n mod 2)``,
+    summed in Python ints."""
+    if inner is _qint_numerators:
+        return 2 * int(ns.sum())
+    return 2 * sum(b * (n * n // 2) + n % 2 for n in ns.tolist())
+
+
 def _cabling_numerator(a, b, inner, ns):
     """The numerators of the (a, b)-cable of a knot at the colours ``ns``
     (an int64 array, entries >= 1), where ``inner(ks)`` gives the knot's
-    numerators at the colours ``ks``.
+    numerators at the colours ``ks``, either :func:`_qint_numerators` or a
+    torus knot's.
 
     The cabling formula (Morton, Math. Proc. Camb. Phil. Soc. 117, 1995)
     ``J(n) = sum t^(ab(m^2 - n^2 + 1) + 2am) J_inner(mb + 1)`` over
@@ -181,19 +205,24 @@ def _cabling_numerator(a, b, inner, ns):
     the numerators too.  ``mb + 1`` is never 0 (b >= 2); a negative one
     reads the inner numerator at ``|mb + 1|`` negated, the odd extension.
     The m's are laid out colour by colour, so the result's ``owner`` is
-    ascending when ``inner``'s is.  The (p, q) torus knot is the
-    (p, q)-cable of the unknot:
+    ascending when ``inner``'s is.  Exponents beyond 2^62 and windows whose
+    arrays cannot fit in physical memory are refused before any array is
+    built.  The (p, q) torus knot is the (p, q)-cable of the unknot:
 
     >>> _, exps, coeffs = _cabling_numerator(3, 2, _qint_numerators, np.array([2]))
     >>> div_qint_den(IntLaurent1.from_terms(exps, coeffs)).text()
     't^-2 + t^-6 + t^-10 - t^-18'
     """
+    n_max = int(ns.max())
+    reach = _cabling_reach(a, b, n_max)
+    for window in (np.array([n_max]), ns):  # the top colour first: a window it refuses is not listed
+        terms = _window_terms(b, inner, window)
+        _refuse_beyond_memory(_BYTES_PER_TERM * terms,
+                              f"the ({a}, {b})-cabling sum of at least {terms} terms up to colour {n_max}")
     colour_of = np.repeat(np.arange(ns.size), ns)  # index in ns of each m's colour
     first = np.cumsum(ns) - ns
     n = ns[colour_of]
     m = 2 * (np.arange(colour_of.size) - first[colour_of]) + 1 - n
-    n_max = int(ns.max())
-    reach = _cabling_reach(a, b, n_max)
     k = m * b + 1
     m_of, exps, coeffs = inner(np.abs(k))  # index in m of each term's m
     _check_reach(reach + int(np.abs(exps).max()), a, b, n_max)
@@ -533,9 +562,9 @@ def _relation(identity_id, p, q, cp, m, depth_peels):
     to D times one residue of the identity at every color n.  A term
     ``(seq, slope, const, f)`` is ``f(t, t^(2n)) * X(slope*n + const)``,
     f an :class:`IntLaurent2` in ``(t, M)``, where ``X`` is read through
-    its numerators ``D*X`` for ``seq`` "T" (the torus values), "C" (the
-    cable values) and "Q" (the quantum integers), and is the constant 1
-    for ``seq`` "1" (slope and const 0; f is then itself a numerator).
+    its numerators ``D*X`` for ``seq`` "T" (the torus values) and "C" (the
+    cable values), and is the constant 1 for ``seq`` "1" (slope and const
+    0; f is then itself a numerator).
     PEEL and Q2_PEEL take their peel at depth m from ``depth_peels`` (see
     :func:`_depth_peels`)."""
     mono, one = IntLaurent2.monomial, IntLaurent2.one()
@@ -544,7 +573,8 @@ def _relation(identity_id, p, q, cp, m, depth_peels):
         return [[("T", 1, 2, one), ("T", 1, 0, mono(-1, -4 * pq, -2 * pq)),
                  ("1", 0, 0, mono(-1, -2 * pq, -pq) * symbolic_delta(p, q, 1, 0))]]
     if identity_id == "Q2_STEP":  # J(n+1) = -t^(-(4n+2)p) J(n) + t^(-2pn) [2n+1]
-        return [[("T", 1, 1, one), ("T", 1, 0, mono(1, -2 * p, -2 * p)), ("Q", 2, 1, mono(-1, 0, -p))]]
+        qint = mono(1, 2, 2) - mono(1, -2, -2)  # the numerator of [2n+1], t^2 M^2 - t^-2 M^-2
+        return [[("T", 1, 1, one), ("T", 1, 0, mono(1, -2 * p, -2 * p)), ("1", 0, 0, mono(-1, 0, -p) * qint)]]
     if identity_id == "CABLE_STEP":  # see cable_step_coefficients
         c, s = cable_step_coefficients(cp), cp.s
         return [[("C", 1, 2, one), ("C", 1, 0, -c["step"]), ("T", s, s - 1, -c["torus"]),
@@ -666,23 +696,19 @@ def _reads(keys, p, q, cp, ns):
     colour.
 
     Each sequence's numerators come from one table: one cabling sum over
-    the union of the colours its reads need, in the order T, C, Q.  The
-    torus table bounds ``|pq| k^2`` below 2^62 for the colours ``k = n + 1``
-    of Q2_STEP, so the exponents ``+-2(2n + 1)`` of its quantum integers
-    are far below it too.  Every numerator of a table must be divisible by
-    ``t^2 - t^-2``, as its value requires: per colour, the coefficients of
-    each exponent class mod 4 sum to zero, the criterion of
-    :func:`div_qint_den`.  Otherwise :class:`NotDivisible` is raised."""
+    the union of the colours its reads need.  Every numerator of a table
+    must be divisible by ``t^2 - t^-2``, as its value requires: per colour,
+    the coefficients of each exponent class mod 4 sum to zero (the
+    criterion of :func:`div_qint_den`), or :class:`NotDivisible` is raised."""
     span, parts, offset = {}, [], 0
-    for seq in ("T", "C", "Q"):
+    for seq in ("T", "C"):
         mine = sorted(key for key in keys if key[0] == seq)
         if not mine:
             continue
         ks = np.stack([_affine(const, slope, ns) for _, slope, const in mine]).ravel()
         colours = np.unique(np.abs(ks))
         colours = colours[colours > 0]  # not empty: no identity reads a sequence at colour 0 alone
-        inner = (_torus_numerators(p, q) if seq == "T" else _cable_numerators(cp) if seq == "C"
-                 else _qint_numerators)
+        inner = _torus_numerators(p, q) if seq == "T" else _cable_numerators(cp)
         owner, exps, coeffs = inner(colours)  # owner ascending
         sums = np.zeros(4 * colours.size, dtype=np.int64)  # +-1 terms: bounded by their count
         np.add.at(sums, 4 * owner + (exps & 3), coeffs)

@@ -48,14 +48,13 @@ relative to the stated boxes and color window.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import IntLaurent2
-from .jones import BadParams, CablingParams, unknot_sequence, value_window
+from .jones import BadParams, CablingParams, _refuse_beyond_memory, unknot_sequence, value_window
 from .degrees import predicted_cable_degrees, predicted_torus_degrees
 from .qtorus import SkewOperator, check_annihilation
 
@@ -625,15 +624,6 @@ def _params_label(params):
 # ---------------------------------------------------------------------------
 
 
-def _refuse_beyond_memory(unknowns, rows):
-    """Raise :class:`MemoryError` when an evaluation matrix of ``rows``
-    rows of ``unknowns`` 8-byte entries cannot fit in physical memory."""
-    matrix_bytes = 8 * unknowns * rows
-    if matrix_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise MemoryError(f"the evaluation matrix of {unknowns} unknowns needs at least "
-                          f"{matrix_bytes} bytes, more than physical memory")
-
-
 def search_bounded_annihilator(params, bounds=None):
     """Search the bounded operator space for annihilators of the value
     sequence of ``params`` (a :class:`CablingParams`, a ``(p, q)`` pair,
@@ -662,7 +652,8 @@ def search_bounded_annihilator(params, bounds=None):
         raise SystemTooSmall(
             f"{equations} equations for {unknowns} unknowns (need at least twice as many)"
         )
-    _refuse_beyond_memory(unknowns, unknowns + 48)
+    what = f"the evaluation matrix of {unknowns} unknowns"
+    _refuse_beyond_memory(8 * unknowns * (unknowns + 48), what)
     cols = _columns(bounds, centers)
     report = {
         "params": _params_label(params),
@@ -690,7 +681,7 @@ def search_bounded_annihilator(params, bounds=None):
         # points at the last prime; the nullity falls with every batch that
         # adds rank, so at most nullity + 1 batches run
         while True:
-            _refuse_beyond_memory(unknowns, (len(taus) + tau_count) * n_count)
+            _refuse_beyond_memory(8 * unknowns * (len(taus) + tau_count) * n_count, what)
             drawn = set(taus)
             taus = taus + [t for t in _draw_taus(rng, tau_count, prime) if t not in drawn]
             matrix = _build_matrix(params, bounds, centers, taus, prime)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,6 +143,19 @@ def test_colour_beyond_int64_exits_1(argv, what, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ajcable: error: the {what} has exponents beyond 2^62\n"
+
+
+def test_colour_window_beyond_physical_memory_exits_1(monkeypatch, capsys):
+    """A colour whose exponents stay below 2^62 but whose cabling sum needs
+    77 GB is refused before its arrays are built.  Physical memory is set
+    to 8 GiB, so a host with more memory still refuses instead of building."""
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 << 30}
+    monkeypatch.setattr(jones, "os", SimpleNamespace(sysconf=sizes.__getitem__))
+    assert main(["jones", "torus", "-p", "3", "-q", "2", "-n", "500000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ajcable: error: out of memory: the (3, 2)-cabling sum of at least 1000000000 terms up to "
+                            "colour 500000000 needs at least 77000000000 bytes, more than physical memory\n")
 
 
 def test_minimality_box_beyond_physical_memory_exits_1(monkeypatch, capsys):
@@ -372,10 +386,9 @@ GRID_BODY = """\
 """
 
 
-def test_grid_run(tmp_path, monkeypatch, capsys):
+def test_grid_run(tmp_path, capsys):
     path = tmp_path / "grid.txt"
     path.write_text(GRID_BODY)
-    monkeypatch.setenv("AJCABLE_THREADS", "2")
     rc = main(["grid", str(path), "--nmax", "3"])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
@@ -384,16 +397,15 @@ def test_grid_run(tmp_path, monkeypatch, capsys):
     assert out[-1] == "2/2 tuples passed"
 
 
-def test_grid_json_meta(tmp_path, monkeypatch, capsys):
+def test_grid_json_meta(tmp_path, capsys):
     path = tmp_path / "grid.txt"
     path.write_text(GRID_BODY)
-    monkeypatch.setenv("AJCABLE_THREADS", "2")
     rc = main(["grid", str(path), "--nmax", "3", "--format", "json"])
     assert rc == 0
     out = capsys.readouterr().out
     obj = json.loads(out)
     assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    assert obj["meta"]["workers"] == 2
+    assert obj["meta"]["workers"] == min(2, os.cpu_count() or 1)
     assert obj["meta"]["tuples"] == 2
     assert obj["meta"]["source"] == str(path)
     assert [r["params"] for r in obj["results"]] == [
@@ -402,15 +414,15 @@ def test_grid_json_meta(tmp_path, monkeypatch, capsys):
     ]
 
 
-@pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
-def test_grid_bad_thread_count(tmp_path, monkeypatch, capsys, threads):
+def test_grid_ignores_the_removed_thread_variable(tmp_path, monkeypatch, capsys):
+    # The thread count is derived from the CPUs; a stale variable changes nothing.
     path = tmp_path / "grid.txt"
     path.write_text(GRID_BODY)
-    monkeypatch.setenv("AJCABLE_THREADS", threads)
-    assert main(["grid", str(path), "--nmax", "1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"ajcable: error: AJCABLE_THREADS must be a non-negative integer, got {threads!r}\n"
+    assert main(["grid", str(path), "--nmax", "3", "--format", "json"]) == 0
+    plain = json.loads(capsys.readouterr().out)["results"]
+    monkeypatch.setenv("AJCABLE_THREADS", "abc")
+    assert main(["grid", str(path), "--nmax", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == plain
 
 
 def test_grid_missing_file(capsys):

@@ -1,7 +1,9 @@
 """Colored Jones values: frozen examples, dual oracles, recurrence checks."""
 
 import functools
+import re
 from collections import defaultdict
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -449,6 +451,61 @@ def test_exponents_beyond_int64_are_refused(value):
     refused before any of its arrays is built."""
     with pytest.raises(BadParams, match="exponents beyond 2\\^62"):
         value()
+
+
+@pytest.mark.parametrize("a, b, inner", [
+    (3, 2, jones._qint_numerators),
+    (-5, 3, jones._qint_numerators),
+    (13, 2, jones._torus_numerators(3, 2)),
+    (-1, 3, jones._torus_numerators(3, 2)),
+    (7, 5, jones._torus_numerators(-5, 3)),
+])
+def test_window_terms_count_the_arrays(a, b, inner):
+    """The closed-form term count of a cabling sum equals the length of its
+    arrays, colour by colour for n = 1..8 and over a whole window."""
+    for n in range(1, 9):
+        ns = np.array([n])
+        assert jones._window_terms(b, inner, ns) == jones._cabling_numerator(a, b, inner, ns)[1].size
+    ns = np.array([2, 3, 5, 8, 13])
+    assert jones._window_terms(b, inner, ns) == jones._cabling_numerator(a, b, inner, ns)[1].size
+
+
+def _physical_memory(monkeypatch, nbytes):
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+    monkeypatch.setattr(jones, "os", SimpleNamespace(sysconf=sizes.__getitem__))
+
+
+@pytest.mark.parametrize("window, what", [
+    (lambda: jones.numerator_window((3, 2), 500000000, 500000000),
+     "the (3, 2)-cabling sum of at least 1000000000 terms up to colour 500000000 needs at least 77000000000 bytes"),
+    (lambda: jones.numerator_window(CablingParams(3, 2, 13, 2), 1, 3000),
+     "the (13, 2)-cabling sum of at least 18009001000 terms up to colour 3000 needs at least 1386693077000 bytes"),
+    (lambda: jones._cabling_numerator(13, 2, jones._torus_numerators(3, 2), np.array([3, 100000])),
+     "the (13, 2)-cabling sum of at least 20000000000 terms up to colour 100000 needs at least 1540000000000 bytes"),
+], ids=["torus", "cable", "cable-top-colour"])
+def test_window_beyond_memory_is_refused_before_its_arrays(window, what, monkeypatch):
+    """A window whose term arrays cannot fit in (here 8 GiB of) physical
+    memory raises MemoryError before the cabling sum repeats anything; a
+    broken guard would reach ``np.repeat`` and fail the test, not allocate.
+    A top colour too large alone is refused by its own count."""
+    _physical_memory(monkeypatch, 8 << 30)
+
+    def no_repeat(*_args, **_kwargs):
+        raise AssertionError("a window array built before the memory guard")
+
+    monkeypatch.setattr(jones.np, "repeat", no_repeat)
+    with pytest.raises(MemoryError, match=f"^{re.escape(what)}, more than physical memory$"):
+        window()
+
+
+def test_window_within_memory_is_built(monkeypatch):
+    """The guard refuses by the measured bytes per term, and no fewer: a
+    window of 2n terms at colour n is built with exactly that much memory."""
+    _physical_memory(monkeypatch, jones._BYTES_PER_TERM * 2 * 40)
+    assert jones.numerator_window((3, 2), 40, 40)[40] == torus_jones(3, 2, 40) * QINT_DEN
+    _physical_memory(monkeypatch, jones._BYTES_PER_TERM * 2 * 40 - 1)
+    with pytest.raises(MemoryError):
+        jones.numerator_window((3, 2), 40, 40)
 
 
 # --- the identity suite against a per-colour reference on values ----------------

@@ -726,7 +726,7 @@ def test_batch_beyond_physical_memory_is_refused_before_its_rows(monkeypatch):
     batch (14 points, 140 x 18) needs 20160 bytes, the first systems 70 x 18."""
     builds = _count_calls(monkeypatch, "_build_matrix")
     sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 20159}
-    monkeypatch.setattr(minimality, "os", SimpleNamespace(sysconf=sizes.__getitem__))
+    monkeypatch.setattr(jones, "os", SimpleNamespace(sysconf=sizes.__getitem__))
     with pytest.raises(MemoryError, match="18 unknowns needs at least 20160 bytes"):
         search_bounded_annihilator(None, default_search_bounds(None, l_degree=1))
     assert [len(taus) for *_, taus, _ in builds] == [7, 7]
