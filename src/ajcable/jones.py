@@ -193,6 +193,14 @@ def _window_terms(b, inner, ns):
     return 2 * sum(b * (n * n // 2) + n % 2 for n in ns.tolist())
 
 
+def _refuse_window(a, b, inner, ns):
+    """Refuse the (a, b)-cabling sum at the colours ``ns`` when its terms
+    cannot fit in physical memory."""
+    terms = _window_terms(b, inner, ns)
+    _refuse_beyond_memory(_BYTES_PER_TERM * terms,
+                          f"the ({a}, {b})-cabling sum of at least {terms} terms up to colour {int(ns.max())}")
+
+
 def _cabling_numerator(a, b, inner, ns):
     """The numerators of the (a, b)-cable of a knot at the colours ``ns``
     (an int64 array, entries >= 1), where ``inner(ks)`` gives the knot's
@@ -216,9 +224,7 @@ def _cabling_numerator(a, b, inner, ns):
     n_max = int(ns.max())
     reach = _cabling_reach(a, b, n_max)
     for window in (np.array([n_max]), ns):  # the top colour first: a window it refuses is not listed
-        terms = _window_terms(b, inner, window)
-        _refuse_beyond_memory(_BYTES_PER_TERM * terms,
-                              f"the ({a}, {b})-cabling sum of at least {terms} terms up to colour {n_max}")
+        _refuse_window(a, b, inner, window)
     colour_of = np.repeat(np.arange(ns.size), ns)  # index in ns of each m's colour
     first = np.cumsum(ns) - ns
     n = ns[colour_of]
@@ -324,7 +330,9 @@ def numerator_window(params, lo, hi):
     a, b, inner = (p, q, _qint_numerators) if cp is None else (cp.r, cp.s, _torus_numerators(p, q))
     if lo < 1 or hi < lo:
         raise ValueError(f"numerator window [{lo}, {hi}] must be non-empty and start at colour 1 or above")
-    _cabling_reach(a, b, hi)  # refused before any array of the window is built
+    # refused before any array of the window is built
+    _cabling_reach(a, b, hi)
+    _refuse_window(a, b, inner, np.array([hi]))
     owner, exps, coeffs = _cabling_numerator(a, b, inner, np.arange(lo, hi + 1, dtype=np.int64))
     cuts = np.searchsorted(owner, np.arange(1, hi - lo + 1))  # owner is ascending
     return {lo + i: IntLaurent1.from_terms(e, c)

@@ -16,12 +16,15 @@ Verdicts are certificates, never guesses:
   elimination alone, blocked over F_p: panels of columns are eliminated
   pivot by pivot, the panel's pivot rows are solved by one product with
   a small solve matrix, and the rest of the matrix is updated by one
-  more product.  These products, and the few that build the solve
-  matrix, are the only place floats appear: float64 BLAS products of
-  16-bit limbs, used as an exact integer accumulator whose sums stay
-  below 2^53 (see the note above ``_draw_taus``).  A first elimination
-  of the leading rows alone often settles full rank; the kernel is
-  computed only when it is nonzero.
+  more product.  These products, the few that build the solve matrix
+  and those of the reduced system below, are the only place floats
+  appear: float64 BLAS products of 16-bit limbs, used as an exact integer
+  accumulator whose sums stay below 2^53 (see the note above
+  ``_draw_taus``).  Full rank is usually settled by the leading rows
+  alone, through a smaller system their Kronecker structure yields
+  exactly (``_head_nullity``); the whole matrix is expanded and
+  eliminated only when that falls short, and the kernel is computed only
+  when it is nonzero.
 * ``found annihilator within bounds`` -- a candidate was lifted from the
   mod-p kernel and then verified by exact symbolic application.
 * ``inconclusive`` -- every system tried was rank-deficient mod p and no
@@ -31,7 +34,9 @@ The evaluation matrix has one row per random point tau in F_p and color
 n: the equation ``(D J)(n) = 0`` at t = tau.  Its value residues come
 from the cabling formula of :mod:`.jones` read mod p, the unknot's
 quantum integers cabled by (p, q) and then by (r, s): the same formula
-that gives the exact values.
+that gives the exact values.  Each row is a Kronecker product: the
+entry at row (tau_k, n) and column (box row u, t-offset j) is
+``G_k[n, u] * tau_k^j``, and the matrix is built as its factors ``G``.
 
 The evaluation matrix is tried at each prime in turn.  When both are
 rank-deficient and nothing lifts, the last prime's system grows by
@@ -248,11 +253,12 @@ def _equation_count(values, bounds, centers):
 # (``_sub_product``), a sum of k <= _PANEL products F[i, j] U[j, l] of
 # residues.  It serves the k x k products that build a panel's solve
 # matrix and the product that applies it to the pivot rows
-# (``_solve_pivot_rows``), and the trailing update of the rows below.
-# It runs on float64 BLAS as exact integer arithmetic, not as an
-# approximation with a tolerance.  F is split into 16-bit limbs,
-# F = hi * 2^16 + lo with hi, lo <= 2^16 - 1, and each limb product
-# hi @ U, lo @ U is a sum of k non-negative integer terms below
+# (``_solve_pivot_rows``), the trailing update of the rows below, and
+# the products G_k @ N_l of the reduced system (``_head_nullity``), taken
+# _PANEL box rows at a time.  It runs on float64 BLAS as exact integer
+# arithmetic, not as an approximation with a tolerance.  F is split into
+# 16-bit limbs, F = hi * 2^16 + lo with hi, lo <= 2^16 - 1, and each limb
+# product hi @ U, lo @ U is a sum of k non-negative integer terms below
 # (2^16 - 1)(p - 1).  With p < 2^31 and k <= 64 every partial sum is a
 # non-negative integer below 2^53, which float64 holds exactly, so the
 # product is exact in any summation order, with or without FMA.  Back in
@@ -365,28 +371,36 @@ def _value_evals(params, n_max, taus, prime):
 
 
 def _build_matrix(params, bounds, centers, taus, prime):
-    """Evaluation-compressed system: one row per (tau, color), tau-major.
+    """The evaluation system in factored form: an int64 array ``G`` of shape
+    (points, colors, box rows), one block ``G[k]`` per tau.
 
-    The column (i, a, b) of row (tau, n) holds tau^a * tau^(2nb) * J(n+i)
-    evaluated at tau, with a running fastest within a block.
+    The system has one row per (tau, color), tau-major, and its column
+    (i, a, b) at row (tau, n) holds tau^a * tau^(2nb) * J(n+i) evaluated
+    at tau, with a running fastest within a block.  Writing
+    a = tc_i - t_span + j for j = 0..W-1 (W = 2*t_span + 1) and u = (i, b)
+    for the box row, that entry is ``G[k, n, u] * tau_k^j``: the matrix is
+    the expansion :func:`_expand` of ``G``, and ``G[:, :, u]`` is its
+    column ``u * W``.
     """
     ts, ms = bounds.t_span, bounds.m_span
     n = np.arange(bounds.n_lo, bounds.n_hi + 1, dtype=np.int64)
     evals = _value_evals(params, bounds.n_hi + bounds.l_degree, taus, prime)
     blocks = []
     for i, (tc, mc) in enumerate(centers):
-        a = np.arange(tc - ts, tc + ts + 1, dtype=np.int64)
         b = np.arange(mc - ms, mc + ms + 1, dtype=np.int64)
-        table = _pow_table(taus, np.concatenate((a, (2 * n[:, None] * b).ravel())), prime)
-        a_pow = table[:, : a.size]
-        m_pow = table[:, a.size :].reshape(len(taus), n.size, b.size)
-        mfac = m_pow * evals[:, n + i, None] % prime
-        blocks.append(
-            (mfac[..., None] * a_pow[:, None, None, :] % prime).reshape(
-                len(taus) * n.size, b.size * a.size
-            )
-        )
-    return np.concatenate(blocks, axis=1)
+        table = _pow_table(taus, np.concatenate(([tc - ts], (2 * n[:, None] * b).ravel())), prime)
+        m_pow = table[:, 1:].reshape(len(taus), n.size, b.size)
+        blocks.append(m_pow * (table[:, :1] * evals[:, n + i] % prime)[..., None] % prime)
+    return np.concatenate(blocks, axis=2)
+
+
+def _expand(G, taus, width, prime):
+    """The evaluation matrix of the factors ``G`` and ``taus``: row
+    (k, n) and column ``u * width + j`` hold ``G[k, n, u] * taus[k]^j``
+    mod ``prime``."""
+    points, n_count, box_rows = G.shape
+    powers = _pow_table(taus, np.arange(width), prime)
+    return (G[..., None] * powers[:, None, None, :] % prime).reshape(points * n_count, box_rows * width)
 
 
 def _reduce(x, prime, scratch=None):
@@ -550,6 +564,122 @@ def _nullspace_mod(E, pivots, prime):
     return basis
 
 
+def _kernel_bases(blocks, prime):
+    """A kernel basis mod ``prime`` of every matrix in the stack ``blocks``
+    (an int64 array of residues, shape (count, rows, cols)), as a list of
+    (cols, d) arrays.
+
+    One Gauss-Jordan reduction runs on the whole stack at once, column by
+    column: each block takes its first nonzero entry at or below its next
+    pivot row as the pivot, scales that row to 1 and clears the column in
+    every other row.  A reduced row reads x_c + sum_f R[f] x_f = 0 over
+    the free columns f, so free column f gives the basis vector with 1 at
+    f, -R[f] at each pivot column c and 0 elsewhere, as in
+    :func:`_nullspace_mod`.
+    """
+    A = blocks.copy()
+    count, rows, cols = A.shape
+    next_row = np.zeros(count, dtype=np.int64)
+    pivot_row = np.full((count, cols), -1)  # the row of column c's pivot; -1: c is free
+    for c in range(cols):
+        live = (A[:, :, c] != 0) & (np.arange(rows) >= next_row[:, None])
+        k = np.flatnonzero(live.any(axis=1))
+        if k.size == 0:
+            continue
+        src, dst = live[k].argmax(axis=1), next_row[k]
+        A[k, src], A[k, dst] = A[k, dst], A[k, src]
+        pivot = A[k, dst] * _pow_table(A[k, dst, c], [-1], prime) % prime
+        A[k] = (A[k] - A[k, :, c, None] * pivot[:, None, :]) % prime
+        A[k, dst] = pivot
+        pivot_row[k, c] = dst
+        next_row[k] += 1
+    bases = []
+    for R, at in zip(A, pivot_row):
+        free, bound = np.flatnonzero(at < 0), np.flatnonzero(at >= 0)
+        N = np.zeros((cols, free.size), dtype=np.int64)
+        N[free, np.arange(free.size)] = 1
+        N[bound] = -R[at[bound]][:, free] % prime
+        bases.append(N)
+    return bases
+
+
+def _lagrange_weights(nodes, xs, prime):
+    """``w[k, l]``, the Lagrange basis polynomial of ``nodes[l]`` at
+    ``xs[k]``: the product over m != l of
+    (xs[k] - nodes[m]) / (nodes[l] - nodes[m]) mod ``prime``, for distinct
+    nodes none of which is in ``xs``.  As ell(x_k) / ((x_k - node_l) c_l)
+    with ell(x) = prod_m (x - node_m) and c_l = prod_{m != l} (node_l - node_m)."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    diff = (np.asarray(xs, dtype=np.int64).reshape(-1, 1) - nodes) % prime
+    gaps = (nodes[:, None] - nodes) % prime
+    np.fill_diagonal(gaps, 1)
+    ell, c = np.ones(len(diff), dtype=np.int64), np.ones(len(nodes), dtype=np.int64)
+    for m in range(len(nodes)):
+        ell = ell * diff[:, m] % prime
+        c = c * gaps[:, m] % prime
+    inv = _pow_table((diff * c % prime).ravel(), [-1], prime).reshape(diff.shape)
+    return ell[:, None] * inv % prime
+
+
+def _head_nullity(G, taus, width, head, prime):
+    """The nullity mod ``prime`` of the first ``head`` rows of the
+    evaluation matrix ``_expand(G, taus, width, prime)``, from one
+    elimination of a smaller system; ``None`` when those rows touch fewer
+    than ``width`` points.
+
+    Soundness.  Write the unknowns as a (box rows) x W array X, with
+    W = ``width``, and x_u(t) = sum_j X[u, j] t^j, a polynomial of degree
+    below W.  Row (k, n) of the matrix then reads
+    sum_u G[k, n, u] x_u(tau_k) = 0.  Take the first W points
+    tau_0..tau_{W-1} as interpolation nodes and y_l = x(tau_l).  The taus
+    are distinct and nonzero mod p (``_draw_taus``; nonzero lets ``G``
+    carry tau^(tc_i - t_span) for a negative exponent), so the Vandermonde
+    map X -> (y_0, .., y_{W-1}) is invertible, and at every other point
+    x(tau_k) = sum_l w[k, l] y_l with the Lagrange weights w
+    (:func:`_lagrange_weights`).  The rows of node l say G_l y_l = 0, where
+    G_l is that point's block of head rows, so y_l = N_l z_l for a kernel
+    basis N_l of G_l (:func:`_kernel_bases`) and a unique z_l.  The rows
+    of every other head point k become sum_l w[k, l] G_k N_l z_l = 0: one
+    reduced system in the z_l, with blocks ``w[k, l] * G_k @ N_l``.
+    X -> z is a bijection from the head's kernel onto the reduced
+    system's kernel, so the two nullities are equal, and a reduced system
+    of full column rank certifies that the head, and so the whole matrix,
+    has full column rank mod p.
+
+    Edge cases.  When the head rows touch fewer than W points, the head
+    has a kernel (X[u] the coefficients of c_u prod_k (t - tau_k), of
+    degree below W), so its nullity is positive and ``None`` says that
+    only the whole matrix can decide.  The last point touched may keep
+    only some of its rows: as a node, its block is padded with zero rows,
+    which change no kernel; otherwise it has fewer rows.  A node block of
+    full column rank adds no column; a zero block adds one per box row.
+    With no point beyond the nodes the reduced system has no row, and its
+    nullity is its column count.  The products ``G_k @ N_l`` sum at most
+    ``_PANEL`` terms per ``_sub_product`` (see the note above
+    ``_draw_taus``).
+    """
+    _, n_count, box_rows = G.shape
+    rows = G.reshape(-1, box_rows)[:head]
+    touched = -(-len(rows) // n_count)
+    if touched < width:
+        return None
+    node_rows = np.zeros((width * n_count, box_rows), dtype=np.int64)
+    filled = min(len(rows), width * n_count)
+    node_rows[:filled] = rows[:filled]
+    kernels = _kernel_bases(node_rows.reshape(width, n_count, box_rows), prime)
+    N = np.concatenate(kernels, axis=1)
+    rest = rows[width * n_count :]
+    reduced = np.zeros((len(rest), N.shape[1]), dtype=np.int64)
+    for c0 in range(0, box_rows, _PANEL):  # reduced = rest @ N, _PANEL terms per product
+        negated = (-N[c0 : c0 + _PANEL] % prime).astype(np.float64)
+        _sub_product(reduced, rest[:, c0 : c0 + _PANEL], negated, prime)
+    weights = _lagrange_weights(taus[:width], taus[width:touched], prime)
+    point = np.arange(len(rest)) // n_count
+    block = np.repeat(np.arange(width), [K.shape[1] for K in kernels])
+    reduced = reduced * weights[point][:, block] % prime
+    return N.shape[1] - len(_echelon_mod(reduced, prime))
+
+
 def _symmetric_lift(vec, prime, k):
     half = prime // 2
     out = []
@@ -568,13 +698,8 @@ def _candidate_operator(vec, cols):
 
 
 def _certify(matrix, prime, cols, seq, bounds):
-    """``(nullity, operator or None)`` for one residue system over F_prime.
-
-    When the matrix has more than ``len(cols) + 8`` rows, a copy of its
-    first ``len(cols) + 8`` rows is eliminated first: full column rank of
-    those rows is full column rank of the whole matrix, and the answer is
-    ``(0, None)``.  Otherwise the whole matrix is eliminated, so pivots,
-    nullity and kernel are those of the whole system.
+    """``(nullity, operator or None)`` for one residue system over F_prime,
+    from the elimination of the whole matrix.
 
     The nullity comes from forward elimination alone.  Only when it is
     above 0 is the kernel back-substituted; each of its first 24 basis
@@ -583,9 +708,6 @@ def _certify(matrix, prime, cols, seq, bounds):
     annihilates ``seq`` exactly over the color window.  The free column
     of a basis vector holds k, nonzero mod p, so no lift is zero.
     """
-    head = len(cols) + 8
-    if matrix.shape[0] > head and len(_echelon_mod(matrix[:head].copy(), prime)) == len(cols):
-        return 0, None
     pivots = _echelon_mod(matrix, prime)
     nullity = len(cols) - len(pivots)
     if nullity:
@@ -609,6 +731,18 @@ def _sequence_for(params, bounds):
     if params is None:
         return unknot_sequence()
     return value_window(params, bounds.n_lo, bounds.n_hi + bounds.l_degree).__getitem__
+
+
+def _settle(G, taus, prime, cols, seq, bounds):
+    """``(nullity, operator or None)`` for the system with factors ``G`` at
+    the points ``taus``: ``(0, None)`` when the reduced system of its first
+    ``len(cols) + 8`` rows has full column rank (:func:`_head_nullity`),
+    which takes no expansion of the matrix; otherwise :func:`_certify` of
+    the whole expanded matrix."""
+    width = 2 * bounds.t_span + 1
+    if _head_nullity(G, taus, width, len(cols) + 8, prime) == 0:
+        return 0, None
+    return _certify(_expand(G, taus, width, prime), prime, cols, seq, bounds)
 
 
 def _params_label(params):
@@ -639,14 +773,15 @@ def search_bounded_annihilator(params, bounds=None):
     possible verdicts.
 
     ``prime`` and ``rows`` describe the last prime's first system, before
-    any batch of added points; ``nullity`` is that of the last system
-    eliminated.
+    any batch of added points.  ``nullity`` is the nullity mod ``prime``
+    of the sampled system last certified (batch points included), not
+    that of the exact system over Q: too few points can make it larger.
     """
     if bounds is None:
         bounds = default_search_bounds(params)
+    seq = _sequence_for(params, bounds)  # its own guards refuse a window beyond memory
     centers = _box_centers(params, bounds.l_degree)
     unknowns = bounds.box_size() * (bounds.l_degree + 1)
-    seq = _sequence_for(params, bounds)
     equations = _equation_count(seq, bounds, centers)
     if equations < 2 * unknowns:
         raise SystemTooSmall(
@@ -670,10 +805,10 @@ def search_bounded_annihilator(params, bounds=None):
 
     for prime in PRIMES:
         taus = _draw_taus(rng, tau_count, prime)
-        matrix = _build_matrix(params, bounds, centers, taus, prime)
+        G = _build_matrix(params, bounds, centers, taus, prime)
         report["prime"] = prime
-        report["rows"] = matrix.shape[0]
-        nullity, op = _certify(matrix, prime, cols, seq, bounds)
+        report["rows"] = G.shape[0] * G.shape[1]
+        nullity, op = _settle(G, taus, prime, cols, seq, bounds)
         if nullity == 0 or op is not None:
             break
     else:
@@ -684,9 +819,9 @@ def search_bounded_annihilator(params, bounds=None):
             _refuse_beyond_memory(8 * unknowns * (len(taus) + tau_count) * n_count, what)
             drawn = set(taus)
             taus = taus + [t for t in _draw_taus(rng, tau_count, prime) if t not in drawn]
-            matrix = _build_matrix(params, bounds, centers, taus, prime)
+            G = _build_matrix(params, bounds, centers, taus, prime)
             before = nullity
-            nullity, op = _certify(matrix, prime, cols, seq, bounds)
+            nullity, op = _settle(G, taus, prime, cols, seq, bounds)
             if nullity in (0, before) or op is not None:
                 break
     report["nullity"] = nullity

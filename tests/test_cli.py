@@ -174,6 +174,28 @@ def test_minimality_box_beyond_physical_memory_exits_1(monkeypatch, capsys):
                             "needs at least 1143072000526176000055944 bytes, more than physical memory\n")
 
 
+def test_minimality_l_degree_beyond_physical_memory_exits_1(monkeypatch, capsys):
+    """``--ldeg 1000000`` reads colours up to 1000012: the value window's
+    guard refuses them before the l_degree + 1 box centres are listed, and
+    before the window's colour array is built for the cabling sum.
+    Physical memory is set to 8 GiB, as above."""
+    def no_centers(*_args):
+        raise AssertionError("box centres listed before the value window's guard")
+
+    def no_window(*_args):
+        raise AssertionError("the window's colours listed before its guard")
+
+    monkeypatch.setattr(minimality, "_box_centers", no_centers)
+    monkeypatch.setattr(jones, "_cabling_numerator", no_window)
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 << 30}
+    monkeypatch.setattr(jones, "os", SimpleNamespace(sysconf=sizes.__getitem__))
+    assert main(["minimality", "-p", "3", "-q", "2", "-r", "-1", "-s", "2", "--ldeg", "1000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ajcable: error: out of memory: the (-1, 2)-cabling sum of at least 2000048000288 terms "
+                            "up to colour 1000012 needs at least 154003696022176 bytes, more than physical memory\n")
+
+
 # --- usage errors ------------------------------------------------------------
 
 def test_unknown_subcommand_exits_1():

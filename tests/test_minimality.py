@@ -1,15 +1,17 @@
 """Bounded searches below the constructed order, plus unknot controls."""
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -347,6 +349,27 @@ def _build_matrix_reference(evals, bounds, centers, taus, prime):
     return rows
 
 
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, which imports nothing of the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drawable_searches():
+    """Every search the benchmark's ``minimality`` workload can draw, as
+    (params, bounds) parameters: its cables with the default bounds, and
+    the unknot controls."""
+    workloads = _benchmark_workloads()
+    searches = [pytest.param(CablingParams(*t), None, id="drawable-{},{},{},{}".format(*t))
+                for t in workloads.drawable_tuples("minimality")]
+    return searches + [pytest.param(None, default_search_bounds(None, l_degree=k), id=f"drawable-unknot-{k}")
+                       for k in workloads.CONTROL_ORDERS]
+
+
 @pytest.mark.parametrize("params, bounds", [
     (CablingParams(3, 2, 13, 2), None),
     (CablingParams(5, 3, 121, 4), None),
@@ -355,16 +378,19 @@ def _build_matrix_reference(evals, bounds, centers, taus, prime):
     ((3, 2), None),
     (None, None),
     (None, SearchBounds(l_degree=2, t_span=0, m_span=1, n_lo=1, n_hi=10)),
-])
+] + _drawable_searches())
 def test_build_matrix_matches_per_entry_build(params, bounds):
+    """The factored build, expanded as ``G[k, n, u] * tau_k^j``, against
+    the per-entry build, also on every search the benchmark draws."""
     bounds = bounds or default_search_bounds(params)
     centers = minimality._box_centers(params, bounds.l_degree)
     rng = random.Random(3)
     for prime in PRIMES:
         taus = minimality._draw_taus(rng, 3, prime)
         evals = minimality._value_evals(params, bounds.n_hi + bounds.l_degree, taus, prime)
-        built = minimality._build_matrix(params, bounds, centers, taus, prime)
-        assert built.dtype == np.int64
+        G = minimality._build_matrix(params, bounds, centers, taus, prime)
+        built = minimality._expand(G, taus, 2 * bounds.t_span + 1, prime)
+        assert G.dtype == built.dtype == np.int64
         assert np.array_equal(built, _build_matrix_reference(evals, bounds, centers, taus, prime))
 
 
@@ -732,7 +758,7 @@ def test_batch_beyond_physical_memory_is_refused_before_its_rows(monkeypatch):
     assert [len(taus) for *_, taus, _ in builds] == [7, 7]
 
 
-# --- the head-first rank certificate ------------------------------------------------
+# --- the rank certificate ----------------------------------------------------------
 
 
 def _record_eliminations(monkeypatch):
@@ -774,46 +800,83 @@ def _direct_certificate(A, prime, cols, seq, bounds):
     return nullity, None
 
 
+def _record_head_nullities(monkeypatch):
+    """Spy on ``_head_nullity``: its answer for every system of a search."""
+    answers, real = [], minimality._head_nullity
+
+    def spy(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(minimality, "_head_nullity", spy)
+    return answers
+
+
 def test_full_rank_is_certified_from_the_head_rows(monkeypatch):
-    certified = _record_eliminations(monkeypatch)
+    """(5,3,-1,3): of the first 525 + 8 rows, 21 points x 12 colours are
+    interpolation nodes, and each node block, of rank 12, leaves 25 - 12
+    kernel columns.  One elimination of the reduced 281 x 273 system
+    settles full rank; the whole matrix is never expanded."""
+    builds, shapes = [], []
+    build, echelon = minimality._build_matrix, minimality._echelon_mod
+
+    def build_spy(*args):
+        builds.append((args, build(*args)))
+        return builds[-1][1]
+
+    def echelon_spy(A, prime):
+        shapes.append(A.shape)
+        return echelon(A, prime)
+
+    def no_expansion(*_args):
+        raise AssertionError("the whole matrix is expanded")
+
+    monkeypatch.setattr(minimality, "_build_matrix", build_spy)
+    monkeypatch.setattr(minimality, "_echelon_mod", echelon_spy)
+    monkeypatch.setattr(minimality, "_expand", no_expansion)
     report = search_bounded_annihilator(CablingParams(5, 3, -1, 3))
+    monkeypatch.undo()
     assert (report["rows"], report["unknowns"], report["nullity"]) == (636, 525, 0)
-    [(eliminated, matrix, _, _, result)] = certified
-    # one elimination, of the first unknowns + 8 rows only
-    assert [E.shape for E in eliminated] == [(533, 525)]
-    assert np.array_equal(eliminated[0], matrix[:533])
-    assert result == (0, None)
+    assert shapes == [(281, 273)]
+    # the head it stands for, eliminated directly, has full rank too
+    [((*_, taus, prime), G)] = builds
+    assert G.shape == (53, 12, 25)
+    assert len(minimality._echelon_mod(minimality._expand(G, taus, 21, prime)[:533], prime)) == 525
 
 
 @pytest.mark.parametrize("bounds", UNKNOT_BOXES)
 def test_unknot_controls_fall_back_to_the_whole_matrix(bounds, monkeypatch):
+    # the first len(cols) + 8 rows touch fewer than 2 * 4 + 1 = 9 points,
+    # so no reduced system stands for them: the whole matrix at once
+    heads = _record_head_nullities(monkeypatch)
     certified = _record_eliminations(monkeypatch)
     search_bounded_annihilator(None, bounds)
     monkeypatch.undo()
+    assert heads == [None] * len(certified)
     eliminated, matrix, prime, cols, (nullity, op) = certified[0]  # the first prime
-    head = len(cols) + 8
-    assert matrix.shape[0] > head
-    assert [E.shape for E in eliminated] == [(head, len(cols)), matrix.shape]
-    assert np.array_equal(eliminated[0], matrix[:head])
-    assert np.array_equal(eliminated[1], matrix)
+    assert -(-(len(cols) + 8) // 10) < 9
+    assert [E.shape for E in eliminated] == [matrix.shape]
+    assert np.array_equal(eliminated[0], matrix)
     text = op.text() if op is not None else None
     assert (nullity, text) == _direct_certificate(matrix, prime, cols, unknot_sequence(), bounds)
 
 
 def test_m_free_batch_is_eliminated_whole(monkeypatch):
+    heads = _record_head_nullities(monkeypatch)
     certified = _record_eliminations(monkeypatch)
     bounds = default_search_bounds(None, l_degree=1)
     assert search_bounded_annihilator(None, bounds)["nullity"] == 0
-    # both primes' systems fall back to the whole matrix; so does the
-    # batch, whose first 18 + 8 rows (under three points) cannot have full
-    # rank
-    assert [[E.shape for E in e] for e, *_ in certified] == [
-        [(26, 18), (70, 18)], [(26, 18), (70, 18)], [(26, 18), (140, 18)],
-    ]
+    monkeypatch.undo()
+    # both primes' systems go to the whole matrix; so does the batch, whose
+    # first 18 + 8 rows touch three points, under the 9 nodes a reduced
+    # system needs
+    assert heads == [None, None, None]
+    assert [[E.shape for E in e] for e, *_ in certified] == [[(70, 18)], [(70, 18)], [(140, 18)]]
     # the batch appends rows to the last prime's system
-    (_, first, *_), (_, batch, prime, *_, result) = certified[1:]
+    (_, first, *_), (_, batch, prime, cols, result) = certified[1:]
     assert np.array_equal(batch[:70], first)
     assert (prime, result) == (PRIMES[1], (0, None))
+    assert _direct_certificate(batch, prime, cols, unknot_sequence(), bounds) == (0, None)
 
 
 @pytest.mark.parametrize("extra", [0, 8])
@@ -833,3 +896,69 @@ def test_no_head_step_without_more_rows_than_unknowns_plus_8(extra, monkeypatch)
     text = op.text() if op is not None else None
     assert nullity > 0
     assert (nullity, text) == _direct_certificate(matrix, prime, cols, unknot_sequence(), bounds)
+
+
+def _kronecker_blocks(gen, kind, prime, taus, width, n_count, box_rows):
+    """Factors G of shape (len(taus), n_count, box_rows): random blocks;
+    blocks of random rank, zero included (``"deficient"``); or blocks
+    orthogonal at every point to x(tau_k) for a planted X != 0, which then
+    lies in the kernel of every head (``"planted"``)."""
+    G = gen.integers(0, prime, size=(len(taus), n_count, box_rows)).astype(object)
+    if kind == "deficient":
+        for k in range(len(taus)):
+            rank = int(gen.integers(0, min(n_count, box_rows) + 1))
+            left = gen.integers(0, prime, size=(n_count, rank)).astype(object)
+            G[k] = left @ gen.integers(0, prime, size=(rank, box_rows)).astype(object) % prime
+    elif kind == "planted":
+        X = gen.integers(1, prime, size=(box_rows, width)).astype(object)
+        for k, tau in enumerate(taus):
+            x = X @ np.array([pow(tau, j, prime) for j in range(width)], dtype=object) % prime
+            nz = np.flatnonzero(x)
+            if nz.size:
+                u = nz[0]
+                others = G[k] @ x - G[k][:, u] * x[u]
+                G[k][:, u] = -others * pow(int(x[u]), -1, prime) % prime
+    return G.astype(np.int64)
+
+
+def _kronecker_case(seed, kind, prime, width, n_count, box_rows, points, head=None):
+    gen = np.random.default_rng(seed)
+    taus = [int(t) for t in gen.choice(np.arange(1, 1 << 20), size=points, replace=False)]
+    G = _kronecker_blocks(gen, kind, prime, taus, width, n_count, box_rows)
+    return G, taus, width, points * n_count if head is None else head, prime
+
+
+@st.composite
+def kronecker_heads(draw):
+    """(G, taus, width, head, prime): factors of an evaluation matrix and a
+    head of its rows, often all of them.  Enough points for the head to
+    reach the unknown count, so that a planted kernel vector is often the
+    only one."""
+    prime = draw(st.sampled_from(PRIMES))
+    width = draw(st.integers(min_value=1, max_value=5))
+    box_rows = draw(st.integers(min_value=1, max_value=40))
+    n_count = draw(st.integers(min_value=1, max_value=12))
+    points = draw(st.integers(min_value=1, max_value=width + -(-box_rows * width // n_count) + 2))
+    head = draw(st.one_of(st.just(points * n_count), st.integers(min_value=1, max_value=points * n_count)))
+    taus = draw(st.lists(st.integers(min_value=1, max_value=prime - 1),
+                         min_size=points, max_size=points, unique=True))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    kind = draw(st.sampled_from(("random", "deficient", "planted")))
+    return _kronecker_blocks(gen, kind, prime, taus, width, n_count, box_rows), taus, width, head, prime
+
+
+@given(kronecker_heads())
+# planted kernels over two panels of box rows (33 and 40 > _PANEL), one of
+# them with a partial last block
+@example(_kronecker_case(1, "planted", PRIMES[0], 3, 12, 40, 14))
+@example(_kronecker_case(2, "planted", PRIMES[1], 5, 7, 33, 31, head=24 * 7 + 1))
+@settings(max_examples=200, deadline=None)
+def test_reduced_nullity_is_the_nullity_of_the_expanded_head(case):
+    G, taus, width, head, prime = case
+    E = minimality._expand(G, taus, width, prime)[:head].copy()
+    nullity = E.shape[1] - len(minimality._echelon_mod(E, prime))
+    reduced = minimality._head_nullity(G, taus, width, head, prime)
+    if -(-head // G.shape[1]) < width:
+        assert reduced is None and nullity > 0
+    else:
+        assert reduced == nullity
