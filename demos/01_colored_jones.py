@@ -5,12 +5,12 @@ the unknot's value at color n the balanced quantum integer [n], values at
 color 0 vanish, and negative colors carry the odd extension.
 """
 
-from ajcable.jones import CablingParams, cabled_jones, torus_jones, unknot_jones
+from ajcable.jones import CablingParams, cabled_jones, quantum_integer, torus_jones
 
 print("Unknot (quantum integers):")
 for n in range(0, 5):
-    print(f"  n={n}:  {unknot_jones(n).text()}")
-print(f"  n=-3: {unknot_jones(-3).text()}   (odd extension)")
+    print(f"  n={n}:  {quantum_integer(n).text()}")
+print(f"  n=-3: {quantum_integer(-3).text()}   (odd extension)")
 
 print("\nTrefoil = (3,2) torus knot:")
 for n in range(1, 4):

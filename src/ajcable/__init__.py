@@ -35,7 +35,6 @@ from .algebra import (
 from .aj import (
     AnnihilatorBundle,
     BZero,
-    b_minus1_closed_form,
     build_ab,
     build_annihilator,
     cabled_a_polynomial,
@@ -43,9 +42,7 @@ from .aj import (
     case_l_degree,
     case_tag,
     compare_aj,
-    default_grid,
     determinant_check,
-    determinant_closed_form,
     evaluate_annihilator_at_minus1,
     f_poly,
     g_poly,
@@ -61,23 +58,17 @@ from .degrees import (
 from .jones import (
     BadParams,
     CablingParams,
-    IDENTITY_IDS,
     OddMCoefficient,
     applicable_identities,
     cable_sequence,
     cable_step_coefficients,
     cabled_jones,
     clear_caches,
-    delta_term,
     identity_suite,
     quantum_integer,
     symbolic_delta,
     torus_jones,
-    torus_jones_via_step,
-    torus_sequence,
-    unknot_jones,
     unknot_sequence,
-    verify_identity,
 )
 from .minimality import (
     SearchBounds,
@@ -101,7 +92,6 @@ __all__ = [
     "CablingParams",
     "DegreePrediction",
     "DivByZero",
-    "IDENTITY_IDS",
     "IntLaurent1",
     "IntLaurent2",
     "LPolynomialOverM",
@@ -117,7 +107,6 @@ __all__ = [
     "applicable_identities",
     "apply_operator",
     "audit_degrees",
-    "b_minus1_closed_form",
     "build_ab",
     "build_annihilator",
     "cable_sequence",
@@ -130,12 +119,9 @@ __all__ = [
     "check_annihilation",
     "clear_caches",
     "compare_aj",
-    "default_grid",
     "default_search_bounds",
     "degree_bounds",
-    "delta_term",
     "determinant_check",
-    "determinant_closed_form",
     "evaluate_annihilator_at_minus1",
     "f_poly",
     "g_poly",
@@ -152,10 +138,6 @@ __all__ = [
     "substitute_M",
     "symbolic_delta",
     "torus_jones",
-    "torus_jones_via_step",
-    "torus_sequence",
-    "unknot_jones",
     "unknot_sequence",
-    "verify_identity",
     "verify_tuple",
 ]

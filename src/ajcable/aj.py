@@ -518,16 +518,6 @@ def _determinant_products(params):
     raise BadParams("no determinant closed form in the s = 2 regime")
 
 
-def b_minus1_closed_form(params):
-    """Displayed closed form of b at t = -1 for each regime."""
-    return RationalM(*_b_minus1_products(params))
-
-
-def determinant_closed_form(params):
-    """Displayed closed form of the case determinant (regimes with s > 2)."""
-    return RationalM(*_determinant_products(params))
-
-
 def determinant_check(params, bundle=None):
     """Compare b and the case determinant at t = -1 to their closed forms.
 
@@ -621,30 +611,8 @@ def compare_aj(params, bundle=None):
 
 
 # ---------------------------------------------------------------------------
-# the default parameter grid and the per-tuple pipeline
+# the per-tuple pipeline
 # ---------------------------------------------------------------------------
-
-
-def default_grid():
-    """The stock verification grid over both torus chiralities.
-
-    For p > 0 the r-choices are {-1, -7, pqs+1} (pqs+1 is coprime to s, so
-    it is the nearest admissible value above pqs).  For p < 0 those all
-    land strictly between pqs and 0, so mirrored out-of-band choices
-    {1, 7, pqs-1} are added to keep theorem-applicable tuples of both
-    signs in the grid.
-    """
-    grid = []
-    for p, q in ((3, 2), (5, 2), (5, 3), (7, 3), (-3, 2), (-5, 3)):
-        for s in (2, 3, 4, 5):
-            pqs = p * q * s
-            if p > 0:
-                r_choices = (-1, -7, pqs + 1)
-            else:
-                r_choices = (-1, -7, 1, 7, pqs - 1)
-            for r in r_choices:
-                grid.append(CablingParams(p, q, r, s))
-    return grid
 
 
 def verify_tuple(params, nmax=12, numerators=None):

@@ -739,9 +739,6 @@ class RationalTM:
             return NotImplemented
         return _mul2(self.num.d, other.den.d) == _mul2(other.num.d, self.den.d)
 
-    def __hash__(self):
-        raise TypeError("RationalTM is unhashable (equality is by cross-multiplication)")
-
     def __neg__(self):
         return RationalTM(-self.num, self.den)
 
@@ -1024,16 +1021,10 @@ class RationalM:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __neg__(self):
-        return RationalM(-self.num, self.den)
-
     def __add__(self, other):
         if self.den == other.den:
             return RationalM(self.num + other.num, self.den)
         return RationalM(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -1041,11 +1032,6 @@ class RationalM:
         return RationalM(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise DivByZero("dividing by zero")
-        return RationalM(self.num * other.den, self.den * other.num)
 
     def text(self):
         nt = _terms_text([(c, _pow_text("M", e)) for e, c in self.num.items()])

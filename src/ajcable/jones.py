@@ -11,9 +11,9 @@ numerator's terms scattered into one array and divided exactly by
 ``t^2 - t^-2``.  ``numerator_window`` gives the numerators of a colour
 window undivided, for the relation check and the degree audit, which
 need no value; ``value_window`` gives the values of a window.  No value
-or numerator is memoized: each call computes its window afresh.
-``torus_jones_via_step`` is an independent second route to the torus
-values.
+or numerator is memoized: each call computes its window afresh.  The
+test suite keeps an independent second route to the torus values, the
+two-step recurrence (``tests/oracles.py``).
 
 The module also builds the symbolic-in-color data that the recurrences
 are assembled from: the step inhomogeneity ``delta``, and three families
@@ -25,11 +25,10 @@ Every recurrence this package relies on is stated once, as data: in
 ``_relation``, a list of terms ``f(t, t^(2n)) * X(slope*n + const)``
 summing to zero, with ``X`` the torus or cable numerators or the
 constant 1 (the shape q-holonomicity predicts; Garoufalidis-Le, Geom.
-Topol. 9, 2005).  One evaluator checks them for ``verify_identity`` and
-``identity_suite`` exactly, on the same numerators: the reads of one call
-come from one numerator table per sequence, and the terms of all groups
-and colors of a window are sorted once and summed, with no values formed
-except the residue of a failing color.
+Topol. 9, 2005).  ``identity_suite`` checks them exactly, on numerators:
+the reads of one call come from one numerator table per sequence, and the
+terms of all groups and colors of a window are sorted once and summed,
+with no values formed except the residue of a failing color.
 """
 
 from __future__ import annotations
@@ -74,14 +73,9 @@ def quantum_integer(m):
     return IntLaurent1.from_array(-2 * (a - 1), 4, np.full(a, 1 if m > 0 else -1, dtype=np.int64))
 
 
-def unknot_jones(n):
-    """Colored Jones value of the unknot at color n (the quantum integer)."""
-    return quantum_integer(n)
-
-
 def unknot_sequence():
     """The unknot's values as a function of the color."""
-    return unknot_jones
+    return quantum_integer
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +257,6 @@ def torus_jones(p, q, n):
     return value_window((p, q), n, n)[n]
 
 
-def torus_jones_via_step(p, q, n):
-    """Same value by iterating the two-step recurrence from colors 0 and 1.
-
-    Independent route kept for cross-checking the cabling formula.
-    """
-    _check_torus(p, q)
-    if n == 0:
-        return IntLaurent1()
-    neg = n < 0
-    n = abs(n)
-    pq = p * q
-    vals = [IntLaurent1(), IntLaurent1.one()]  # colors 0, 1
-    for k in range(0, n - 1):
-        nxt = vals[k].mul_tpow(-4 * pq * (k + 1)) + delta_term(p, q, k).mul_tpow(-2 * pq * (k + 1))
-        vals.append(nxt)
-    return -vals[n] if neg else vals[n]
-
-
-def torus_sequence(p, q):
-    """The (p, q) torus knot's values as a function of the color."""
-    return lambda n: torus_jones(p, q, n)
-
-
 # ---------------------------------------------------------------------------
 # cabled values
 # ---------------------------------------------------------------------------
@@ -361,28 +332,6 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 
 
-def _delta_terms(p, q):
-    """The four numerator terms of the step inhomogeneity at index j, as
-    ``(slope, const, sign)``: the term ``sign * t^(slope*(j + 1) + const)``."""
-    _check_torus(p, q)
-    u = p + q
-    w = q - p
-    return ((2 * u, 2, 1), (-2 * u, 2, 1), (2 * w, -2, -1), (-2 * w, -2, -1))
-
-
-def delta_term(p, q, j):
-    """The inhomogeneous term of the torus two-step recurrence at index j.
-
-    A four-term quotient by ``t^2 - t^-2``; symmetric under
-    ``j + 1 -> -(j + 1)``, with value 2 at j = -1.
-
-    >>> delta_term(3, 2, 0).text()
-    't^10 + t^6 + t^2 - t^-6'
-    """
-    j1 = j + 1
-    return div_qint_den(IntLaurent1([(slope * j1 + const, sign) for slope, const, sign in _delta_terms(p, q)]))
-
-
 def _affine_monomial(slope, const, coeff=1):
     """Monomial whose realized t-exponent is ``slope*n + const``.
 
@@ -395,14 +344,17 @@ def _affine_monomial(slope, const, coeff=1):
 
 def symbolic_delta(p, q, a, b):
     """Numerator form of the step inhomogeneity at index ``j = a*n + b``:
-    realized at color n, divided by ``t^2 - t^-2``, it is ``delta_term``.
+    realized at color n, divided by ``t^2 - t^-2``, it is the inhomogeneous
+    term of the torus two-step recurrence at index j.
 
     >>> symbolic_delta(3, 2, 2, 1).text()
     't^-18*M^-10 - t^-6*M^-2 - t^2*M^2 + t^22*M^10'
     """
-    b1 = b + 1
+    _check_torus(p, q)
+    u, w, b1 = p + q, q - p, b + 1
     acc = IntLaurent2()
-    for slope, const, sign in _delta_terms(p, q):
+    # the four numerator terms sign * t^(slope*(j + 1) + const) at j = a*n + b
+    for slope, const, sign in ((2 * u, 2, 1), (-2 * u, 2, 1), (2 * w, -2, -1), (-2 * w, -2, -1)):
         acc = acc + _affine_monomial(slope * a, slope * b1 + const, sign)
     return acc
 
@@ -494,19 +446,6 @@ def cable_step_coefficients(params):
 # identity suite
 # ---------------------------------------------------------------------------
 
-IDENTITY_IDS = (
-    "TORUS_STEP",
-    "Q2_STEP",
-    "CABLE_STEP",
-    "PEEL",
-    "PEEL_S",
-    "Q2_PEEL",
-    "Q2_PEEL_S",
-    "HALF_PEEL",
-    "S2_STEP",
-)
-
-
 def _as_params(params):
     """``(cp, p, q)`` for a :class:`CablingParams` ``cp``, ``(None, p, q)``
     for a valid torus pair ``(p, q)``."""
@@ -516,46 +455,6 @@ def _as_params(params):
         _check_torus(*params)
         return None, *params
     raise BadParams(f"expected CablingParams or a (p, q) pair, got {params!r}")
-
-
-def verify_identity(identity_id, params, n_lo, n_hi, m=None):
-    """Exactly check one recurrence over colors ``n_lo..n_hi``.
-
-    ``params`` is a :class:`CablingParams` (cable identities need r, s) or
-    a plain ``(p, q)`` pair for the torus-only identities.  ``m`` is the
-    peel depth for the iterated-peel identities.
-
-    Every identity is stated once, in :func:`_relation`, as groups of
-    terms ``f(t, t^(2n)) * X(slope*n + const)``: with ``D = t^2 - t^-2``,
-    each group sums to D times one residue of the identity at every color.
-    ``X`` is read through its numerators ``D*X`` (the torus and cable
-    values, the quantum integers) or is the constant 1, whose ``f`` is
-    already a numerator (the four terms of ``D*delta``, the peel totals).
-    One evaluator, shared with :func:`identity_suite`, takes every read
-    ``(X, slope, const)`` of a call from one numerator table per sequence
-    and checks all groups and colors at once: their terms are sorted once
-    by (group, color, exponent) and summed.  This is sound: ``Z[t^+-1]``
-    is a domain and D is not zero, so a residue is zero exactly when D
-    times it is.  The residue reported for a failing color, that of its
-    first nonzero group, is the exact quotient of its terms by D, i.e. the
-    residue itself; a sum that D does not divide has no residue, and the
-    color is reported failing with a text saying so.  Every torus and
-    cable numerator read must be divisible by D, as its value requires;
-    :class:`NotDivisible` is raised otherwise.
-
-    The report lists every failing color with the nonzero residue.  An
-    empty color window raises :class:`ValueError`: checking no color must
-    not read as a pass.
-    """
-    ns = _colours(n_lo, n_hi)
-    if identity_id not in IDENTITY_IDS:
-        raise BadParams(f"unknown identity {identity_id!r}")
-    cp, p, q = _as_params(params)
-    if identity_id in ("PEEL", "Q2_PEEL") and (m is None or m < 1):
-        raise BadParams(f"{identity_id} needs a peel depth m >= 1")
-    if identity_id not in {i for i, _ in applicable_identities(params)}:
-        raise BadParams(f"{identity_id} does not apply to {params!r}; see applicable_identities")
-    return _check_relations([(identity_id, m)], cp, p, q, ns)[0]
 
 
 def _colours(n_lo, n_hi):
@@ -800,11 +699,33 @@ def applicable_identities(params):
 
 
 def identity_suite(params, n_lo, n_hi):
-    """Run every applicable identity check; returns the list of reports,
-    as :func:`verify_identity` gives them, from one evaluation: one
-    numerator table per sequence and one sort of all the suite's terms.
+    """Exactly check every applicable identity over colors ``n_lo..n_hi``;
+    returns one report per identity, in the order of
+    :func:`applicable_identities`.
 
-    An empty color window raises :class:`ValueError`.
+    ``params`` is a :class:`CablingParams` or a plain ``(p, q)`` pair, for
+    which only the torus identities apply.  Every identity is stated once,
+    in :func:`_relation`, as groups of terms ``f(t, t^(2n)) *
+    X(slope*n + const)``: with ``D = t^2 - t^-2``, each group sums to D
+    times one residue of the identity at every color.  ``X`` is read
+    through its numerators ``D*X`` (the torus and cable values, the
+    quantum integers) or is the constant 1, whose ``f`` is already a
+    numerator (the four terms of ``D*delta``, the peel totals).  One
+    evaluation (:func:`_check_relations`) takes every read
+    ``(X, slope, const)`` from one numerator table per sequence and checks
+    all groups and colors at once: their terms are sorted once by (group,
+    color, exponent) and summed.  This is sound: ``Z[t^+-1]`` is a domain
+    and D is not zero, so a residue is zero exactly when D times it is.
+    The residue reported for a failing color, that of its first nonzero
+    group, is the exact quotient of its terms by D, i.e. the residue
+    itself; a sum that D does not divide has no residue, and the color is
+    reported failing with a text saying so.  Every torus and cable
+    numerator read must be divisible by D, as its value requires;
+    :class:`NotDivisible` is raised otherwise.
+
+    A report lists every failing color with the nonzero residue.  An empty
+    color window raises :class:`ValueError`: checking no color must not
+    read as a pass.
     """
     ns = _colours(n_lo, n_hi)
     cp, p, q = _as_params(params)

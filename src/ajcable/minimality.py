@@ -1,11 +1,13 @@
 """Bounded search for lower-order annihilators, with sound verdicts.
 
-The search space is explicit: an operator ``D = sum_i D_i(t, M) L^i`` of
-given L-degree whose coefficient ``D_i`` lives in a finite monomial box
-(a rectangle of (t, M)-exponents centered per i so that the realized
-supports of the candidate terms overlap the invariant values).  Requiring
-``(D J)(n) = 0`` for every color in a window is a homogeneous linear
-system over the rationals in the box coefficients.
+The sequence ``J`` searched is a cable's, or the unknot's for the
+controls.  The search space is explicit: an operator
+``D = sum_i D_i(t, M) L^i`` of given L-degree whose coefficient ``D_i``
+lives in a finite monomial box (a rectangle of (t, M)-exponents centered
+per i so that the realized supports of the candidate terms overlap the
+invariant values).  Requiring ``(D J)(n) = 0`` for every color in the
+window ``1..n_hi`` is a homogeneous linear system over the rationals in
+the box coefficients.
 
 Verdicts are certificates, never guesses:
 
@@ -60,10 +62,11 @@ import numpy as np
 
 from .algebra import IntLaurent2
 from .jones import BadParams, CablingParams, _refuse_beyond_memory, unknot_sequence, value_window
-from .degrees import predicted_cable_degrees, predicted_torus_degrees
+from .degrees import predicted_cable_degrees
 from .qtorus import SkewOperator, check_annihilation
 
 PRIMES = (2147483647, 2147483629)  # both prime, products stay int64-safe
+_SEED = 7  # seeds the draws of evaluation points: every report is reproducible
 
 
 class SystemTooSmall(ValueError):
@@ -77,14 +80,13 @@ class SearchBounds:
 
     ``t_span`` and ``m_span`` are half-widths: each coefficient box holds
     ``(2*t_span+1) * (2*m_span+1)`` monomials around its computed center.
+    The colors are ``1..n_hi``.
     """
 
     l_degree: int
     t_span: int = 10
     m_span: int = 2
-    n_lo: int = 1
     n_hi: int = 12
-    seed: int = 7
 
     def __post_init__(self):
         if self.l_degree < 1:
@@ -92,17 +94,17 @@ class SearchBounds:
         if self.t_span < 0 or self.m_span < 0:
             raise ValueError(f"box half-widths must be non-negative, got "
                              f"t_span={self.t_span}, m_span={self.m_span}")
-        if self.n_lo < 1:
-            raise ValueError(f"colors start at 1, got n_lo={self.n_lo}")
-        if self.n_lo > self.n_hi:
-            raise ValueError(f"empty color window [{self.n_lo}, {self.n_hi}]")
+        if self.n_hi < 1:
+            raise ValueError(f"empty color window [1, {self.n_hi}]")
 
     def box_size(self):
         return (2 * self.t_span + 1) * (2 * self.m_span + 1)
 
 
 def default_search_bounds(params, l_degree=None):
-    """Stock bounds: cable boxes 21 x 5 over colors 1..12; unknot 9 x 1.
+    """Stock bounds for a :class:`.jones.CablingParams` or, with ``None``,
+    the unknot: cable boxes 21 x 5 over colors 1..12, one L-degree below the
+    construction; unknot boxes 9 x 1 over colors 1..10, L-degree 2.
 
     The unknot space is deliberately M-free (m_span = 0): the quantum
     integers admit a first-order annihilator once M-dependent
@@ -117,16 +119,11 @@ def default_search_bounds(params, l_degree=None):
     0
     """
     if params is None:
-        return SearchBounds(l_degree=2 if l_degree is None else l_degree,
-                            t_span=4, m_span=0, n_lo=1, n_hi=10)
+        return SearchBounds(l_degree=2 if l_degree is None else l_degree, t_span=4, m_span=0, n_hi=10)
     if l_degree is None:
-        if isinstance(params, CablingParams):
-            from .aj import case_l_degree, case_tag
+        from .aj import case_l_degree, case_tag
 
-            l_degree = case_l_degree(case_tag(params)) - 1
-        else:
-            # torus pair: one below the homogenized two-step relation
-            l_degree = 2
+        l_degree = case_l_degree(case_tag(params)) - 1
     return SearchBounds(l_degree=l_degree)
 
 
@@ -138,19 +135,14 @@ def default_search_bounds(params, l_degree=None):
 def _growth_law(params):
     """Quadratic fit (A, B) with extreme exponent ~ A n^2 + B n + C.
 
-    Uses whichever predicted side exists for the parameters: the lowest
+    Uses whichever predicted side exists for the cable: the lowest
     exponent for positive companions, the highest for negative ones.
     Sampling colors of one parity keeps the parity bump in C.
     """
     if params is None:
         return (0, -2)  # unknot: lowest exponent of the value is -2n + 2
-    if isinstance(params, CablingParams):
-        side = "lowest" if params.p > 0 else "highest"
-        vals = {n: getattr(predicted_cable_degrees(params, n), side) for n in (2, 4, 6)}
-    else:
-        p, q = params
-        side = "lowest" if p > 0 else "highest"
-        vals = {n: getattr(predicted_torus_degrees(p, q, n), side) for n in (2, 4, 6)}
+    side = "lowest" if params.p > 0 else "highest"
+    vals = {n: getattr(predicted_cable_degrees(params, n), side) for n in (2, 4, 6)}
     if any(v is None for v in vals.values()):
         raise BadParams("no degree growth law available for these parameters")
     a8 = vals[6] - 2 * vals[4] + vals[2]
@@ -227,7 +219,7 @@ def _equation_count(values, bounds, centers):
     (-3,2,1,5).
     """
     total = 0
-    for n in range(bounds.n_lo, bounds.n_hi + 1):
+    for n in range(1, bounds.n_hi + 1):
         intervals = []
         for i, (tc, mc) in enumerate(centers):
             exps = values(n + i).nonzero()[0]
@@ -354,7 +346,8 @@ def _cabling_sum_mod(a, b, inner, n_max, taus, prime):
 def _value_evals(params, n_max, taus, prime):
     """Residues of the values at colors 0..n_max (n_max >= 1), one row per
     tau: as in :mod:`.jones`, the unknot's quantum integers cabled by
-    (p, q) for a torus pair, and then by (r, s) for a cable."""
+    (p, q) for a torus pair, and then by (r, s) for a cable, whose inner
+    torus knot is such a pair."""
     if params is None:
         return _unknot_evals_mod(n_max, taus, prime)
     if isinstance(params, CablingParams):
@@ -383,7 +376,7 @@ def _build_matrix(params, bounds, centers, taus, prime):
     column ``u * W``.
     """
     ts, ms = bounds.t_span, bounds.m_span
-    n = np.arange(bounds.n_lo, bounds.n_hi + 1, dtype=np.int64)
+    n = np.arange(1, bounds.n_hi + 1, dtype=np.int64)
     evals = _value_evals(params, bounds.n_hi + bounds.l_degree, taus, prime)
     blocks = []
     for i, (tc, mc) in enumerate(centers):
@@ -403,16 +396,15 @@ def _expand(G, taus, width, prime):
     return (G[..., None] * powers[:, None, None, :] % prime).reshape(points * n_count, box_rows * width)
 
 
-def _reduce(x, prime, scratch=None):
+def _reduce(x, prime):
     """``x %= prime`` in place for an int64 array of residue differences
-    and products (|x| < 2^63); ``scratch``, an int64 array of ``x``'s
-    shape, holds the quotients instead of a new array.
+    and products (|x| < 2^63).
 
     numpy floor-divides an integer array by a scalar with a multiply and
     a shift, but computes the remainder with a hardware division, so
     ``x - (x // p) * p`` takes about half the time of ``x % p``.
     """
-    q = np.floor_divide(x, prime, out=scratch)
+    q = x // prime
     q *= prime
     x -= q
 
@@ -423,34 +415,19 @@ def _reduce(x, prime, scratch=None):
 # ``_draw_taus``).
 _PANEL = 32
 assert _PANEL * (2**16 - 1) * (max(PRIMES) - 1) < 2**53
-# Rows per block of the product: its buffers hold _ROWS rows, not copies
-# of the trailing matrix.
-_ROWS = 64
 
 
 def _sub_product(T, F, U, prime):
     """``T = (T - F @ U) mod prime`` in place for residue arrays ``T``
     and ``F`` (int64) and ``U`` (float64), exact by the limb split (see the
-    note above ``_draw_taus``).
-
-    Runs over blocks of ``_ROWS`` rows of ``T``; one float64 product
-    buffer and two int64 buffers of one block hold both limb products and
-    every quotient."""
-    shape = (min(_ROWS, T.shape[0]), T.shape[1])
-    P = np.empty(shape)
-    S, H = np.empty((2, *shape), dtype=np.int64)
-    for r0 in range(0, T.shape[0], _ROWS):
-        t, f = T[r0 : r0 + _ROWS], F[r0 : r0 + _ROWS]
-        prod, s, h = P[: t.shape[0]], S[: t.shape[0]], H[: t.shape[0]]
-        np.matmul((f >> 16).astype(np.float64), U, out=prod)
-        np.copyto(s, prod, casting="unsafe")
-        _reduce(s, prime, h)
-        s <<= 16
-        np.matmul((f & 0xFFFF).astype(np.float64), U, out=prod)
-        np.copyto(h, prod, casting="unsafe")
-        s += h
-        t -= s
-        _reduce(t, prime, s)
+    note above ``_draw_taus``): both limb products are non-negative
+    integers below 2^53, so their conversions to int64 are exact."""
+    s = ((F >> 16).astype(np.float64) @ U).astype(np.int64)
+    _reduce(s, prime)
+    s <<= 16
+    s += ((F & 0xFFFF).astype(np.float64) @ U).astype(np.int64)
+    T -= s
+    _reduce(T, prime)
 
 
 def _solve_pivot_rows(U, F, inverses, prime):
@@ -717,7 +694,7 @@ def _certify(matrix, prime, cols, seq, bounds):
                 if max(abs(x) for x in lifted) > 1 << 25:
                     continue
                 op = _candidate_operator(lifted, cols)
-                if check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
+                if check_annihilation(op, seq, 1, bounds.n_hi)["pass"]:
                     return nullity, op
                 break
     return nullity, None
@@ -726,11 +703,11 @@ def _certify(matrix, prime, cols, seq, bounds):
 def _sequence_for(params, bounds):
     """The values a search reads, as a function of the color: the unknot's
     quantum integers, or one :func:`.jones.value_window` over
-    ``[n_lo, n_hi + l_degree]``, every color that ``_equation_count`` and
-    the lift check read."""
+    ``[1, n_hi + l_degree]``, every color that ``_equation_count`` and the
+    lift check read."""
     if params is None:
         return unknot_sequence()
-    return value_window(params, bounds.n_lo, bounds.n_hi + bounds.l_degree).__getitem__
+    return value_window(params, 1, bounds.n_hi + bounds.l_degree).__getitem__
 
 
 def _settle(G, taus, prime, cols, seq, bounds):
@@ -745,14 +722,6 @@ def _settle(G, taus, prime, cols, seq, bounds):
     return _certify(_expand(G, taus, width, prime), prime, cols, seq, bounds)
 
 
-def _params_label(params):
-    if params is None:
-        return {"knot": "unknot"}
-    if isinstance(params, CablingParams):
-        return params.as_dict()
-    return {"p": params[0], "q": params[1]}
-
-
 # ---------------------------------------------------------------------------
 # the search
 # ---------------------------------------------------------------------------
@@ -760,8 +729,8 @@ def _params_label(params):
 
 def search_bounded_annihilator(params, bounds=None):
     """Search the bounded operator space for annihilators of the value
-    sequence of ``params`` (a :class:`CablingParams`, a ``(p, q)`` pair,
-    or ``None`` for the unknot).
+    sequence of ``params``, a :class:`.jones.CablingParams` or ``None`` for
+    the unknot.
 
     Raises :class:`SystemTooSmall` unless ``equations``, an upper bound on
     the exact system's row count (``_equation_count``), is at least twice
@@ -791,17 +760,17 @@ def search_bounded_annihilator(params, bounds=None):
     _refuse_beyond_memory(8 * unknowns * (unknowns + 48), what)
     cols = _columns(bounds, centers)
     report = {
-        "params": _params_label(params),
+        "params": {"knot": "unknot"} if params is None else params.as_dict(),
         "L_degree_searched": bounds.l_degree,
         "unknowns": unknowns,
         "equations": equations,
         "nullity": None,
         "verdict": None,
     }
-    n_count = bounds.n_hi - bounds.n_lo + 1
+    n_count = bounds.n_hi
     rows_target = max(unknowns + 48, (unknowns * 6) // 5)
     tau_count = -(-rows_target // n_count)
-    rng = random.Random(bounds.seed)
+    rng = random.Random(_SEED)
 
     for prime in PRIMES:
         taus = _draw_taus(rng, tau_count, prime)

@@ -15,6 +15,10 @@ An operator is stored with all ``M``-coefficients moved to the left of the
 
 Coefficients are :class:`~ajcable.algebra.IntLaurent2`; only the factors of
 the annihilator ``P`` hold fractions, :class:`~ajcable.algebra.RationalTM`.
+Operators are built from their coefficients and multiplied with
+:func:`skew_multiply`; no command adds or negates one.  A relation is
+checked by applying a chain of them to a sequence
+(:func:`check_annihilation`).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ class SkewOperator:
     """Finite sum ``sum_i  c_i(t, M) L^i`` with left coefficients.
 
     ``coeffs`` maps the L-exponent to the nonzero coefficient as given.  A
-    product or sum that mixes polynomials and fractions needs the fraction
-    on the left, whose arithmetic promotes the polynomial.
+    product that mixes polynomials and fractions needs the fraction on the
+    left, whose arithmetic promotes the polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -38,10 +42,6 @@ class SkewOperator:
     @classmethod
     def identity(cls):
         return cls({0: IntLaurent2.one()})
-
-    @classmethod
-    def l_power(cls, i):
-        return cls({i: IntLaurent2.one()})
 
     def l_degree(self):
         if not self.coeffs:
@@ -54,23 +54,6 @@ class SkewOperator:
         if self.coeffs.keys() != other.coeffs.keys():
             return False
         return all(self.coeffs[i] == other.coeffs[i] for i in self.coeffs)
-
-    def __add__(self, other):
-        keys = self.coeffs.keys() | other.coeffs.keys()
-        out = {}
-        for i in keys:
-            a = self.coeffs.get(i)
-            b = other.coeffs.get(i)
-            c = b if a is None else (a if b is None else a + b)
-            if c:
-                out[i] = c
-        return SkewOperator(out)
-
-    def __neg__(self):
-        return SkewOperator({i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return skew_multiply(self, other)
@@ -93,7 +76,7 @@ def skew_multiply(P, Q):
     ``f L^a * g L^b = f * g(t, t^(2a) M) * L^(a+b)``.
 
     >>> from .algebra import IntLaurent2
-    >>> L = SkewOperator.l_power(1)
+    >>> L = SkewOperator({1: IntLaurent2.one()})
     >>> M = SkewOperator({0: IntLaurent2({(0, 1): 1})})
     >>> skew_multiply(L, M).text()          # L M = t^2 M L
     '(t^2*M)*L^1'

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 import ajcable.aj as aj
+from ajcable.cli import _read_grid_file
 from ajcable.algebra import (
     IntLaurent1,
     IntLaurent2,
@@ -21,7 +22,6 @@ from ajcable.algebra import (
 )
 from ajcable.aj import (
     LPolynomialOverM,
-    b_minus1_closed_form,
     build_ab,
     build_annihilator,
     cabled_a_polynomial,
@@ -29,9 +29,7 @@ from ajcable.aj import (
     case_l_degree,
     case_tag,
     compare_aj,
-    default_grid,
     determinant_check,
-    determinant_closed_form,
     evaluate_annihilator_at_minus1,
     f_poly,
     g_poly,
@@ -47,6 +45,8 @@ from ajcable.jones import (
     symbolic_delta,
 )
 from ajcable.qtorus import SkewOperator, apply_operator, check_annihilation, skew_multiply
+
+STOCK_GRID = _read_grid_file(importlib.resources.files("ajcable") / "data" / "default_grid.txt")
 
 # one representative tuple per construction regime
 REPRESENTATIVES = {
@@ -76,7 +76,7 @@ def lp(d):
 
 def monic(f):
     lead = f.coeffs[f.l_degree()]
-    return LPolynomialOverM({i: c / lead for i, c in f.coeffs.items()})
+    return LPolynomialOverM({i: RationalM(c.num * lead.den, c.den * lead.num) for i, c in f.coeffs.items()})
 
 
 # --- case dispatch -----------------------------------------------------------
@@ -156,7 +156,7 @@ def test_b_limit_matches_closed_form_everywhere():
     for params in list(REPRESENTATIVES.values()) + list(NEGATIVE_P):
         b = build_ab(params)[1]
         value = limit_t_minus1(b)
-        assert value == b_minus1_closed_form(params), params
+        assert value == RationalM(*aj._b_minus1_products(params)), params
         assert not value.is_zero(), params
 
 
@@ -375,7 +375,7 @@ def test_determinant_is_signed_cleared_rhs():
     """On every stock tuple with s > 2 the 2x2 elimination's determinant is
     the table's sign times the cleared inhomogeneity y."""
     checked = 0
-    for params in default_grid():
+    for params in STOCK_GRID:
         tag = case_tag(params)
         if tag == "S_EQ_2":
             continue
@@ -387,7 +387,7 @@ def test_determinant_is_signed_cleared_rhs():
 
 def test_determinant_closed_form_s2_unavailable():
     with pytest.raises(BadParams):
-        determinant_closed_form(CablingParams(3, 2, 13, 2))
+        aj._determinant_products(CablingParams(3, 2, 13, 2))
 
 
 # --- AJ comparison ------------------------------------------------------------
@@ -417,7 +417,7 @@ def test_compare_aj_negative_control(monkeypatch):
         f = real(params)
         flipped = dict(f.coeffs)
         low = min(flipped)
-        flipped[low] = RationalM.from_int(0) - flipped[low]
+        flipped[low] = flipped[low] * -1
         return LPolynomialOverM(flipped)
 
     monkeypatch.setattr(aj, "cabled_a_polynomial", perturbed)
@@ -526,7 +526,7 @@ def test_cleared_body_is_the_cleared_rational_product():
     """On every stock tuple the polynomial cleared body equals the factors
     after ``(L - 1) b^-1`` multiplied out over rational functions, times
     ``scale = a_k a`` (1 for s = 2)."""
-    for params in default_grid():
+    for params in STOCK_GRID:
         bundle = build_annihilator(params)
         if bundle.case_tag == "S_EQ_2":
             scale = IntLaurent2.one()
@@ -555,25 +555,13 @@ def test_cleared_rhs_vanishing_at_minus1_raises():
 
 
 def test_default_grid_shape():
-    grid = default_grid()
+    grid = STOCK_GRID
     assert len(grid) == 88
     assert len(set(grid)) == 88
     assert sum(1 for g in grid if g.p > 0) == 48
     assert sum(1 for g in grid if g.p < 0) == 40
     applicable = [g for g in grid if g.theorem_applies]
     assert len(applicable) == 72
-
-
-def test_default_grid_file_matches_programmatic():
-    text = importlib.resources.files("ajcable").joinpath("data/default_grid.txt").read_text()
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        p, q, r, s = map(int, line.split())
-        rows.append(CablingParams(p, q, r, s))
-    assert rows == default_grid()
 
 
 SWEEP_COMPANIONS = ((3, 2), (5, 2), (7, 2), (5, 3), (7, 3), (7, 4), (9, 4), (7, 5), (11, 5), (7, 6),

@@ -419,8 +419,10 @@ def test_rational_m_reduces_to_canonical_form():
 def test_rational_m_arithmetic():
     m = RationalM.monomial(e=1)
     one = RationalM.from_int(1)
-    assert (m - one) * (m + one) == RationalM({2: 1, 0: -1})
-    assert (m / (m + one)) + (one / (m + one)) == one
+    inverse = RationalM({0: 1}, {1: 1, 0: 1})  # 1 / (M + 1)
+    assert (m + RationalM.from_int(-1)) * (m + one) == RationalM({2: 1, 0: -1})
+    assert m * inverse + inverse == one
+    assert 2 * inverse * (m + one) == RationalM.from_int(2)
 
 
 # --- RationalM against sympy ----------------------------------------------------
@@ -476,9 +478,9 @@ def test_rational_m_matches_sympy_cancel(operands, k):
     (an, ad), (bn, bd), power = operands
     a, b = RationalM(an, ad), RationalM(bn, bd)
     ea, eb = m_expr(an.items()) / m_expr(ad.items()), m_expr(bn.items()) / m_expr(bd.items())
-    results = [(a, ea), (b, eb), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (a * k, ea * k)]
-    if bn:
-        results.append((a / b, ea / eb))
+    results = [(a, ea), (b, eb), (a + b, ea + eb), (a + b * -1, ea - eb), (a * b, ea * eb), (a * k, ea * k)]
+    if bn:  # the quotient, as compare_aj forms its ratio
+        results.append((RationalM(a.num * b.den, a.den * b.num), ea / eb))
     lifted = LPolynomialOverM({0: a}).substitute_M_power(power).coeffs.get(0, RationalM({}))
     results.append((lifted, ea.subs(MVAR, MVAR**power)))
     for f, expected in results:

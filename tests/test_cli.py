@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ajcable.cli as cli
 import ajcable.degrees as degrees
@@ -468,3 +471,89 @@ def test_grid_empty_file(tmp_path, capsys):
     assert rc == 1
     assert "no parameter tuples" in capsys.readouterr().err
 
+
+
+# --- drawn argv: every command exits 0, 1 or 2, never with a traceback ---------
+
+CHILD = "import sys; from ajcable.cli import main; sys.exit(main(sys.argv[1:]))"
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes; numpy and the stock commands need far less
+
+INVALID = ["x", "", "1.5", "--bogus"]
+# Some valid integers are refused: p = 4 with q = 2, p = +-3 with q = 3,
+# r = 2 with s = 2, and s = 1.
+TORUS_FLAGS = (("-p", ["3", "5", "-3", "4"]), ("-q", ["2", "3"]))
+CABLE_FLAGS = TORUS_FLAGS + (("-r", ["-1", "13", "1", "2"]), ("-s", ["2", "3", "1"]))
+# Large sizes appear only where a guard refuses them before any allocation.
+OPTIONS = {
+    "jones": (("-n", ["2", "0", "-3", "500000000"]),),
+    "apoly": (),
+    "annihilator": (("--eval-t-neg1", None),),
+    "verify": (("--nmax", ["3", "1", "0"]),),
+    "degrees": (("--nmax", ["4", "2", "1"]),),
+    "minimality": (("--ldeg", ["1", "2", "0", "100000000"]), ("--tspan", ["2", "0", "-1"]),
+                   ("--mspan", ["1", "0", "-1"])),
+    "grid": (("--nmax", ["2", "0"]),),
+}
+
+
+@st.composite
+def argvs(draw, grid_files):
+    """argv of one command: its required arguments with small values,
+    which the program may still refuse (a non-coprime pair, a window of no
+    colours), its options present or not, and at most one fault: a token
+    replaced by an invalid one, or dropped."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    required = CABLE_FLAGS
+    if command == "grid":
+        argv.append(draw(st.sampled_from(grid_files)))
+        required = ()
+    elif command == "jones":
+        knot = draw(st.sampled_from(["torus", "cable"]))
+        argv.append(knot)
+        required = TORUS_FLAGS if knot == "torus" else CABLE_FLAGS
+    elif command == "degrees":
+        required = draw(st.sampled_from([TORUS_FLAGS, CABLE_FLAGS]))
+    for flag, values in required:
+        argv += [flag, draw(st.sampled_from(values))]
+    for flag, values in OPTIONS[command] + (("--format", ["text", "json"]),):
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    fault = draw(st.sampled_from([None, "invalid", "dropped"]))
+    if fault is not None:
+        at = draw(st.integers(1, len(argv) - 1))  # argv holds at least the command and one argument
+        if fault == "invalid":
+            argv[at] = draw(st.sampled_from(INVALID))
+        else:
+            del argv[at]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """A one-tuple grid, a malformed one, an empty one and a missing path."""
+    root = tmp_path_factory.mktemp("grids")
+    files = {"one.txt": "3 2 -1 2\n", "malformed.txt": "3 2 13\n", "empty.txt": "# nothing here\n"}
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in files] + [str(root / "missing.txt")]
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_drawn_argv_exits_0_1_or_2_without_traceback(grid_files, data):
+    """Each drawn command line runs in its own process, one at a time,
+    under a limit on its address space: it exits 0, 1 or 2, and its stderr
+    holds no traceback."""
+    argv = data.draw(argvs(grid_files))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                                                      env.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=limit_address_space)
+    assert proc.returncode in (0, 1, 2), (argv, proc.returncode, proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])

@@ -1,6 +1,7 @@
 """Colored Jones values: frozen examples, dual oracles, recurrence checks."""
 
 import functools
+import importlib.resources
 import re
 from collections import defaultdict
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ajcable.jones as jones
-from ajcable.aj import default_grid
+from ajcable.cli import _read_grid_file
 from ajcable.degrees import audit_degrees
 from ajcable.algebra import (
     IntLaurent1,
@@ -30,18 +31,15 @@ from ajcable.jones import (
     BadParams,
     CablingParams,
     cabled_jones,
-    delta_term,
     peel,
     quantum_integer,
     symbolic_delta,
     torus_jones,
-    torus_jones_via_step,
-    unknot_jones,
     value_window,
     applicable_identities,
     identity_suite,
-    verify_identity,
 )
+from oracles import delta_term, torus_jones_via_step
 
 GRID_PQ = ((3, 2), (5, 2), (5, 3), (7, 3), (-3, 2), (-5, 3))
 
@@ -53,15 +51,16 @@ def tpow(e, coeff=1):
 # --- unknot / quantum integers ----------------------------------------------
 
 def test_unknot_small_colors():
-    assert unknot_jones(0) == IntLaurent1()
-    assert unknot_jones(1) == IntLaurent1({0: 1})
-    assert unknot_jones(2) == IntLaurent1({2: 1, -2: 1})
-    assert unknot_jones(3).text() == "t^4 + 1 + t^-4"
+    assert quantum_integer(0) == IntLaurent1()
+    assert quantum_integer(1) == IntLaurent1({0: 1})
+    assert quantum_integer(2) == IntLaurent1({2: 1, -2: 1})
+    assert quantum_integer(3).text() == "t^4 + 1 + t^-4"
+    assert jones.unknot_sequence() is quantum_integer
 
 
 def test_unknot_odd_extension():
-    assert unknot_jones(-3) == -unknot_jones(3)
-    assert unknot_jones(-3).text() == "-t^4 - 1 - t^-4"
+    assert quantum_integer(-3) == -quantum_integer(3)
+    assert quantum_integer(-3).text() == "-t^4 - 1 - t^-4"
     for n in range(1, 9):
         assert quantum_integer(-n) == -quantum_integer(n)
 
@@ -273,30 +272,41 @@ def test_peel_coefficients_are_beta_eta_nu():
 
 # --- recurrence identity checks ---------------------------------------------------
 
+IDENTITY_IDS = ("TORUS_STEP", "Q2_STEP", "CABLE_STEP", "PEEL", "PEEL_S", "Q2_PEEL", "Q2_PEEL_S", "HALF_PEEL",
+                "S2_STEP")
+
+
+def check_one(identity_id, params, n_lo, n_hi, m=None):
+    """The report of one identity, from the evaluation ``identity_suite``
+    runs, over the colours ``n_lo..n_hi``."""
+    cp, p, q = jones._as_params(params)
+    return jones._check_relations([(identity_id, m)], cp, p, q, jones._colours(n_lo, n_hi))[0]
+
+
 def test_torus_step_identity():
     for pq in ((3, 2), (-5, 3)):
-        report = verify_identity("TORUS_STEP", pq, 0, 15)
+        report = check_one("TORUS_STEP", pq, 0, 15)
         assert report["pass"], report["failures"]
 
 
 def test_cable_step_identity():
-    report = verify_identity("CABLE_STEP", CablingParams(3, 2, 13, 2), 1, 10)
+    report = check_one("CABLE_STEP", CablingParams(3, 2, 13, 2), 1, 10)
     assert report["pass"], report["failures"]
 
 
 def test_peel_identities_with_depth():
     for m in (1, 2, 3):
-        report = verify_identity("PEEL", (3, 2), 1, 8, m=m)
+        report = check_one("PEEL", (3, 2), 1, 8, m=m)
         assert report["pass"], (m, report["failures"])
         assert report["m"] == m
 
 
 def test_q2_peel_s_gating():
-    with pytest.raises(BadParams):
-        verify_identity("Q2_PEEL_S", CablingParams(3, 2, 13, 2), 1, 5)  # even s
-    with pytest.raises(BadParams):
-        verify_identity("Q2_PEEL_S", CablingParams(5, 3, 76, 5), 1, 5)  # q != 2
-    report = verify_identity("Q2_PEEL_S", CablingParams(3, 2, 31, 3), 1, 6)
+    for params in (CablingParams(3, 2, 13, 2), CablingParams(5, 3, 76, 5)):  # even s; q != 2
+        assert ("Q2_PEEL_S", None) not in applicable_identities(params)
+        assert "Q2_PEEL_S" not in [report["id"] for report in identity_suite(params, 1, 5)]
+    assert ("Q2_PEEL_S", None) in applicable_identities(CablingParams(3, 2, 31, 3))
+    report = check_one("Q2_PEEL_S", CablingParams(3, 2, 31, 3), 1, 6)
     assert report["pass"], report["failures"]
 
 
@@ -313,7 +323,7 @@ def test_peel_sum_identities_fail_on_a_wrong_coefficient(monkeypatch):
         ("Q2_PEEL_S", CablingParams(3, 2, 31, 3)),
         ("HALF_PEEL", CablingParams(5, 3, 121, 4)),
     ):
-        report = verify_identity(identity_id, params, 1, 3)
+        report = check_one(identity_id, params, 1, 3)
         assert not report["pass"] and len(report["failures"]) == 3, identity_id
 
 
@@ -323,19 +333,12 @@ def test_peel_sum_identities_fail_on_a_wrong_coefficient(monkeypatch):
 ])
 def test_verify_identity_rejects_empty_window(identity_id, params):
     with pytest.raises(ValueError, match="empty color window"):
-        verify_identity(identity_id, params, 5, 2)
+        check_one(identity_id, params, 5, 2)
 
 
 def test_identity_suite_rejects_empty_window():
     with pytest.raises(ValueError, match="empty color window"):
         identity_suite(CablingParams(3, 2, 13, 2), 3, 0)
-
-
-def test_identity_requires_peel_depth():
-    with pytest.raises(BadParams):
-        verify_identity("PEEL", (3, 2), 1, 5)
-    with pytest.raises(BadParams):
-        verify_identity("UNKNOWN_ID", (3, 2), 1, 5)
 
 
 def test_applicable_identity_counts_by_case():
@@ -390,7 +393,7 @@ def _one_tuple_per_cell():
     for even s and the largest for odd s, so that every companion has r on
     both sides of the end pqs of its band."""
     cells = {}
-    for c in default_grid():
+    for c in _read_grid_file(importlib.resources.files("ajcable") / "data" / "default_grid.txt"):
         cells.setdefault((c.p, c.q, c.s), []).append(c)
     out = []
     for (_p, _q, s), tuples in cells.items():
@@ -440,7 +443,7 @@ def test_corrupted_numerator_is_not_divisible(monkeypatch):
 @pytest.mark.parametrize("value", [
     lambda: torus_jones(2**61 + 1, 2, 2),
     lambda: cabled_jones(CablingParams(3, 2, 2**61, 3), 2),
-    lambda: verify_identity("TORUS_STEP", (2**61 + 1, 2), 1, 3),
+    lambda: check_one("TORUS_STEP", (2**61 + 1, 2), 1, 3),
     lambda: identity_suite(CablingParams(3, 2, 2**61, 3), 1, 2),
     lambda: torus_jones(3, 2, 99999999999999999999),
     lambda: audit_degrees((3, 2), 2, 99999999999999999999),
@@ -556,7 +559,8 @@ def _reference_residue(identity_id, p, q, cp, m):
 
 
 def reference_report(identity_id, params, n_lo, n_hi, m=None):
-    """``verify_identity``'s report, from the value residues colour by colour."""
+    """One identity's report, as :func:`check_one` gives it, from the value
+    residues colour by colour."""
     cp = params if isinstance(params, CablingParams) else None
     p, q = (cp.p, cp.q) if cp is not None else params
     residue = _reference_residue(identity_id, p, q, cp, m)
@@ -580,7 +584,7 @@ def test_identity_suite_matches_value_reference(params):
     for n_lo, n_hi in ((1, 12), (-4, 3)):
         suite = identity_suite(params, n_lo, n_hi)
         assert suite == reference_suite(params, n_lo, n_hi)
-        assert suite == [verify_identity(identity_id, params, n_lo, n_hi, m)
+        assert suite == [check_one(identity_id, params, n_lo, n_hi, m)
                          for identity_id, m in applicable_identities(params)]
 
 
@@ -619,7 +623,7 @@ def test_perturbed_cable_step_fails_like_the_reference(monkeypatch):
 
     monkeypatch.setattr(jones, "cable_step_coefficients", perturbed)
     for params in (CablingParams(3, 2, 13, 2), CablingParams(5, 3, 76, 5)):
-        report = verify_identity("CABLE_STEP", params, -4, 6)
+        report = check_one("CABLE_STEP", params, -4, 6)
         assert report == reference_report("CABLE_STEP", params, -4, 6)
         assert len(report["failures"]) == 11, params
 
@@ -636,12 +640,12 @@ def test_suite_holds_where_the_key_leaves_int64(r, monkeypatch):
     cp = CablingParams(3, 2, r, 3)
     assert all(report["pass"] for report in identity_suite(cp, 1, 12))
     for identity_id, m in applicable_identities(cp):
-        assert verify_identity(identity_id, cp, 1, 12, m)["pass"], identity_id
+        assert check_one(identity_id, cp, 1, 12, m)["pass"], identity_id
     real = jones.cable_step_coefficients
     monkeypatch.setattr(jones, "cable_step_coefficients",
                         lambda params: {**real(params), "torus": real(params)["torus"] + D_MULTIPLE})
     torus = jones.numerator_window((3, 2), 5, 38)
-    assert verify_identity("CABLE_STEP", cp, 1, 12)["failures"] == [
+    assert check_one("CABLE_STEP", cp, 1, 12)["failures"] == [
         {"n": n, "residue": poly_mul(tpow(2 * n + 2, -1), torus[3 * n + 2]).text()} for n in range(1, 13)]
 
 
@@ -658,7 +662,7 @@ def test_perturbed_peel_total_fails_like_the_reference(monkeypatch):
         ("PEEL_S", CablingParams(5, 3, 76, 5), None),
         ("HALF_PEEL", CablingParams(3, 2, 13, 2), None),
     ):
-        report = verify_identity(identity_id, params, -4, 6, m)
+        report = check_one(identity_id, params, -4, 6, m)
         assert report == reference_report(identity_id, params, -4, 6, m)
         assert len(report["failures"]) == 11, identity_id
 
@@ -678,7 +682,7 @@ def test_non_divisible_peel_total_is_not_divisible(monkeypatch):
     monkeypatch.setattr(jones, "_two_step_peels", perturbed)
     with pytest.raises(NotDivisible):
         reference_report("PEEL", (3, 2), 1, 4, 1)
-    report = verify_identity("PEEL", (3, 2), 1, 4, 1)
+    report = check_one("PEEL", (3, 2), 1, 4, 1)
     assert not report["pass"]
     assert report["failures"] == [{"n": n, "residue": NOT_DIVISIBLE} for n in range(1, 5)]
 
@@ -820,7 +824,7 @@ def perturbations(draw):
     moved by a few colours."""
     if draw(st.booleans()):
         return None
-    target = (draw(st.sampled_from(jones.IDENTITY_IDS)), draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+    target = (draw(st.sampled_from(IDENTITY_IDS)), draw(st.integers(0, 1)), draw(st.integers(0, 3)))
     if draw(st.booleans()):
         shift = draw(st.sampled_from((-2, -1, 1, 2)))
         return target, lambda term: term if term[0] == "1" else (*term[:2], term[2] + shift, term[3])
@@ -842,7 +846,7 @@ def test_one_pass_suite_matches_the_per_group_evaluator(params, window, perturba
         assert identity_suite(params, *window) == expected
         for report, (identity_id, m) in zip(expected, applicable_identities(params)):
             if not report["pass"]:
-                assert verify_identity(identity_id, params, *window, m) == report
+                assert check_one(identity_id, params, *window, m) == report
 
 
 def test_first_failing_group_reports_the_residue():
@@ -863,7 +867,7 @@ def test_first_failing_group_reports_the_residue():
     reports = {}
     for name, relation in (("first", first), ("second", second), ("both", both)):
         with mock.patch.object(jones, "_relation", relation):
-            reports[name] = verify_identity("S2_STEP", params, 1, 6)
+            reports[name] = check_one("S2_STEP", params, 1, 6)
             assert reports[name] == per_group_reports([("S2_STEP", None)], params, 1, 6)[0]
     assert len(reports["both"]["failures"]) == 6
     assert reports["both"] == reports["first"] != reports["second"]

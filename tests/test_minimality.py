@@ -1,5 +1,7 @@
 """Bounded searches below the constructed order, plus unknot controls."""
 
+import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -18,7 +20,7 @@ from sympy.polys.matrices import DomainMatrix
 import ajcable.jones as jones
 import ajcable.minimality as minimality
 from ajcable.algebra import IntLaurent2
-from ajcable.jones import CablingParams, cable_sequence, torus_sequence, unknot_sequence
+from ajcable.jones import CablingParams, cable_sequence, torus_jones, unknot_sequence
 from ajcable.minimality import (
     PRIMES,
     SearchBounds,
@@ -31,12 +33,13 @@ from ajcable.qtorus import SkewOperator, check_annihilation
 
 def test_default_bounds():
     b = default_search_bounds(CablingParams(3, 2, 13, 2))
-    assert b == SearchBounds(l_degree=2, t_span=10, m_span=2, n_lo=1, n_hi=12, seed=7)
+    assert b == SearchBounds(l_degree=2, t_span=10, m_span=2, n_hi=12)
+    assert [f.name for f in dataclasses.fields(SearchBounds)] == ["l_degree", "t_span", "m_span", "n_hi"]
     b = default_search_bounds(CablingParams(5, 3, 76, 5))
     assert b.l_degree == 4  # one below the constructed order 5
     b = default_search_bounds(None)
     assert (b.l_degree, b.t_span, b.m_span, b.n_hi) == (2, 4, 0, 10)
-    assert default_search_bounds((3, 2)).l_degree == 2
+    assert default_search_bounds(None, l_degree=1).l_degree == 1
 
 
 # --- unknot controls -----------------------------------------------------------
@@ -98,7 +101,7 @@ def test_unknot_first_order_exists_once_m_coefficients_allowed():
     )
     assert check_annihilation(op, unknot_sequence(), 1, 20)["pass"]
     report = search_bounded_annihilator(
-        None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10)
+        None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_hi=10)
     )
     assert report["verdict"] == "found annihilator within bounds"
 
@@ -120,20 +123,14 @@ def test_cable_none_below_constructed_order(monkeypatch):
     assert report["params"] == {"p": 3, "q": 2, "r": 13, "s": 2}
 
 
-def test_torus_pair_search_runs_with_default_bounds():
-    report = search_bounded_annihilator((3, 2))
-    assert report["verdict"] == "no annihilator within bounds"
-    assert report["params"] == {"p": 3, "q": 2}
-    assert report["L_degree_searched"] == 2
-
-
 GOLDEN_MINIMALITY = Path(__file__).resolve().parent / "data" / "golden_minimality.json"
 
 
 @pytest.mark.parametrize("params, expected", [
     (CablingParams(3, 2, 13, 2), None),  # the golden entry
-    ((3, 2), {"params": {"p": 3, "q": 2}, "L_degree_searched": 2, "unknowns": 315, "equations": 6684,
-              "nullity": 0, "verdict": "no annihilator within bounds", "prime": PRIMES[0], "rows": 384}),
+    (CablingParams(7, 4, -1, 2), {"params": {"p": 7, "q": 4, "r": -1, "s": 2}, "L_degree_searched": 2,
+                                  "unknowns": 315, "equations": 96674, "nullity": 0,
+                                  "verdict": "no annihilator within bounds", "prime": PRIMES[0], "rows": 384}),
 ])
 def test_search_reads_one_value_window(monkeypatch, params, expected):
     """A search computes its values once, as one window over every color it
@@ -147,7 +144,7 @@ def test_search_reads_one_value_window(monkeypatch, params, expected):
         monkeypatch.setattr(jones, name, no_values)
     report = search_bounded_annihilator(params)
     bounds = default_search_bounds(params)
-    assert windows == [(params, bounds.n_lo, bounds.n_hi + bounds.l_degree)]
+    assert windows == [(params, 1, bounds.n_hi + bounds.l_degree)]
     if expected is None:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == json.loads(GOLDEN_MINIMALITY.read_text())["3,2,13,2"]
@@ -159,11 +156,7 @@ def test_search_reads_one_value_window(monkeypatch, params, expected):
     {"l_degree": 0},
     {"l_degree": 2, "t_span": -1},
     {"l_degree": 2, "m_span": -1},
-    {"l_degree": 2, "n_lo": 5, "n_hi": 4},
-    # a color below 1 would index the evaluation table from its end
-    {"l_degree": 2, "t_span": 4, "m_span": 0, "n_lo": -3, "n_hi": 10},
-    {"l_degree": 2, "n_lo": -6, "n_hi": 2},
-    {"l_degree": 2, "n_lo": 0},
+    {"l_degree": 2, "n_hi": 0},  # colors start at 1: the window 1..0 is empty
 ])
 def test_search_bounds_validated(fields):
     with pytest.raises(ValueError):
@@ -173,7 +166,7 @@ def test_search_bounds_validated(fields):
 def test_system_too_small():
     with pytest.raises(SystemTooSmall):
         search_bounded_annihilator(
-            None, SearchBounds(l_degree=2, t_span=4, m_span=0, n_lo=1, n_hi=1)
+            None, SearchBounds(l_degree=2, t_span=4, m_span=0, n_hi=1)
         )
 
 
@@ -196,7 +189,7 @@ def _exact_row_count(params, bounds):
     seq = minimality._sequence_for(params, bounds)
     centers = minimality._box_centers(params, bounds.l_degree)
     total = 0
-    for n in range(bounds.n_lo, bounds.n_hi + 1):
+    for n in range(1, bounds.n_hi + 1):
         exps = []
         for i, (tc, mc) in enumerate(centers):
             box = np.array([a + 2 * n * b
@@ -210,7 +203,7 @@ def _exact_row_count(params, bounds):
 UNKNOT_BOXES = [
     default_search_bounds(None),
     default_search_bounds(None, l_degree=1),
-    SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10),
+    SearchBounds(l_degree=1, t_span=4, m_span=1, n_hi=10),
 ]
 
 
@@ -219,7 +212,7 @@ UNKNOT_BOXES = [
     (CablingParams(-3, 2, 1, 5), None, 3),
     (CablingParams(3, 2, -1, 2), None, 0),
     (CablingParams(3, 2, 13, 2), None, 0),
-    ((3, 2), None, 0),
+    (CablingParams(5, 2, -1, 2), None, 0),
 ] + [(None, b, 0) for b in UNKNOT_BOXES])
 def test_equation_count_bounds_the_exact_rows(params, bounds, excess):
     """``equations`` counts each box as a whole exponent interval: it is
@@ -311,7 +304,7 @@ def test_value_evals_match_exact_values(params):
     elif isinstance(params, CablingParams):
         seq = cable_sequence(params)
     else:
-        seq = torus_sequence(*params)
+        seq = functools.partial(torus_jones, *params)
     n_max = EVAL_N_MAX.get(params, 7)
     for prime, taus in EVAL_TAUS.items():
         evals = minimality._value_evals(params, n_max, taus, prime)
@@ -325,13 +318,12 @@ def test_value_evals_match_exact_values(params):
 
 def _build_matrix_reference(evals, bounds, centers, taus, prime):
     """The per-entry build; ``evals`` has one row of residues per tau."""
-    n_lo, n_hi = bounds.n_lo, bounds.n_hi
-    n_count = n_hi - n_lo + 1
+    n_hi = bounds.n_hi
     width = sum((2 * bounds.t_span + 1) * (2 * bounds.m_span + 1) for _ in centers)
-    rows = np.zeros((len(taus) * n_count, width), dtype=np.int64)
+    rows = np.zeros((len(taus) * n_hi, width), dtype=np.int64)
     ridx = 0
     for tau, vals in zip(taus, evals.tolist()):
-        for n in range(n_lo, n_hi + 1):
+        for n in range(1, n_hi + 1):
             row = []
             for i, (tc, mc) in enumerate(centers):
                 jval = vals[n + i]
@@ -375,9 +367,9 @@ def _drawable_searches():
     (CablingParams(5, 3, 121, 4), None),
     (CablingParams(3, 2, 31, 3), None),
     (CablingParams(-5, 3, 1, 5), None),
-    ((3, 2), None),
+    (CablingParams(7, 4, -1, 2), None),
     (None, None),
-    (None, SearchBounds(l_degree=2, t_span=0, m_span=1, n_lo=1, n_hi=10)),
+    (None, SearchBounds(l_degree=2, t_span=0, m_span=1, n_hi=10)),
 ] + _drawable_searches())
 def test_build_matrix_matches_per_entry_build(params, bounds):
     """The factored build, expanded as ``G[k, n, u] * tau_k^j``, against
@@ -564,7 +556,7 @@ def test_panel_width_keeps_the_limb_split_exact():
 
 
 @pytest.mark.parametrize("prime", PRIMES)
-@pytest.mark.parametrize("rows", [1, 2 * minimality._ROWS + 3])
+@pytest.mark.parametrize("rows", [1, 131])
 def test_sub_product_is_exact_at_the_worst_case(prime, rows):
     # 64 terms, each at the largest limb (0x7FFEFFFF has lo = 2^16 - 1)
     # or the largest residue, times U = p - 1: the sums reach
@@ -628,7 +620,7 @@ def _exact_system_sympy(params, bounds, centers, cols):
     ring, t, *xs = sympy.ring(["t"] + [f"x{k}" for k in range(len(cols))], sympy.ZZ)
     seq = minimality._sequence_for(params, bounds)
     rows = []
-    for n in range(bounds.n_lo, bounds.n_hi + 1):
+    for n in range(1, bounds.n_hi + 1):
         terms = [seq(n + i).items() for i in range(len(centers))]
         # every power is shifted so that the ring sees no negative exponent
         lows = [items[0][0] for items in terms]
@@ -662,8 +654,8 @@ def _mod(rows, prime):
 @pytest.mark.parametrize("params, bounds", [
     (None, default_search_bounds(None)),
     (None, default_search_bounds(None, l_degree=1)),
-    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10)),
-    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5)),
+    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_hi=10)),
+    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_hi=5)),
 ])
 def test_exact_matrix_rank_matches_sympy(params, bounds):
     """Elimination mod each search prime keeps the rank over Q of the
@@ -693,8 +685,8 @@ NONE = "no annihilator within bounds"
 @pytest.mark.parametrize("params, bounds, nullity, verdict", [
     (None, default_search_bounds(None), 5, FOUND),
     (None, default_search_bounds(None, l_degree=1), 0, NONE),
-    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10), 5, FOUND),
-    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_lo=1, n_hi=5), 0, NONE),
+    (None, SearchBounds(l_degree=1, t_span=4, m_span=1, n_hi=10), 5, FOUND),
+    (CablingParams(3, 2, 13, 2), SearchBounds(l_degree=1, t_span=2, m_span=1, n_hi=5), 0, NONE),
 ], ids=["unknot-order-2", "unknot-m-free", "unknot-m-box", "cable"])
 def test_search_verdict_agrees_with_the_exact_system_over_q(params, bounds, nullity, verdict):
     """The verdict from evaluation rows mod p against the nullity over Q of
@@ -715,7 +707,7 @@ def test_exact_row_count_matches_the_exact_matrix(bounds):
 
 @pytest.mark.parametrize("bounds, points", [
     (default_search_bounds(None), [8, 8, 16, 24]),
-    (SearchBounds(l_degree=1, t_span=4, m_span=1, n_lo=1, n_hi=10), [11, 11, 22, 33]),
+    (SearchBounds(l_degree=1, t_span=4, m_span=1, n_hi=10), [11, 11, 22, 33]),
 ], ids=["unknot-order-2", "unknot-m-box"])
 def test_batches_stop_when_a_batch_adds_no_rank(bounds, points, monkeypatch):
     """With the lift disabled, the controls that have annihilators add
@@ -794,7 +786,7 @@ def _direct_certificate(A, prime, cols, seq, bounds):
             lifted = minimality._symmetric_lift(v, prime, k)
             if max(abs(x) for x in lifted) <= 1 << 25:
                 op = minimality._candidate_operator(lifted, cols)
-                if check_annihilation(op, seq, bounds.n_lo, bounds.n_hi)["pass"]:
+                if check_annihilation(op, seq, 1, bounds.n_hi)["pass"]:
                     return nullity, op.text()
                 break
     return nullity, None

@@ -6,9 +6,15 @@ from ajcable.algebra import IntLaurent1, IntLaurent2, NotDivisible, RationalTM, 
 from ajcable.jones import unknot_sequence
 from ajcable.qtorus import SkewOperator, apply_operator, check_annihilation, skew_multiply
 
-L = SkewOperator.l_power(1)
+
+def l_power(i):
+    return SkewOperator({i: IntLaurent2.one()})
+
+
+L = l_power(1)
 M_OP = SkewOperator({0: IntLaurent2({(0, 1): 1})})
-ONE = SkewOperator.identity()
+L_MINUS_ONE = SkewOperator({1: IntLaurent2.one(), 0: -IntLaurent2.one()})
+L_PLUS_ONE = SkewOperator({1: IntLaurent2.one(), 0: IntLaurent2.one()})
 
 
 def quantum_integer_op():
@@ -31,15 +37,13 @@ def test_twist_relation():
 
 
 def test_constant_coefficients_commute():
-    a = L - ONE
-    b = L + ONE
-    assert skew_multiply(a, b) == SkewOperator({0: IntLaurent2({(0, 0): -1}),
+    assert skew_multiply(L_MINUS_ONE, L_PLUS_ONE) == SkewOperator({0: IntLaurent2({(0, 0): -1}),
                                                 2: IntLaurent2({(0, 0): 1})})
 
 
 def test_l_squared_twists_twice():
     f = SkewOperator({0: IntLaurent2({(0, 1): 1, (0, -1): -1})})
-    out = skew_multiply(SkewOperator.l_power(2), f)
+    out = skew_multiply(l_power(2), f)
     assert out.coeffs[2] == IntLaurent2({(4, 1): 1, (-4, -1): -1})
 
 
@@ -71,7 +75,7 @@ def test_check_annihilation_pass():
 
 
 def test_check_annihilation_failure_records_residue():
-    report = check_annihilation(L - ONE, unknot_sequence(), 1, 3)
+    report = check_annihilation(L_MINUS_ONE, unknot_sequence(), 1, 3)
     assert not report["pass"]
     assert report["first_failure_n"] == 1
     assert report["residue"] == IntLaurent1({2: 1, -2: 1, 0: -1}).text()
@@ -85,10 +89,10 @@ def test_check_annihilation_rejects_empty_window():
 def test_check_annihilation_reads_below_the_window():
     # L^-1 (1 - (t^2 + t^-2) L + L^2) reads colours n - 1 .. n + 1; at n = 1
     # that is colour 0, where the odd extension puts 0
-    shifted = skew_multiply(SkewOperator.l_power(-1), quantum_integer_op())
+    shifted = skew_multiply(l_power(-1), quantum_integer_op())
     assert min(shifted.coeffs) == -1
     assert check_annihilation(shifted, unknot_sequence(), 1, 12)["pass"]
-    assert check_annihilation([SkewOperator.l_power(-1), quantum_integer_op()],
+    assert check_annihilation([l_power(-1), quantum_integer_op()],
                               unknot_sequence(), 1, 12)["pass"]
 
 
@@ -175,7 +179,7 @@ def operators(draw):
 @st.composite
 def shifted_operators(draw):
     """Operators whose L-exponents start anywhere in -2..1."""
-    return skew_multiply(SkewOperator.l_power(draw(lshift)), draw(operators()))
+    return skew_multiply(l_power(draw(lshift)), draw(operators()))
 
 
 @given(operators(), operators(), operators())
